@@ -2,9 +2,9 @@
 #
 # Every corpus complex is pushed through three independent pipelines:
 # classical simplicial chains, the full ordered-tuple complex, and the
-# sign-quotient complex with its Z/2 relations (via stacked Smith normal
-# forms).  All three agree, which is the computational content of the
-# equivalence between the quotient theory and the standard one.
+# sign-quotient complex with its Z/2 relations (split into a free block and
+# a torsion block read mod 2).  All three agree, which is the computational
+# content of the equivalence between the quotient theory and the standard one.
 
 import time
 

@@ -323,12 +323,24 @@ def presentation_to_json(pres: AltComplexPresentation) -> dict:
     }
 
 
+_PRESENTATION_FIELDS = {"format_version", "max_degree", "degrees", "boundaries",
+                        "relations"}
+
+
 def presentation_from_json(data: dict) -> AltComplexPresentation:
-    """Rebuild a presentation from its serialized form (complex not kept)."""
+    """Rebuild a presentation from its serialized form (complex not kept).
+
+    Boundary n must be g_{n-1} x g_n with no entry joining a free and a
+    torsion generator, and relations n must be 2*e_t on the torsion
+    generators, as :func:`presentation_to_json` writes them.
+    """
     from .integer_homology import matrix_from_json
 
     if not isinstance(data, dict):
         raise FormatError("presentation must be a JSON object")
+    unknown = sorted(set(data) - _PRESENTATION_FIELDS)
+    if unknown:
+        raise FormatError(f"unknown presentation fields {unknown}")
     if data.get("format_version") != PRESENTATION_FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {data.get('format_version')!r}")
     try:
@@ -336,13 +348,28 @@ def presentation_from_json(data: dict) -> AltComplexPresentation:
         degrees = data["degrees"]
         free_gens = [tuple(tuple(t) for t in d["free"]) for d in degrees]
         torsion_gens = [tuple(tuple(t) for t in d["torsion"]) for d in degrees]
+        if max_degree < 0 or len(free_gens) != max_degree + 1:
+            raise FormatError("degree list does not match max_degree")
+        free = [len(f) for f in free_gens]
+        counts = [len(f) + len(t) for f, t in zip(free_gens, torsion_gens)]
         boundaries = [[]]
-        for n in range(1, max_degree + 1):
-            boundaries.append(matrix_from_json(data["boundaries"][str(n)]).to_dense())
+        for n in range(max_degree + 1):
+            rel = matrix_from_json(data["relations"][str(n)])
+            t = len(torsion_gens[n])
+            if (rel.rows, rel.cols) != (counts[n], t) or \
+                    rel.entries != {(free[n] + j, j): 2 for j in range(t)}:
+                raise FormatError(f"relations {n} are not 2*e_t on the torsion generators")
+            if n == 0:
+                continue
+            M = matrix_from_json(data["boundaries"][str(n)])
+            if (M.rows, M.cols) != (counts[n - 1], counts[n]):
+                raise FormatError(f"boundary {n} is {M.rows}x{M.cols}, "
+                                  f"expected {counts[n - 1]}x{counts[n]}")
+            if any((r < free[n - 1]) != (c < free[n]) for r, c in M.entries):
+                raise FormatError(f"boundary {n} joins a free and a torsion generator")
+            boundaries.append(M.to_dense())
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed presentation: {exc}") from exc
-    if len(free_gens) != max_degree + 1:
-        raise FormatError("degree list does not match max_degree")
     return AltComplexPresentation(
         complex=None, max_degree=max_degree,
         free_generators=tuple(free_gens), torsion_generators=tuple(torsion_gens),

@@ -48,7 +48,7 @@ def _read_complex(path: str):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}")
     K = load_complex(text)
     if not K.name:
@@ -59,15 +59,17 @@ def _read_complex(path: str):
     return K
 
 
-def _read_cochain(path: str, index=None):
+def _read_json(path: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}")
-    return ca.cochain_from_json(data, index)
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    return data
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -137,10 +139,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_cup(args) -> int:
     K = _read_complex(args.complex)
-    with open(args.alpha) as fh:
-        alpha_data = json.load(fh)
-    with open(args.beta) as fh:
-        beta_data = json.load(fh)
+    alpha_data = _read_json(args.alpha)
+    beta_data = _read_json(args.beta)
     p = alpha_data.get("degree", 0)
     q = beta_data.get("degree", 0)
     if not isinstance(p, int) or not isinstance(q, int):
@@ -157,8 +157,7 @@ def _cmd_cup(args) -> int:
 
 def _cmd_residual(args) -> int:
     K = _read_complex(args.complex)
-    with open(args.alpha) as fh:
-        alpha_data = json.load(fh)
+    alpha_data = _read_json(args.alpha)
     p = alpha_data.get("degree", 0)
     if not isinstance(p, int):
         raise FormatError("cochain degree must be an integer")

@@ -3,8 +3,10 @@
 Everything here is arbitrary-precision: Smith normal form by classical
 row/column reduction with minimal-absolute-value pivoting, sparse
 diagonalization for the large boundary matrices of tuple complexes, and
-homology of both free chain complexes and complexes presented with
-order-2 generator relations.
+homology of both free chain complexes and complexes whose torsion
+generators have order 2.  The latter reads the lifted boundary as a free
+block, handled as a free chain complex, and a torsion block, whose rank
+mod 2 adds the Z/2 summands; both go through sparse diagonalization.
 
 Matrix conventions: a boundary matrix for degree n has one column per
 degree-n generator and one row per degree-(n-1) generator; composition
@@ -75,13 +77,6 @@ class IntegerMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def column(self, j: int) -> list:
-        col = [0] * self.rows
-        for (r, c), v in self.entries.items():
-            if c == j:
-                col[r] = v
-        return col
-
 
 def matrix_to_json(M: IntegerMatrix) -> dict:
     """Serialize as dimensions plus row-major entries as decimal strings."""
@@ -95,12 +90,20 @@ def matrix_to_json(M: IntegerMatrix) -> dict:
 
 
 def matrix_from_json(data: dict) -> IntegerMatrix:
+    if not isinstance(data, dict):
+        raise FormatError("matrix must be a JSON object")
+    if data.get("format_version") != MATRIX_FORMAT_VERSION:
+        raise FormatError(
+            f"unsupported matrix format_version {data.get('format_version')!r}")
     for key in ("rows", "cols", "entries"):
         if key not in data:
             raise FormatError(f"matrix object missing '{key}'")
-    rows, cols = int(data["rows"]), int(data["cols"])
+    rows, cols = data["rows"], data["cols"]
+    for dim in (rows, cols):
+        if type(dim) is not int or dim < 0:
+            raise FormatError(f"matrix dimension {dim!r} is not a nonnegative integer")
     flat = data["entries"]
-    if len(flat) != rows * cols:
+    if not isinstance(flat, list) or len(flat) != rows * cols:
         raise FormatError("matrix entry count does not match dimensions")
     entries = {}
     for k, s in enumerate(flat):
@@ -131,18 +134,6 @@ def dense_matmul(A: list, B: list) -> list:
                     if brow[j]:
                         acc[j] += a * brow[j]
     return out
-
-
-def hstack(A: list, B: list) -> list:
-    if not A and not B:
-        return []
-    if not A:
-        return [row[:] for row in B]
-    if not B:
-        return [row[:] for row in A]
-    if len(A) != len(B):
-        raise ValueError("row count mismatch")
-    return [ra + rb for ra, rb in zip(A, B)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +169,6 @@ class SNFResult:
         r = self.rank
         return [[self.v_inv[i][j] for i in range(self.cols)]
                 for j in range(r, self.cols)]
-
-    def image_basis(self) -> list:
-        """Columns spanning the integer image (each a length-``rows`` vector)."""
-        out = []
-        for i, d in enumerate(self.diagonal):
-            if d:
-                out.append([d * self.u[r][i] for r in range(self.rows)])
-        return out
 
     def solve(self, b: list):
         """An integer x with M x = b, or None when none exists."""
@@ -535,73 +518,56 @@ def homology_free(dims: Sequence[int], boundaries: Sequence[IntegerMatrix]) -> l
 
 
 def homology_presented(pres) -> list:
-    """Homology of a complex whose chain groups carry order-2 relations.
+    """Homology of a complex whose torsion generators have order 2.
 
     ``pres`` provides ``max_degree``, ``generator_count(n)``,
-    ``boundary_matrix(n)`` (dense, degree n -> n-1 on the combined
-    generator list) and ``relation_matrix(n)`` (columns spanning the
-    relation subgroup).  Degree-n cycles are the x with boundary(x) in the
-    span of the degree-(n-1) relations; boundaries and relations are then
-    quotiented out inside the cycle lattice.
+    ``torsion_generators`` (one sequence per degree) and
+    ``boundary_matrix(n)`` (dense, degree n -> n-1, free generators first).
+    The free block is a free chain complex; the torsion block is read mod 2
+    and adds t_n - r_n - r_{n+1} summands Z/2 in degree n (t_n torsion
+    generators, r_n the F2 rank of the degree-n block).  Raises
+    ``ValueError`` on a wrong shape, on an entry joining a free and a
+    torsion generator, or when a block does not square to zero (mod 2 for
+    the torsion block).
     """
     D = pres.max_degree
+    gens = [pres.generator_count(n) for n in range(D + 1)]
+    tors = [len(pres.torsion_generators[n]) for n in range(D + 1)]
+    free = [g - t for g, t in zip(gens, tors)]
+    free_blocks: list = [None]
+    tors_blocks: list = [None]
+    for n in range(1, D + 1):
+        dense = pres.boundary_matrix(n)
+        if len(dense) != gens[n - 1] or any(len(row) != gens[n] for row in dense):
+            raise ValueError(f"boundary matrix {n} has wrong shape")
+        f_rows, f_cols = free[n - 1], free[n]
+        free_entries, tors_entries = {}, {}
+        for r, row in enumerate(dense):
+            for c, v in enumerate(row):
+                if not v:
+                    continue
+                if (r < f_rows) != (c < f_cols):
+                    raise ValueError(
+                        f"degree {n}: boundary entry ({r}, {c}) joins a free "
+                        "and a torsion generator; the presented complex is "
+                        "inconsistent")
+                if r < f_rows:
+                    free_entries[(r, c)] = v
+                elif v % 2:
+                    tors_entries[(r - f_rows, c - f_cols)] = 1
+        free_blocks.append(IntegerMatrix(f_rows, f_cols, free_entries))
+        tors_blocks.append(IntegerMatrix(tors[n - 1], tors[n], tors_entries))
+    for n in range(1, D):
+        if any(v % 2 for v in tors_blocks[n].matmul(tors_blocks[n + 1]).entries.values()):
+            raise ValueError(f"degree {n + 1}: torsion boundary does not square "
+                             "to zero mod 2; the presented complex is inconsistent")
+    # unimodular integer operations stay invertible mod 2, so the odd
+    # diagonal entries count the F2 rank
+    ranks = [0] + [sum(d % 2 for d in sparse_diagonalize(M)) for M in tors_blocks[1:]]
     groups = []
-    for n in range(D):
-        g_n = pres.generator_count(n)
-        if n == 0:
-            cycle_basis = [[1 if i == j else 0 for j in range(g_n)]
-                           for i in range(g_n)]
-        else:
-            stacked = hstack(pres.boundary_matrix(n), pres.relation_matrix(n - 1))
-            if not stacked:
-                stacked = [[0] * g_n for _ in range(max(1, pres.generator_count(n - 1)))]
-            snf = smith_normal_form(stacked)
-            raw = [vec[:g_n] for vec in snf.kernel_basis()]
-            # projections of kernel vectors generate the cycle group but may
-            # be dependent; extract a lattice basis
-            if raw:
-                gen_matrix = [[vec[i] for vec in raw] for i in range(g_n)]
-                snf2 = smith_normal_form(gen_matrix)
-                cycle_basis = snf2.image_basis()
-            else:
-                cycle_basis = []
-        r = len(cycle_basis)
-        killers = []
-        bmat = pres.boundary_matrix(n + 1)
-        if bmat and bmat[0]:
-            for j in range(len(bmat[0])):
-                killers.append([bmat[i][j] for i in range(g_n)])
-        rmat = pres.relation_matrix(n)
-        if rmat and rmat[0]:
-            for j in range(len(rmat[0])):
-                killers.append([rmat[i][j] for i in range(g_n)])
-
-        if r == 0:
-            if any(any(w) for w in killers):
-                raise ValueError(
-                    f"degree {n}: a boundary or relation is not a cycle; "
-                    "the presented complex is inconsistent")
-            groups.append(AbelianGroup(0))
-            continue
-        basis_matrix = [[cycle_basis[j][i] for j in range(r)] for i in range(g_n)]
-        basis_snf = smith_normal_form(basis_matrix)
-
-        coords = []
-        for w in killers:
-            z = basis_snf.solve(w)
-            if z is None:
-                raise ValueError(
-                    f"degree {n}: a boundary or relation is not a cycle; "
-                    "the presented complex is inconsistent")
-            coords.append(z[:r])
-        if coords:
-            killer_matrix = [[coords[j][i] for j in range(len(coords))]
-                             for i in range(r)]
-            ksnf = smith_normal_form(killer_matrix)
-            groups.append(AbelianGroup.canonical(r - ksnf.rank,
-                                                 ksnf.invariant_factors))
-        else:
-            groups.append(AbelianGroup(r))
+    for n, g in enumerate(homology_free(free, free_blocks)):
+        extra = tors[n] - ranks[n] - ranks[n + 1]
+        groups.append(AbelianGroup.canonical(g.free_rank, g.torsion + (2,) * extra))
     return groups
 
 

@@ -155,6 +155,50 @@ def test_presentation_roundtrip(rp2):
     assert homology_presented(back) == homology_presented(pres)
 
 
+def _matrix(rows, cols, dense):
+    return {"format_version": 1, "rows": rows, "cols": cols,
+            "entries": [str(v) for row in dense for v in row]}
+
+
+def test_presentation_from_json_rejects_inconsistent_input(rp2):
+    from altchain.errors import FormatError
+    good = presentation_to_json(alt_chain_complex(rp2, 3))
+    pres = alt_chain_complex(rp2, 3)
+    d2 = pres.boundary_matrix(2)
+    d1 = pres.boundary_matrix(1)
+    rel1 = pres.relation_matrix(1)
+    f1 = len(pres.free_generators[1])
+
+    def mutated(**changes):
+        data = json.loads(json.dumps(good))
+        for key, (n, value) in changes.items():
+            data[key][str(n)] = value
+        return data
+
+    # boundary 2 of the wrong shape: 1x1, and one extra zero column
+    with pytest.raises(FormatError):
+        presentation_from_json(mutated(boundaries=(2, _matrix(1, 1, [[0]]))))
+    with pytest.raises(FormatError):
+        presentation_from_json(mutated(boundaries=(
+            2, _matrix(len(d2), len(d2[0]) + 1, [row + [0] for row in d2]))))
+    # a free vertex row hit by a torsion edge column
+    joined = [row[:] for row in d1]
+    joined[0][f1] = 1
+    with pytest.raises(FormatError):
+        presentation_from_json(mutated(boundaries=(
+            1, _matrix(len(d1), len(d1[0]), joined))))
+    # relations other than 2*e_t on the torsion generators
+    doubled = [[2 * v for v in row] for row in rel1]
+    with pytest.raises(FormatError):
+        presentation_from_json(mutated(relations=(
+            1, _matrix(len(rel1), len(rel1[0]), doubled))))
+    with pytest.raises(FormatError):
+        presentation_from_json(mutated(relations=(1, _matrix(0, 0, []))))
+    # an unknown top-level field
+    with pytest.raises(FormatError):
+        presentation_from_json(dict(good, comment="hand edited"))
+
+
 def test_dual_dimension_invariant(corpus):
     # rational alternating cochain dimension == free quotient generators
     from altchain.cochain_algebra import alt_basis

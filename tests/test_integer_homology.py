@@ -260,6 +260,21 @@ def test_matrix_json_roundtrip():
         matrix_from_json({"rows": 1, "cols": 1, "entries": ["x"]})
 
 
+def test_matrix_from_json_rejects_bad_version_and_dimensions():
+    from altchain.errors import FormatError
+    with pytest.raises(FormatError):
+        matrix_from_json({"format_version": 2, "rows": 1, "cols": 1,
+                          "entries": ["5"]})
+    with pytest.raises(FormatError):
+        matrix_from_json({"rows": 1, "cols": 1, "entries": ["5"]})
+    with pytest.raises(FormatError):
+        matrix_from_json({"format_version": 1, "rows": -1, "cols": -1,
+                          "entries": ["5"]})
+    with pytest.raises(FormatError):
+        matrix_from_json({"format_version": 1, "rows": 0, "cols": -3,
+                          "entries": []})
+
+
 def test_big_entry_exactness():
     # arbitrary precision: no overflow on entries far beyond 64 bits
     big = 2 ** 100
@@ -297,6 +312,60 @@ def test_homology_presented_rejects_non_cycle_boundary():
         # degree-1 cycles are 0 here, but the degree-2 boundary column (1)
         # is not inside that cycle lattice
         homology_presented(Bogus())
+
+
+class BlockPresentation:
+    """Duck-typed presentation: free and torsion counts per degree, with
+    free blocks and torsion blocks given separately (degree -> dense)."""
+
+    def __init__(self, free, torsion, torsion_blocks, free_blocks=None):
+        self.max_degree = len(free) - 1
+        self.free = free
+        self.torsion_generators = tuple(tuple(range(t)) for t in torsion)
+        self.torsion_blocks = torsion_blocks
+        self.free_blocks = free_blocks or {}
+
+    def generator_count(self, n):
+        return self.free[n] + len(self.torsion_generators[n])
+
+    def boundary_matrix(self, n):
+        f_rows, f_cols = self.free[n - 1], self.free[n]
+        out = [[0] * self.generator_count(n)
+               for _ in range(self.generator_count(n - 1))]
+        for r, row in enumerate(self.free_blocks.get(n, [])):
+            out[r][:f_cols] = row
+        for r, row in enumerate(self.torsion_blocks.get(n, [])):
+            out[f_rows + r][f_cols:] = row
+        return out
+
+
+def test_homology_presented_torsion_term(rp2):
+    # t_n - r_n - r_{n+1} is 0 on every corpus presentation; these pin it
+    # nonzero (answers from the three-SNF recipe on [boundary | 2*e_t])
+    zero = BlockPresentation([0, 0, 0], [1, 1, 0], {})
+    assert [str(g) for g in homology_presented(zero)] == ["Z/2", "Z/2"]
+    edge = BlockPresentation([0, 0, 0], [1, 2, 0], {1: [[1, 1]]})
+    assert [str(g) for g in homology_presented(edge)] == ["0", "Z/2"]
+    # integer rank 3 but F2 rank 2, and an even entry that must read as 0
+    triangle = BlockPresentation([0, 0, 0], [3, 4, 0],
+                                 {1: [[1, 1, 0, 2], [0, 1, 1, 0], [1, 0, 1, 0]]})
+    assert [str(g) for g in homology_presented(triangle)] == ["Z/2", "Z/2 + Z/2"]
+    simplicial = {n: simplicial_boundary_matrix(rp2, n).to_dense() for n in (1, 2)}
+    mixed = BlockPresentation([6, 15, 10, 0], [1, 3, 1, 0],
+                              {1: [[1, 1, 0]], 2: [[1], [1], [0]]}, simplicial)
+    assert [str(g) for g in homology_presented(mixed)] == ["Z", "Z/2 + Z/2", "0"]
+
+
+def test_homology_presented_rejects_non_block_and_bad_torsion_square():
+    # a free edge whose boundary hits the torsion vertex
+    non_block = BlockPresentation([0, 1, 0], [1, 0, 0], {})
+    non_block.boundary_matrix = lambda n: [[1]] if n == 1 else [[]]
+    with pytest.raises(ValueError, match="joins a free and a torsion"):
+        homology_presented(non_block)
+    odd_square = BlockPresentation([0, 0, 0, 0], [1, 1, 1, 0],
+                                   {1: [[1]], 2: [[1]]})
+    with pytest.raises(ValueError, match="mod 2"):
+        homology_presented(odd_square)
 
 
 def test_rational_cochain_ranks_match_free_quotient_ranks(corpus):

@@ -75,6 +75,26 @@ def test_mutation_in_canonicalize_is_caught(sphere, monkeypatch):
                      "torsion-boundary-cancellation"}
 
 
+def test_mutation_in_torsion_boundary_is_caught(point, monkeypatch):
+    # the free block alone reproduces simplicial homology, so only the
+    # torsion block can turn quotient-homology-agreement red
+    real = alt_chains.boundary
+
+    def broken(chain):
+        out = real(chain)
+        if chain.torsion:
+            return alt_chains.AltChain(out.degree, out.free)
+        return out
+
+    monkeypatch.setattr(alt_chains, "boundary", broken)
+    report = verify.run_all([("point", point)], seed=0, cases=5)
+    entry = next(r for r in report.results
+                 if r.suite_id == "quotient-homology-agreement")
+    assert not entry.passed
+    assert entry.counterexample == {"complex": "point", "degree": 1,
+                                    "quotient": "Z/2", "simplicial": "0"}
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -135,6 +155,9 @@ def test_cli_parse_error_exit(tmp_path, capsys):
     assert cli.main(["homology", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert cli.main(["homology", str(missing)]) == 2
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    assert cli.main(["homology", str(binary)]) == 2
 
 
 def test_cli_budget_exit(tmp_path, capsys, monkeypatch):
@@ -219,6 +242,23 @@ def test_cli_residual(tmp_path, capsys):
     fs.write_text(json.dumps(skew))
     assert cli.main(["residual", corpus_path("sphere_s2"), str(fs)]) == 0
     assert "not alternating" in capsys.readouterr().err
+
+
+def test_cli_cup_and_residual_reject_bad_cochain_files(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"format_version": 1, "degree": 0,
+                                "values": [[[0], "1/1"]]}))
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    missing = str(tmp_path / "missing.json")
+    sphere = corpus_path("sphere_s2")
+    for argv in (["cup", sphere, missing, str(good)],
+                 ["cup", sphere, str(good), str(listed)],
+                 ["residual", sphere, missing],
+                 ["residual", sphere, str(listed)]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_cli_export_presentation(tmp_path, capsys):
