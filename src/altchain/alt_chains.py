@@ -334,7 +334,7 @@ def presentation_from_json(data: dict) -> AltComplexPresentation:
     torsion generator, and relations n must be 2*e_t on the torsion
     generators, as :func:`presentation_to_json` writes them.
     """
-    from .integer_homology import matrix_from_json
+    from .integer_homology import free_torsion_crossing, matrix_from_json
 
     if not isinstance(data, dict):
         raise FormatError("presentation must be a JSON object")
@@ -365,7 +365,7 @@ def presentation_from_json(data: dict) -> AltComplexPresentation:
             if (M.rows, M.cols) != (counts[n - 1], counts[n]):
                 raise FormatError(f"boundary {n} is {M.rows}x{M.cols}, "
                                   f"expected {counts[n - 1]}x{counts[n]}")
-            if any((r < free[n - 1]) != (c < free[n]) for r, c in M.entries):
+            if free_torsion_crossing(M.entries, free[n - 1], free[n]) is not None:
                 raise FormatError(f"boundary {n} joins a free and a torsion generator")
             boundaries.append(M.to_dense())
     except (KeyError, TypeError, ValueError) as exc:

@@ -517,6 +517,12 @@ def homology_free(dims: Sequence[int], boundaries: Sequence[IntegerMatrix]) -> l
     return groups
 
 
+def free_torsion_crossing(entries, free_rows: int, free_cols: int):
+    """First key (r, c) of ``entries`` joining a free and a torsion generator
+    (free generators first in both degrees), or ``None`` if block-diagonal."""
+    return next(((r, c) for r, c in entries if (r < free_rows) != (c < free_cols)), None)
+
+
 def homology_presented(pres) -> list:
     """Homology of a complex whose torsion generators have order 2.
 
@@ -541,22 +547,18 @@ def homology_presented(pres) -> list:
         if len(dense) != gens[n - 1] or any(len(row) != gens[n] for row in dense):
             raise ValueError(f"boundary matrix {n} has wrong shape")
         f_rows, f_cols = free[n - 1], free[n]
-        free_entries, tors_entries = {}, {}
-        for r, row in enumerate(dense):
-            for c, v in enumerate(row):
-                if not v:
-                    continue
-                if (r < f_rows) != (c < f_cols):
-                    raise ValueError(
-                        f"degree {n}: boundary entry ({r}, {c}) joins a free "
-                        "and a torsion generator; the presented complex is "
-                        "inconsistent")
-                if r < f_rows:
-                    free_entries[(r, c)] = v
-                elif v % 2:
-                    tors_entries[(r - f_rows, c - f_cols)] = 1
-        free_blocks.append(IntegerMatrix(f_rows, f_cols, free_entries))
-        tors_blocks.append(IntegerMatrix(tors[n - 1], tors[n], tors_entries))
+        entries = {(r, c): v for r, row in enumerate(dense)
+                   for c, v in enumerate(row) if v}
+        crossing = free_torsion_crossing(entries, f_rows, f_cols)
+        if crossing is not None:
+            raise ValueError(
+                f"degree {n}: boundary entry {crossing} joins a free and a "
+                "torsion generator; the presented complex is inconsistent")
+        free_blocks.append(IntegerMatrix(f_rows, f_cols, {
+            (r, c): v for (r, c), v in entries.items() if r < f_rows}))
+        tors_blocks.append(IntegerMatrix(tors[n - 1], tors[n], {
+            (r - f_rows, c - f_cols): 1 for (r, c), v in entries.items()
+            if r >= f_rows and v % 2}))
     for n in range(1, D):
         if any(v % 2 for v in tors_blocks[n].matmul(tors_blocks[n + 1]).entries.values()):
             raise ValueError(f"degree {n + 1}: torsion boundary does not square "

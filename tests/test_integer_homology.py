@@ -255,9 +255,11 @@ def test_matrix_json_roundtrip():
     assert back.rows == 2 and back.cols == 3 and back.entries == M.entries
     from altchain.errors import FormatError
     with pytest.raises(FormatError):
-        matrix_from_json({"rows": 1, "cols": 2, "entries": ["1"]})
+        matrix_from_json({"format_version": 1, "rows": 1, "cols": 2,
+                          "entries": ["1"]})
     with pytest.raises(FormatError):
-        matrix_from_json({"rows": 1, "cols": 1, "entries": ["x"]})
+        matrix_from_json({"format_version": 1, "rows": 1, "cols": 1,
+                          "entries": ["x"]})
 
 
 def test_matrix_from_json_rejects_bad_version_and_dimensions():
