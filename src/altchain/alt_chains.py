@@ -344,7 +344,9 @@ def presentation_from_json(data: dict) -> AltComplexPresentation:
     if data.get("format_version") != PRESENTATION_FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {data.get('format_version')!r}")
     try:
-        max_degree = int(data["max_degree"])
+        max_degree = data["max_degree"]
+        if type(max_degree) is not int:
+            raise FormatError(f"max_degree {max_degree!r} is not an integer")
         degrees = data["degrees"]
         free_gens = [tuple(tuple(t) for t in d["free"]) for d in degrees]
         torsion_gens = [tuple(tuple(t) for t in d["torsion"]) for d in degrees]

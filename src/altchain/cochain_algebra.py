@@ -9,6 +9,20 @@ cup product.  On alternating inputs it is graded commutative; it is
 associative exactly only on closed alternating inputs, and so in
 cohomology, but not on all alternating inputs.
 
+The projector works one orbit at a time.  Write sign(g) for the parity of
+the reordering that sorts a tuple g with distinct entries.  The value of
+the projection at g depends only on the orbit of g (its reorderings):
+
+    P(alpha)(g) = sign(g)/(n+1)! * sum over h in orbit(g) of sign(h)*alpha(h)
+
+for distinct entries, and P(alpha)(g) = 0 when g repeats an entry, since
+the odd swap of two equal entries fixes g.  So the support is grouped by
+its sorted tuple, one signed sum is kept per orbit, and each nonzero sum
+is written out over the (n+1)! reorderings of that orbit, read from one
+signed table per size: O(|supp| + orbits * (n+1)!) in all.  The
+coboundary scatters each supported value onto the cofaces it is a face
+of, so its cost is O(|supp| * (n+2) * coface vertices).
+
 All arithmetic is exact; equality of cochains is equality of their
 canonical sparse forms, with no tolerances anywhere.
 """
@@ -18,9 +32,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from . import permutations
 from .complex_model import GeneratorIndex, face
 from .errors import DegreeCapError, FormatError
 from .integer_homology import IntegerMatrix
@@ -45,7 +59,7 @@ class Cochain:
         for g, v in (values or {}).items():
             if len(g) != degree + 1:
                 raise ValueError(f"{g} does not have degree {degree}")
-            fv = Fraction(v)
+            fv = v if type(v) is Fraction else Fraction(v)
             if fv:
                 clean[g] = fv
         self.values = clean
@@ -94,67 +108,98 @@ class Cochain:
         return f"Cochain(deg {self.degree}, {{{terms}}})"
 
 
-def _reorder_closure(support) -> set:
-    """All tuples obtained by reordering entries of the supported tuples."""
-    out = set()
-    for h in support:
-        out.update(itertools.permutations(h))
-    return out
+@lru_cache(maxsize=None)
+def _signed_orders(k: int) -> tuple:
+    """Every ordering of k positions as (order, parity), in lexicographic
+    order of the orders."""
+    out = []
+    for order in itertools.permutations(range(k)):
+        inversions = sum(1 for a in range(k) for b in range(a + 1, k)
+                         if order[a] > order[b])
+        out.append((order, -1 if inversions % 2 else 1))
+    return tuple(out)
+
+
+def _orbit(key: tuple) -> dict:
+    """Each reordering of the strictly increasing tuple ``key``, mapped to
+    the parity of the reordering that sorts it back."""
+    return {tuple(key[j] for j in order): sgn
+            for order, sgn in _signed_orders(len(key))}
 
 
 def coboundary(index: GeneratorIndex, alpha: Cochain) -> Cochain:
-    """Alternating sum of values on the faces; the dual of the boundary."""
+    """Alternating sum of values on the faces; the dual of the boundary.
+
+    Scattered from the support: the value at f goes, with sign (-1)^i, to
+    every g with face(g, i) = f, that is to f[:i] + (v,) + f[i:] for each
+    vertex v that spans a simplex together with f.  Each pair (g, i) with
+    face(g, i) = f arises exactly once.
+    """
     n = alpha.degree
     if n + 1 > index.max_degree:
         raise DegreeCapError(
             f"coboundary of degree {n} needs generators of degree {n + 1}, "
             f"cap is {index.max_degree}")
-    K = index.complex
-    targets = set()
-    for h in alpha.values:
-        sup = set(h)
-        for v in range(K.vertex_count):
-            if K.has_simplex(sup | {v}):
-                for pos in range(n + 2):
-                    targets.add(h[:pos] + (v,) + h[pos:])
-    out = {}
-    for g in targets:
-        total = Fraction(0)
+    coface_vertices = index.complex.coface_vertices
+    out: dict = {}
+    for f, value in alpha.values.items():
+        vertices = coface_vertices.get(frozenset(f), ())
         for i in range(n + 2):
-            f = face(g, i)
-            if f in alpha.values:
-                total += (-1) ** i * alpha.values[f]
-        if total:
-            out[g] = total
+            head, tail = f[:i], f[i:]
+            signed = -value if i % 2 else value
+            for v in vertices:
+                g = head + (v,) + tail
+                out[g] = out.get(g, 0) + signed
     return Cochain(n + 1, out)
 
 
 def is_alternative(alpha: Cochain) -> bool:
-    """Does the cochain flip by the parity under every entry reordering?"""
-    group = permutations.enumerate_group(alpha.degree + 1)
-    for g in _reorder_closure(alpha.values):
-        vg = alpha(g)
-        for s in group:
-            if alpha(permutations.act(s, g)) != s.sign * vg:
+    """Does the cochain flip by the parity under every entry reordering?
+
+    Checked one orbit at a time: no supported tuple repeats an entry, and
+    every reordering h of a sorted key holds sign(h) * alpha(key).
+    """
+    values = alpha.values
+    seen = set()
+    for h in values:
+        key = tuple(sorted(h))
+        if key in seen:
+            continue
+        seen.add(key)
+        if len(set(key)) != len(key):
+            return False
+        base = values.get(key, 0)
+        for g, sgn in _orbit(key).items():
+            if values.get(g, 0) != sgn * base:
                 return False
     return True
 
 
 def alternative_maker(alpha: Cochain) -> Cochain:
     """Parity-weighted average over all reorderings; projects onto
-    alternating cochains and is the identity on them."""
+    alternating cochains and is the identity on them.
+
+    One signed sum per orbit, sign(h) * alpha(h) over the supported h that
+    sort to the same key; keys with a repeated entry are skipped, because
+    the projection vanishes there.  Each nonzero sum is divided by (n+1)!
+    and written to every reordering of its key with that reordering's
+    parity: O(|supp| + orbits * (n+1)!).
+    """
     n = alpha.degree
-    group = permutations.enumerate_group(n + 1)
+    groups: dict = {}
+    for h, v in alpha.values.items():
+        if len(set(h)) == len(h):
+            groups.setdefault(tuple(sorted(h)), []).append((h, v))
     scale = Fraction(1, factorial(n + 1))
     out = {}
-    for g in _reorder_closure(alpha.values):
-        total = Fraction(0)
-        for s in group:
-            v = alpha.values.get(permutations.act(s, g))
-            if v is not None:
-                total += s.sign * v
+    for key, members in groups.items():
+        orbit = _orbit(key)
+        total = sum(orbit[h] * v for h, v in members)
         if total:
-            out[g] = total * scale
+            value = total * scale
+            signed = {1: value, -1: -value}
+            for g, sgn in orbit.items():
+                out[g] = signed[sgn]
     return Cochain(n, out)
 
 
@@ -235,12 +280,10 @@ def alternating_cochain(tau: tuple, value=1) -> Cochain:
     strictly increasing tuple, worth ``value`` on the tuple itself."""
     if list(tau) != sorted(set(tau)):
         raise ValueError(f"{tau} is not strictly increasing")
-    n = len(tau) - 1
     value = Fraction(value)
-    vals = {}
-    for s in permutations.enumerate_group(n + 1):
-        vals[permutations.act(s, tau)] = s.sign * value
-    return Cochain(n, vals)
+    signed = {1: value, -1: -value}
+    return Cochain(len(tau) - 1,
+                   {g: signed[sgn] for g, sgn in _orbit(tau).items()})
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BudgetExceededError, DegreeCapError, FormatError
 
@@ -72,6 +73,17 @@ class SimplicialComplex:
 
     def has_simplex(self, vertices) -> bool:
         return frozenset(vertices) in self.simplex_set
+
+    @cached_property
+    def coface_vertices(self) -> dict:
+        """For each simplex, the sorted vertices v for which the simplex
+        plus v is again a simplex; its own vertices are among them."""
+        table = {s: set(s) for s in self.simplex_set}
+        for s in self.simplex_set:
+            if len(s) > 1:
+                for v in s:
+                    table[s - {v}].add(v)
+        return {s: tuple(sorted(vs)) for s, vs in table.items()}
 
     def f_vector(self) -> tuple:
         counts = {}

@@ -15,6 +15,7 @@ degree-n generator and one row per degree-(n-1) generator; composition
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -24,6 +25,7 @@ from .complex_model import GeneratorIndex, SimplicialComplex, face
 from .errors import FormatError
 
 MATRIX_FORMAT_VERSION = 1
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +109,12 @@ def matrix_from_json(data: dict) -> IntegerMatrix:
         raise FormatError("matrix entry count does not match dimensions")
     entries = {}
     for k, s in enumerate(flat):
-        try:
+        if type(s) is int:
+            v = s
+        elif isinstance(s, str) and _DECIMAL.fullmatch(s):
             v = int(s)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad matrix entry {s!r}") from exc
+        else:
+            raise FormatError(f"bad matrix entry {s!r}")
         if v:
             entries[(k // cols, k % cols)] = v
     return IntegerMatrix(rows, cols, entries)

@@ -161,15 +161,17 @@ def _suite_boundary_of_reordered(ctxs, rng, cases):
     for ctx in ctxs:
         top = min(3, ctx.index.max_degree)
         for n in range(1, top + 1):
-            group = permutations.enumerate_group(n + 1)
+            # (s, [(induced face permutation, s(i), (-1)^i) for each i])
+            faces = [(s, [(permutations.induced_face_perm(s, i), s(i), (-1) ** i)
+                          for i in range(n + 1)])
+                     for s in permutations.enumerate_group(n + 1)]
             for g in ctx.index.generators(n):
-                for s in group:
+                for s, face_terms in faces:
                     lhs = alt_chains.ordered_boundary({permutations.act(s, g): 1})
                     rhs: dict = {}
-                    for i in range(n + 1):
-                        si = permutations.induced_face_perm(s, i)
-                        t = permutations.act(si, face(g, s(i)))
-                        rhs[t] = rhs.get(t, 0) + (-1) ** i
+                    for si, s_of_i, sgn in face_terms:
+                        t = permutations.act(si, face(g, s_of_i))
+                        rhs[t] = rhs.get(t, 0) + sgn
                     rhs = {t: c for t, c in rhs.items() if c}
                     count += 1
                     if lhs != rhs:

@@ -197,6 +197,11 @@ def test_presentation_from_json_rejects_inconsistent_input(rp2):
     # an unknown top-level field
     with pytest.raises(FormatError):
         presentation_from_json(dict(good, comment="hand edited"))
+    # a max_degree that is not a JSON integer, though int() would take it
+    for bad in (3.0, 3.7, "3", True):
+        with pytest.raises(FormatError):
+            presentation_from_json(dict(good, max_degree=bad))
+    assert presentation_from_json(good).max_degree == 3
 
 
 def test_dual_dimension_invariant(corpus):

@@ -1,13 +1,17 @@
+import itertools
 import json
 from fractions import Fraction
 from math import factorial
 from random import Random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from altchain import (Cochain, DegreeCapError, FormatError, alt_basis,
-                      alt_cup, alternating_cochain, alternative_maker,
-                      coboundary, cup, enumerate_generators, is_alternative,
+from altchain import (Cochain, DegreeCapError, FormatError, SimplicialComplex,
+                      alt_basis, alt_cup, alternating_cochain,
+                      alternative_maker, coboundary, cup,
+                      enumerate_generators, is_alternative,
                       nonlinear_residual, split)
 from altchain.cochain_algebra import (alternative_maker_matrix,
                                       alternative_maker_matrix_scaled,
@@ -398,3 +402,140 @@ def test_serialization_strictness(sphere_index):
         # (0, 1, 2, 3) spans no simplex of the sphere
         cochain_from_json({"degree": 3, "values": [[[0, 1, 2, 3], "1/1"]]},
                           sphere_index)
+
+
+# ---------------------------------------------------------------------------
+# the orbit forms against the group-sum forms they replaced
+
+def oracle_alternative_maker(alpha):
+    # the parity-weighted sum over the whole group at every reordering of
+    # every supported tuple
+    n = alpha.degree
+    group = enumerate_group(n + 1)
+    closure = {h for g in alpha.values for h in itertools.permutations(g)}
+    out = {}
+    for g in closure:
+        total = sum((s.sign * alpha(act(s, g)) for s in group), Fraction(0))
+        if total:
+            out[g] = total / factorial(n + 1)
+    return Cochain(n, out)
+
+
+def oracle_is_alternative(alpha):
+    group = enumerate_group(alpha.degree + 1)
+    closure = {h for g in alpha.values for h in itertools.permutations(g)}
+    return all(alpha(act(s, g)) == s.sign * alpha(g)
+               for g in closure for s in group)
+
+
+def oracle_coboundary(index, alpha):
+    # gather: the signed sum of the face values at every generator
+    n = alpha.degree
+    out = {}
+    for g in index.generators(n + 1):
+        total = sum((-1) ** i * alpha(g[:i] + g[i + 1:]) for i in range(n + 2))
+        if total:
+            out[g] = total
+    return Cochain(n + 1, out)
+
+
+def matrix_columns(M):
+    columns: dict = {}
+    for (r, c), v in M.entries.items():
+        columns.setdefault(c, []).append((r, v))
+    return columns
+
+
+def matrix_image(columns, index, alpha):
+    # the matrix applied to the coordinate vector of alpha
+    n = alpha.degree
+    rows = index.generators(n + 1)
+    out: dict = {}
+    for g, a in alpha.values.items():
+        for r, v in columns.get(index.position(g), ()):
+            out[rows[r]] = out.get(rows[r], 0) + v * a
+    return Cochain(n + 1, out)
+
+
+@pytest.fixture(scope="module")
+def oracle_indices(corpus):
+    solid = SimplicialComplex.from_facets(5, [range(5)], name="solid_4_simplex")
+    return [enumerate_generators(K, 4) for _, K in corpus] + \
+        [enumerate_generators(solid, 4)]
+
+
+@pytest.fixture(scope="module")
+def oracle_columns(oracle_indices):
+    # (position in oracle_indices, degree) -> coboundary matrix by column
+    return {(k, n): matrix_columns(coboundary_matrix(index, n))
+            for k, index in enumerate(oracle_indices) for n in range(4)}
+
+
+@st.composite
+def cochains(draw, index, degrees=range(5)):
+    """Generators of the index (repeated entries included) together with a
+    few reorderings of each, so that an orbit often holds several supported
+    tuples whose signed values may cancel."""
+    n = draw(st.sampled_from(list(degrees)))
+    values = {}
+    for g in draw(st.lists(st.sampled_from(index.generators(n)), max_size=4)):
+        orders = draw(st.lists(st.permutations(range(n + 1)), min_size=1, max_size=3))
+        for order in orders:
+            values[tuple(g[j] for j in order)] = Fraction(
+                draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return Cochain(n, values)
+
+
+ORACLE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
+                           suppress_health_check=[HealthCheck.too_slow])
+
+
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_orbit_projector_matches_group_sum(oracle_indices, data):
+    index = data.draw(st.sampled_from(oracle_indices))
+    alpha = data.draw(cochains(index))
+    once = alternative_maker(alpha)
+    assert once == oracle_alternative_maker(alpha)
+    assert is_alternative(alpha) == oracle_is_alternative(alpha)
+    assert is_alternative(once) and oracle_is_alternative(once)
+    assert all(len(set(g)) == len(g) for g in once.values)
+
+
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_scatter_coboundary_matches_gather_and_matrix(oracle_indices,
+                                                      oracle_columns, data):
+    k = data.draw(st.integers(0, len(oracle_indices) - 1))
+    index = oracle_indices[k]
+    alpha = data.draw(cochains(index, range(4)))
+    image = coboundary(index, alpha)
+    assert image == oracle_coboundary(index, alpha)
+    assert image == matrix_image(oracle_columns[k, alpha.degree], index, alpha)
+
+
+def test_scaled_projector_matrix_matches_group_sum(sphere_index, oracle_indices):
+    solid = oracle_indices[-1]
+    for index, top in ((sphere_index, 3), (solid, 2)):
+        for n in range(top + 1):
+            M = alternative_maker_matrix_scaled(index, n)
+            for j, g in enumerate(index.generators(n)):
+                column = {index.generators(n)[r]: v
+                          for (r, c), v in M.entries.items() if c == j}
+                expected = oracle_alternative_maker(Cochain.indicator(g))
+                assert Cochain(n, column) == expected.scale(factorial(n + 1))
+
+
+def test_is_alternative_rejects_a_broken_orbit():
+    chi = alternating_cochain((0, 1, 2), Fraction(3, 2))
+    assert is_alternative(chi) and oracle_is_alternative(chi)
+    missing = Cochain(2, {g: v for g, v in chi.values.items() if g != (2, 0, 1)})
+    flipped = Cochain(2, {g: -v if g == (1, 0, 2) else v
+                          for g, v in chi.values.items()})
+    repeat = chi + Cochain.indicator((0, 0, 1))
+    for bad in (missing, flipped, repeat):
+        assert not is_alternative(bad)
+        assert not oracle_is_alternative(bad)
+    # a repeated tuple alone, and a symmetric rather than alternating pair
+    assert not is_alternative(Cochain(1, {(2, 2): -1}))
+    assert not is_alternative(Cochain(1, {(0, 1): 1, (1, 0): 1}))

@@ -260,6 +260,15 @@ def test_matrix_json_roundtrip():
     with pytest.raises(FormatError):
         matrix_from_json({"format_version": 1, "rows": 1, "cols": 1,
                           "entries": ["x"]})
+    # JSON integers are read as they are; floats, booleans, nulls and
+    # strings that are not plain decimals are rejected, not truncated
+    assert matrix_from_json({"format_version": 1, "rows": 1, "cols": 3,
+                             "entries": [4, "-12", 0]}).entries == \
+        {(0, 0): 4, (0, 1): -12}
+    for bad in (1.5, 2.0, True, False, None, " 3", "+3", "1_000", "1.0", "٣", [1]):
+        with pytest.raises(FormatError):
+            matrix_from_json({"format_version": 1, "rows": 1, "cols": 2,
+                              "entries": ["1", bad]})
 
 
 def test_matrix_from_json_rejects_bad_version_and_dimensions():
