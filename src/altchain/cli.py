@@ -44,6 +44,17 @@ def _presentation(K, max_dim):
     return alt_chains.alt_chain_complex(K, max_dim, **kwargs)
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for degree caps: a bad value is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _read_complex(path: str):
     try:
         with open(path) as fh:
@@ -70,6 +81,13 @@ def _read_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object")
     return data
+
+
+def _degree(cochain_data: dict) -> int:
+    degree = cochain_data.get("degree", 0)
+    if type(degree) is not int or degree < 0:
+        raise FormatError(f"cochain degree {degree!r} is not a nonnegative integer")
+    return degree
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -141,10 +159,7 @@ def _cmd_cup(args) -> int:
     K = _read_complex(args.complex)
     alpha_data = _read_json(args.alpha)
     beta_data = _read_json(args.beta)
-    p = alpha_data.get("degree", 0)
-    q = beta_data.get("degree", 0)
-    if not isinstance(p, int) or not isinstance(q, int):
-        raise FormatError("cochain degrees must be integers")
+    p, q = _degree(alpha_data), _degree(beta_data)
     max_dim = args.max_dim if args.max_dim is not None else p + q
     index = enumerate_generators(K, max_dim, budget=_budget())
     alpha = ca.cochain_from_json(alpha_data, index)
@@ -158,9 +173,7 @@ def _cmd_cup(args) -> int:
 def _cmd_residual(args) -> int:
     K = _read_complex(args.complex)
     alpha_data = _read_json(args.alpha)
-    p = alpha_data.get("degree", 0)
-    if not isinstance(p, int):
-        raise FormatError("cochain degree must be an integer")
+    p = _degree(alpha_data)
     max_dim = args.max_dim if args.max_dim is not None else 2 * p + 1
     index = enumerate_generators(K, max_dim, budget=_budget())
     alpha = ca.cochain_from_json(alpha_data, index)
@@ -198,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="integer or rational homology")
     p.add_argument("complex")
-    p.add_argument("--max-dim", type=int, default=3)
+    p.add_argument("--max-dim", type=_nonnegative_int, default=3)
     p.add_argument("--coeff", choices=["Z", "Q"], default="Z")
     p.add_argument("--variant", choices=["alternative", "ordered", "simplicial"],
                    default="alternative")
@@ -206,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="rational cohomology ranks")
     p.add_argument("complex")
-    p.add_argument("--max-dim", type=int, default=3)
+    p.add_argument("--max-dim", type=_nonnegative_int, default=3)
     p.add_argument("--variant", choices=["full", "alternative"], default="full")
     p.set_defaults(run=_cmd_cohomology)
 
@@ -217,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=200,
                    help="randomized cases per suite and complex")
-    p.add_argument("--max-dim", type=int, default=3)
+    p.add_argument("--max-dim", type=_nonnegative_int, default=3)
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write the JSON report ('-' for stdout)")
     p.set_defaults(run=_cmd_verify)
@@ -228,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("beta")
     p.add_argument("--alternative", action="store_true",
                    help="apply the projector to the product")
-    p.add_argument("--max-dim", type=int, default=None)
+    p.add_argument("--max-dim", type=_nonnegative_int, default=None)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(run=_cmd_cup)
 
@@ -236,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the nonlinear residual: alpha cup_A coboundary(alpha)")
     p.add_argument("complex")
     p.add_argument("alpha")
-    p.add_argument("--max-dim", type=int, default=None)
+    p.add_argument("--max-dim", type=_nonnegative_int, default=None)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(run=_cmd_residual)
 
@@ -244,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generators, boundary and relation matrices of "
                             "the sign-quotient complex")
     p.add_argument("complex")
-    p.add_argument("--max-dim", type=int, default=3)
+    p.add_argument("--max-dim", type=_nonnegative_int, default=3)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(run=_cmd_export_presentation)
 

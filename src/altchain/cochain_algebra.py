@@ -30,17 +30,21 @@ canonical sparse forms, with no tolerances anywhere.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .complex_model import GeneratorIndex, face
+# face stays importable from here: perfbench's tracer test checks that
+# cochain_algebra.face is restored after a traced replay
+from .complex_model import GeneratorIndex, face  # noqa: F401
 from .errors import DegreeCapError, FormatError
 from .integer_homology import IntegerMatrix
 
 COCHAIN_FORMAT_VERSION = 1
 _COCHAIN_FIELDS = {"format_version", "degree", "values"}
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
 class Cochain:
@@ -294,12 +298,13 @@ def coboundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
     generator bases (integer entries)."""
     if n + 1 > index.max_degree:
         raise DegreeCapError(f"need generators of degree {n + 1}")
+    column = index.positions(n)
+    signs = [(-1) ** k for k in range(n + 2)]
     entries: dict = {}
     for i, g in enumerate(index.generators(n + 1)):
-        for k in range(n + 2):
-            j = index.position(face(g, k))
-            key = (i, j)
-            v = entries.get(key, 0) + (-1) ** k
+        for k, sign in enumerate(signs):
+            key = (i, column[g[:k] + g[k + 1:]])
+            v = entries.get(key, 0) + sign
             if v:
                 entries[key] = v
             else:
@@ -372,16 +377,25 @@ def cochain_from_json(data: dict, index: GeneratorIndex | None = None) -> Cochai
     if "degree" not in data or "values" not in data:
         raise FormatError("cochain needs 'degree' and 'values'")
     degree = data["degree"]
-    if not isinstance(degree, int) or degree < 0:
+    if type(degree) is not int or degree < 0:
         raise FormatError(f"bad degree {degree!r}")
+    if not isinstance(data["values"], list):
+        raise FormatError("cochain 'values' must be a list")
     vals = {}
     for item in data["values"]:
+        # vertices are JSON integers; a value is a JSON integer or an exact
+        # "num/den", integer or decimal-point string (no floats, no booleans)
+        if not (isinstance(item, list) and len(item) == 2
+                and isinstance(item[0], list)
+                and all(type(v) is int for v in item[0])
+                and (type(item[1]) is int
+                     or isinstance(item[1], str) and _RATIONAL.fullmatch(item[1]))):
+            raise FormatError(f"bad cochain entry {item!r}")
         try:
-            key, s = item
-            g = tuple(int(v) for v in key)
-            v = Fraction(s)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            v = Fraction(item[1])
+        except ZeroDivisionError as exc:
             raise FormatError(f"bad cochain entry {item!r}") from exc
+        g = tuple(item[0])
         if len(g) != degree + 1:
             raise FormatError(f"tuple {g} does not have degree {degree}")
         if index is not None and not index.is_generator(g):

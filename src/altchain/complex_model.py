@@ -124,7 +124,7 @@ def load_complex(description) -> SimplicialComplex:
         raise FormatError("'facets' must be a list of vertex lists")
 
     names: tuple = ()
-    if isinstance(vertices, int):
+    if type(vertices) is int:
         count = vertices
         index_of = None
     elif isinstance(vertices, list):
@@ -143,7 +143,7 @@ def load_complex(description) -> SimplicialComplex:
         if index_of is None:
             row = []
             for v in f:
-                if not isinstance(v, int):
+                if type(v) is not int:
                     raise FormatError(f"facet entry {v!r} is not an integer index")
                 row.append(v)
         else:
@@ -208,6 +208,11 @@ class GeneratorIndex:
             return self._positions[n][g]
         except KeyError:
             raise KeyError(f"{g} is not a generator of this complex") from None
+
+    def positions(self, n: int) -> dict:
+        """The degree-n generator -> position table (read it, do not mutate it)."""
+        self._check_degree(n)
+        return self._positions[n]
 
     def is_generator(self, g: tuple) -> bool:
         n = len(g) - 1

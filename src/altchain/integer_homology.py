@@ -18,10 +18,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Sequence
 
-from .complex_model import GeneratorIndex, SimplicialComplex, face
+from .complex_model import GeneratorIndex, SimplicialComplex
 from .errors import FormatError
 
 MATRIX_FORMAT_VERSION = 1
@@ -344,20 +345,41 @@ def smith_normal_form(M) -> SNFResult:
 # sparse diagonalization (rank / invariant factors, no transforms)
 
 def sparse_diagonalize(M: IntegerMatrix) -> list:
-    """Diagonal entries of a diagonalization of M, unordered.
+    """Diagonal entries of a diagonalization of M, in pivot order.
 
     Elementary integer row and column operations only, so the multiset of
     entries determines the invariant factors.  Suited to the large sparse
     boundary matrices; fill-in is kept down by pivoting on short columns.
+
+    Pivot rule: the live column with the fewest entries, ties to the lowest
+    index; in it, the row with the smallest |value|, then the shortest row,
+    then the lowest index.  A smaller remainder left by a clearing step
+    becomes the pivot in its place.  Columns sit in a lazy min-heap keyed
+    by (entry count, index): a step re-pushes only the columns whose row
+    set it touched, and a popped key that no longer matches its column's
+    count is skipped, so choosing a pivot costs O(log columns) per pushed
+    key instead of a scan over every live column.
     """
     rows: dict = {}
     cols: dict = {}
     for (r, c), v in M.entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
+    heap = [(len(rs), c) for c, rs in cols.items()]
+    heapify(heap)
+    dirty: set = set()
     diag = []
     while cols:
-        pc = min(cols, key=lambda c: (len(cols[c]), c))
+        for c in dirty:
+            if c in cols:
+                heappush(heap, (len(cols[c]), c))
+        dirty.clear()
+        while True:
+            count, pc = heappop(heap)
+            if pc in cols and len(cols[pc]) == count:
+                break
+        # a column switch below can leave this column live
+        dirty.add(pc)
         pr = min(cols[pc], key=lambda r: (abs(rows[r][pc]), len(rows[r]), r))
         while True:
             pv = rows[pr][pc]
@@ -370,6 +392,7 @@ def sparse_diagonalize(M: IntegerMatrix) -> list:
                 if q:
                     prow = rows[pr]
                     rrow = rows[r]
+                    dirty.update(prow)
                     for c, v in prow.items():
                         nv = rrow.get(c, 0) - q * v
                         if nv:
@@ -395,6 +418,7 @@ def sparse_diagonalize(M: IntegerMatrix) -> list:
                     continue
                 q = _nearest_quotient(rows[pr][c], pv)
                 if q:
+                    dirty.add(c)
                     for r in list(cols[pc]):
                         nv = rows[r].get(c, 0) - q * rows[r][pc]
                         if nv:
@@ -426,8 +450,14 @@ def sparse_diagonalize(M: IntegerMatrix) -> list:
 
 
 def canonical_invariant_factors(diagonal) -> tuple:
-    """Divisibility chain determined by any unimodular diagonalization."""
+    """Divisibility chain determined by any unimodular diagonalization.
+
+    Units divide everything, so only the entries above 1 go through the
+    gcd/lcm fix-up; the units lead the chain.
+    """
     ds = sorted(abs(d) for d in diagonal if d)
+    units = ds.count(1)
+    ds = ds[units:]
     changed = True
     while changed:
         changed = False
@@ -439,7 +469,7 @@ def canonical_invariant_factors(diagonal) -> tuple:
                     changed = True
         if changed:
             ds.sort()
-    return tuple(ds)
+    return (1,) * units + tuple(ds)
 
 
 def integer_rank(M: IntegerMatrix) -> int:
@@ -607,13 +637,13 @@ def ordered_boundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
     """Boundary matrix of the full tuple complex, degree n -> n-1."""
     if n < 1:
         raise ValueError("boundary matrices start at degree 1")
-    gens = index.generators(n)
+    row = index.positions(n - 1)
+    signs = [(-1) ** i for i in range(n + 1)]
     entries: dict = {}
-    for j, g in enumerate(gens):
-        for i in range(len(g)):
-            r = index.position(face(g, i))
-            key = (r, j)
-            v = entries.get(key, 0) + (-1) ** i
+    for j, g in enumerate(index.generators(n)):
+        for i, sign in enumerate(signs):
+            key = (row[g[:i] + g[i + 1:]], j)
+            v = entries.get(key, 0) + sign
             if v:
                 entries[key] = v
             else:

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from altchain import SimplicialComplex, enumerate_generators
 from altchain.corpus import load_corpus_complex
+
+# every @given test draws the same examples on every run and host
+settings.register_profile("altchain", derandomize=True, deadline=None)
+settings.load_profile("altchain")
 
 
 @pytest.fixture(scope="session")

@@ -398,6 +398,21 @@ def test_serialization_strictness(sphere_index):
     with pytest.raises(FormatError):
         cochain_from_json({"degree": 1, "values": [[[0, 1], "1/2"]],
                            "format_version": 2})
+    # vertices are JSON integers; values are JSON integers or exact strings
+    loaded = cochain_from_json({"degree": 1, "values": [
+        [[0, 1], "1/3"], [[1, 2], "-2"], [[0, 2], 5], [[2, 3], "0.25"]]})
+    assert loaded.values == {(0, 1): Fraction(1, 3), (1, 2): -2, (0, 2): 5,
+                             (2, 3): Fraction(1, 4)}
+    for entry in ([[0, 1.9], "1/3"], [[True, 2], "1/3"], [[0, 1], 0.1],
+                  [[0, 1], True], [[0, 1], None], [[0, 1], "1e3"],
+                  [[0, 1], " 1/2"], [[0, 1], "1_000"], [[0, 1], "inf"],
+                  [[0, 1], "1/-2"], ["01", "1/1"], [[0, 1], "1/1", 0], [[0, 1]]):
+        with pytest.raises(FormatError):
+            cochain_from_json({"degree": 1, "values": [entry]})
+    for data in ({"degree": True, "values": []}, {"degree": 1.0, "values": []},
+                 {"degree": 1, "values": {"0": "1/1"}}):
+        with pytest.raises(FormatError):
+            cochain_from_json(data)
     with pytest.raises(FormatError):
         # (0, 1, 2, 3) spans no simplex of the sphere
         cochain_from_json({"degree": 3, "values": [[[0, 1, 2, 3], "1/1"]]},

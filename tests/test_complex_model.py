@@ -129,6 +129,12 @@ def test_load_complex_strictness():
         load_complex(json.dumps({"vertices": 3, "facets": [[0, 7]]}))
     with pytest.raises(FormatError):
         load_complex(json.dumps({"vertices": 3, "facets": [[0, 1.5]]}))
+    # JSON booleans are not integers: neither a vertex count nor an index
+    for bad in ({"vertices": True, "facets": [[0]]},
+                {"vertices": 3, "facets": [[0, True]]},
+                {"vertices": 3, "facets": [[False]]}):
+        with pytest.raises(FormatError):
+            load_complex(json.dumps(bad))
     with pytest.raises(FormatError):
         load_complex("not json {")
     with pytest.raises(FormatError):

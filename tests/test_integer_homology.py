@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -402,3 +403,137 @@ def test_random_boundary_matrix_ranks_cross_check(torus):
     M = ordered_boundary_matrix(index, 2)
     dense = M.to_dense()
     assert integer_rank(M) == fraction_rank(dense)
+
+
+# ---------------------------------------------------------------------------
+# the heap pivot order against the column scan it replaced
+
+def scan_diagonalize(M):
+    """The column-scan elimination: the same pivot rule as
+    ``sparse_diagonalize``, with every pivot column found by a scan over
+    all live columns."""
+    from altchain.integer_homology import _nearest_quotient
+
+    rows: dict = {}
+    cols: dict = {}
+    for (r, c), v in M.entries.items():
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, set()).add(r)
+    diag = []
+    while cols:
+        pc = min(cols, key=lambda c: (len(cols[c]), c))
+        pr = min(cols[pc], key=lambda r: (abs(rows[r][pc]), len(rows[r]), r))
+        while True:
+            pv = rows[pr][pc]
+            switched = False
+            for r in list(cols[pc]):
+                if r == pr:
+                    continue
+                q = _nearest_quotient(rows[r][pc], pv)
+                if q:
+                    prow = rows[pr]
+                    rrow = rows[r]
+                    for c, v in prow.items():
+                        nv = rrow.get(c, 0) - q * v
+                        if nv:
+                            rrow[c] = nv
+                            cols[c].add(r)
+                        else:
+                            rrow.pop(c, None)
+                            cols[c].discard(r)
+                if rows.get(r, {}).get(pc):
+                    pr = r
+                    switched = True
+                    break
+                if not rows.get(r):
+                    rows.pop(r, None)
+            if switched:
+                continue
+            pv = rows[pr][pc]
+            switched = False
+            for c in list(rows[pr]):
+                if c == pc:
+                    continue
+                q = _nearest_quotient(rows[pr][c], pv)
+                if q:
+                    for r in list(cols[pc]):
+                        nv = rows[r].get(c, 0) - q * rows[r][pc]
+                        if nv:
+                            rows[r][c] = nv
+                            cols[c].add(r)
+                        else:
+                            rows[r].pop(c, None)
+                            cols[c].discard(r)
+                if rows[pr].get(c):
+                    pc = c
+                    switched = True
+                    break
+                if not cols.get(c):
+                    cols.pop(c, None)
+            if switched:
+                continue
+            break
+        diag.append(rows[pr][pc])
+        del rows[pr][pc]
+        if not rows[pr]:
+            del rows[pr]
+        cols[pc].discard(pr)
+        if not cols[pc]:
+            del cols[pc]
+    return diag
+
+
+sparse_entry = st.sampled_from([0] * 19 + list(range(-9, 10)))
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Tall, wide, or cancelling: rows repeated, negated and summed so that
+    elimination empties rows and columns and switches pivots."""
+    shape = draw(st.sampled_from(["tall", "wide", "cancelling"]))
+    small, large = draw(st.integers(1, 6)), draw(st.integers(7, 16))
+    m, n = (large, small) if shape == "tall" else (small, large)
+    dense = draw(st.lists(st.lists(sparse_entry, min_size=n, max_size=n),
+                          min_size=m, max_size=m))
+    if shape == "cancelling":
+        for _ in range(draw(st.integers(2, 10))):
+            i, j = draw(st.integers(0, len(dense) - 1)), draw(st.integers(0, len(dense) - 1))
+            k = draw(st.sampled_from([1, -1]))
+            combo = [a + k * b for a, b in zip(dense[i], dense[j])]
+            dense.append(combo if max(map(abs, combo)) <= 9 else [-a for a in dense[i]])
+    return IntegerMatrix.from_dense(dense)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_matrices())
+def test_heap_pivots_match_column_scan(M):
+    assert sparse_diagonalize(M) == scan_diagonalize(M)
+
+
+def test_heap_pivots_match_column_scan_on_coboundaries(corpus):
+    boundary_4simplex = SimplicialComplex.from_facets(
+        5, list(itertools.combinations(range(5), 4)), name="bd_simplex_4")
+    cases = [(K, 3) for _, K in corpus] + [(boundary_4simplex, 4)]
+    for K, cap in cases:
+        index = enumerate_generators(K, cap)
+        for n in range(cap):
+            M = coboundary_matrix(index, n)
+            assert sparse_diagonalize(M) == scan_diagonalize(M), (K.name, n)
+
+
+def test_matrix_builders_match_face_position_oracle(sphere_index, rp2):
+    from altchain.complex_model import face
+
+    for index in (sphere_index, enumerate_generators(rp2, 2)):
+        for n in range(index.max_degree):
+            cob: dict = {}
+            for i, g in enumerate(index.generators(n + 1)):
+                for k in range(n + 2):
+                    key = (i, index.position(face(g, k)))
+                    cob[key] = cob.get(key, 0) + (-1) ** k
+                    if not cob[key]:
+                        del cob[key]
+            # same entries in the same order: the order fixes the pivots' ties
+            assert list(coboundary_matrix(index, n).entries.items()) == list(cob.items())
+            bd = [((r, c), v) for (c, r), v in cob.items()]
+            assert list(ordered_boundary_matrix(index, n + 1).entries.items()) == bd

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from altchain import alt_chains, cli, permutations, verify
 from altchain.permutations import Permutation
 
@@ -252,13 +254,50 @@ def test_cli_cup_and_residual_reject_bad_cochain_files(tmp_path, capsys):
     listed.write_text("[1, 2]")
     missing = str(tmp_path / "missing.json")
     sphere = corpus_path("sphere_s2")
-    for argv in (["cup", sphere, missing, str(good)],
-                 ["cup", sphere, str(good), str(listed)],
-                 ["residual", sphere, missing],
-                 ["residual", sphere, str(listed)]):
+    argvs = [["cup", sphere, missing, str(good)],
+             ["cup", sphere, str(good), str(listed)],
+             ["residual", sphere, missing],
+             ["residual", sphere, str(listed)]]
+    # negative or boolean degrees, float or boolean vertices and values
+    for k, bad in enumerate(({"degree": -1, "values": []},
+                             {"degree": True, "values": []},
+                             {"degree": 1, "values": [[[0, 1.0], "1/1"]]},
+                             {"degree": 1, "values": [[[0, 1], 0.5]]},
+                             {"degree": 1, "values": [[[0, True], "1/1"]]})):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(bad))
+        argvs += [["cup", sphere, str(good), str(path)], ["residual", sphere, str(path)]]
+    for argv in argvs:
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_cli_rejects_negative_max_dim(tmp_path, capsys):
+    # a usage error (exit 2) before any work, never a traceback or exit 1
+    point = corpus_path("point")
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"format_version": 1, "degree": 0,
+                                "values": [[[0], "1/1"]]}))
+    out = tmp_path / "pres.json"
+    for argv in (["homology", point, "--variant", "ordered"],
+                 ["homology", point, "--variant", "alternative"],
+                 ["homology", point, "--variant", "simplicial"],
+                 ["cohomology", point],
+                 ["verify", point],
+                 ["cup", point, str(good), str(good)],
+                 ["residual", point, str(good)],
+                 ["export-presentation", point, "-o", str(out)]):
+        for bad in ("-1", "x"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + ["--max-dim", bad])
+            assert exc.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1].endswith(
+                f"error: argument --max-dim: {bad!r} is "
+                + ("negative" if bad == "-1" else "not an integer")), argv
+    assert not out.exists()
 
 
 def test_cli_export_presentation(tmp_path, capsys):
