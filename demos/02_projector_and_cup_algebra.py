@@ -11,9 +11,9 @@ from fractions import Fraction
 from altchain import (Cochain, alt_cup, alternating_cochain,
                       alternative_maker, coboundary, cup,
                       enumerate_generators, is_alternative, split)
-from altchain.cochain_algebra import alternative_maker_matrix
+from altchain.cochain_algebra import alternative_maker_matrix_scaled
 from altchain.corpus import load_corpus_complex
-from altchain.integer_homology import rational_rank
+from altchain.integer_homology import integer_rank
 
 sphere = load_corpus_complex("sphere_s2")
 index = enumerate_generators(sphere, 3)
@@ -35,10 +35,10 @@ assert alt + ker == alpha and alternative_maker(ker).is_zero()
 
 print()
 print("Dimension bookkeeping in degree 1 on the 2-sphere:")
-matrix = alternative_maker_matrix(index, 1)
-rank = rational_rank(matrix)
-print(f"  dim C^1 = {len(matrix)}, projector rank = {rank} "
-      f"(= number of edges), kernel = {len(matrix) - rank}")
+matrix = alternative_maker_matrix_scaled(index, 1)
+rank = integer_rank(matrix)
+print(f"  dim C^1 = {matrix.rows}, projector rank = {rank} "
+      f"(= number of edges), kernel = {matrix.rows - rank}")
 
 print()
 print("Graded commutativity of the projected cup product (degrees 1 and 1):")

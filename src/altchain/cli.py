@@ -45,7 +45,8 @@ def _presentation(K, max_dim):
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type for degree caps: a bad value is a usage error (exit 2)."""
+    """argparse type for degree caps and case counts: a bad value is a
+    usage error (exit 2)."""
     try:
         value = int(text)
     except ValueError:
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", action="store_true",
                    help="include the bundled test complexes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=200,
+    p.add_argument("--cases", type=_nonnegative_int, default=200,
                    help="randomized cases per suite and complex")
     p.add_argument("--max-dim", type=_nonnegative_int, default=3)
     p.add_argument("--json", metavar="PATH", default=None,

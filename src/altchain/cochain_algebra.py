@@ -326,23 +326,9 @@ def alt_coboundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
     return IntegerMatrix(len(rows), len(cols), entries)
 
 
-def alternative_maker_matrix(index: GeneratorIndex, n: int) -> list:
-    """Dense Fraction matrix of the projector on the degree-n basis."""
-    m = index.count(n)
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for j, g in enumerate(index.generators(n)):
-        image = alternative_maker(Cochain.indicator(g))
-        for h, v in image.values.items():
-            out[index.position(h)][j] = v
-    return out
-
-
 def alternative_maker_matrix_scaled(index: GeneratorIndex, n: int) -> IntegerMatrix:
-    """The projector matrix times (n+1)!, which is integer; same rank.
-
-    Sparse, so rank checks stay cheap even where the dense Fraction matrix
-    would not fit comfortably.
-    """
+    """The projector matrix on the degree-n basis times (n+1)!, which is
+    integer (every entry is 0 or +-1); it has the projector's rank."""
     fact = factorial(n + 1)
     entries: dict = {}
     for j, g in enumerate(index.generators(n)):

@@ -97,9 +97,9 @@ def load_complex(description) -> SimplicialComplex:
 
     Schema: ``{"format_version": 1, "vertices": <count or name list>,
     "facets": [[v, ...], ...]}`` with optional ``name`` and ``provenance``
-    strings.  Unknown fields are rejected.  When ``vertices`` is a name
-    list, facet entries are names and indices are assigned by position in
-    that list.
+    strings.  Unknown fields are rejected.  When ``vertices`` is a list of
+    distinct name strings, facet entries are names and indices are assigned
+    by position in that list.
     """
     if isinstance(description, (str, bytes)):
         try:
@@ -128,9 +128,11 @@ def load_complex(description) -> SimplicialComplex:
         count = vertices
         index_of = None
     elif isinstance(vertices, list):
+        if not all(isinstance(v, str) for v in vertices):
+            raise FormatError("vertex names must be strings")
         if len(set(vertices)) != len(vertices):
             raise FormatError("duplicate vertex names")
-        names = tuple(str(v) for v in vertices)
+        names = tuple(vertices)
         index_of = {v: i for i, v in enumerate(vertices)}
         count = len(vertices)
     else:
@@ -147,6 +149,9 @@ def load_complex(description) -> SimplicialComplex:
                     raise FormatError(f"facet entry {v!r} is not an integer index")
                 row.append(v)
         else:
+            for v in f:
+                if not isinstance(v, str):
+                    raise FormatError(f"facet entry {v!r} is not a vertex name")
             try:
                 row = [index_of[v] for v in f]
             except KeyError as exc:

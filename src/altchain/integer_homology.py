@@ -1,12 +1,14 @@
 """Exact integer and rational linear algebra for homology computation.
 
-Everything here is arbitrary-precision: Smith normal form by classical
-row/column reduction with minimal-absolute-value pivoting, sparse
-diagonalization for the large boundary matrices of tuple complexes, and
-homology of both free chain complexes and complexes whose torsion
-generators have order 2.  The latter reads the lifted boundary as a free
-block, handled as a free chain complex, and a torsion block, whose rank
-mod 2 adds the Z/2 summands; both go through sparse diagonalization.
+Everything here is arbitrary-precision.  Integer diagonalization has two
+phases, after Dumas, Saunders & Villard (J. Symb. Comput. 2001): sparse
+elimination removes every pivot it can take on a +-1 entry, which needs
+no division, and the leftover core, if any, goes to a dense Smith normal
+form by classical row/column reduction with minimal-absolute-value
+pivoting.  On top of that sit the homology of free chain complexes and of
+complexes whose torsion generators have order 2.  The latter reads the
+lifted boundary as a free block, handled as a free chain complex, and a
+torsion block, whose rank mod 2 adds the Z/2 summands.
 
 Matrix conventions: a boundary matrix for degree n has one column per
 degree-n generator and one row per degree-(n-1) generator; composition
@@ -125,40 +127,23 @@ def _identity(k: int) -> list:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def dense_matmul(A: list, B: list) -> list:
-    if not A:
-        return []
-    nb = len(B[0]) if B else 0
-    out = [[0] * nb for _ in range(len(A))]
-    for i, row in enumerate(A):
-        acc = out[i]
-        for k, a in enumerate(row):
-            if a:
-                brow = B[k]
-                for j in range(nb):
-                    if brow[j]:
-                        acc[j] += a * brow[j]
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Smith normal form (dense, with transforms)
+# Smith normal form (dense, with inverse transforms)
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Factorization M = U @ diag @ V with U, V unimodular.
+    """Factorization u_inv @ M @ v_inv = diag with u_inv, v_inv unimodular.
 
     ``diagonal`` holds the invariant factors d_1 | d_2 | ... padded with
-    zeros up to min(rows, cols).  ``u_inv`` and ``v_inv`` are maintained
-    alongside so kernels and integer solves need no extra inversions.
+    zeros up to min(rows, cols).  ``u_inv`` is the product of the row
+    operations and ``v_inv`` that of the column operations, which is what
+    kernels and integer solves need.
     """
 
     rows: int
     cols: int
     diagonal: tuple
-    u: list = field(repr=False)
     u_inv: list = field(repr=False)
-    v: list = field(repr=False)
     v_inv: list = field(repr=False)
 
     @property
@@ -219,17 +204,13 @@ def smith_normal_form(M) -> SNFResult:
         D = [list(map(int, row)) for row in M]
         m = len(D)
         n = len(D[0]) if m else 0
-    U = _identity(m)
     Uinv = _identity(m)
-    V = _identity(n)
     Vinv = _identity(n)
 
     def swap_rows(a, b):
         if a == b:
             return
         D[a], D[b] = D[b], D[a]
-        for r in U:
-            r[a], r[b] = r[b], r[a]
         Uinv[a], Uinv[b] = Uinv[b], Uinv[a]
 
     def swap_cols(a, b):
@@ -237,7 +218,6 @@ def smith_normal_form(M) -> SNFResult:
             return
         for row in D:
             row[a], row[b] = row[b], row[a]
-        V[a], V[b] = V[b], V[a]
         for r in Vinv:
             r[a], r[b] = r[b], r[a]
 
@@ -247,8 +227,6 @@ def smith_normal_form(M) -> SNFResult:
         for j in range(n):
             if Ds[j]:
                 Dd[j] += k * Ds[j]
-        for r in U:
-            r[src] -= k * r[dst]
         Ud, Us = Uinv[dst], Uinv[src]
         for j in range(m):
             if Us[j]:
@@ -259,17 +237,11 @@ def smith_normal_form(M) -> SNFResult:
         for row in D:
             if row[src]:
                 row[dst] += k * row[src]
-        Vs, Vd = V[src], V[dst]
-        for j in range(n):
-            if Vd[j]:
-                Vs[j] -= k * Vd[j]
         for r in Vinv:
             r[dst] += k * r[src]
 
     def negate_row(a):
         D[a] = [-v for v in D[a]]
-        for r in U:
-            r[a] = -r[a]
         Uinv[a] = [-v for v in Uinv[a]]
 
     t = 0
@@ -338,27 +310,34 @@ def smith_normal_form(M) -> SNFResult:
         t += 1
 
     diag = tuple(D[i][i] for i in range(limit))
-    return SNFResult(rows=m, cols=n, diagonal=diag, u=U, u_inv=Uinv, v=V, v_inv=Vinv)
+    return SNFResult(rows=m, cols=n, diagonal=diag, u_inv=Uinv, v_inv=Vinv)
 
 
 # ---------------------------------------------------------------------------
-# sparse diagonalization (rank / invariant factors, no transforms)
+# sparse diagonalization (unit pivots, then the dense core)
 
 def sparse_diagonalize(M: IntegerMatrix) -> list:
-    """Diagonal entries of a diagonalization of M, in pivot order.
+    """Diagonal entries of a diagonalization of M: the unit pivots of the
+    sparse phase in pivot order, then the invariant factors of the core.
 
     Elementary integer row and column operations only, so the multiset of
-    entries determines the invariant factors.  Suited to the large sparse
-    boundary matrices; fill-in is kept down by pivoting on short columns.
+    entries determines the invariant factors (``canonical_invariant_factors``).
+    The sparse phase pivots only on +-1 entries, so clearing a column is
+    exact (q = a * pivot), and with the column cleared the pivot row's other
+    entries could be swept by column operations that touch nothing else;
+    the pivot row and column are simply dropped.  Each entry left over is a
+    minor of M, since the pivot block has determinant +-1.
 
     Pivot rule: the live column with the fewest entries, ties to the lowest
-    index; in it, the row with the smallest |value|, then the shortest row,
-    then the lowest index.  A smaller remainder left by a clearing step
-    becomes the pivot in its place.  Columns sit in a lazy min-heap keyed
-    by (entry count, index): a step re-pushes only the columns whose row
-    set it touched, and a popped key that no longer matches its column's
-    count is skipped, so choosing a pivot costs O(log columns) per pushed
-    key instead of a scan over every live column.
+    index; in it, the +-1 row with the fewest entries, ties to the lowest
+    index.  Columns sit in a lazy min-heap keyed by (entry count, index): a
+    step re-pushes the columns of the pivot row, the only ones whose entries
+    it changes, and a popped key that no longer matches its column's count
+    is skipped.  A popped column with no +-1 entry is parked: it returns to
+    the heap only when a later step changes one of its entries.  When the
+    heap is empty, the rows left form the core, which goes to
+    ``smith_normal_form``; boundary and coboundary matrices of tuple
+    complexes usually leave none.
     """
     rows: dict = {}
     cols: dict = {}
@@ -367,85 +346,43 @@ def sparse_diagonalize(M: IntegerMatrix) -> list:
         cols.setdefault(c, set()).add(r)
     heap = [(len(rs), c) for c, rs in cols.items()]
     heapify(heap)
-    dirty: set = set()
     diag = []
-    while cols:
-        for c in dirty:
-            if c in cols:
+    while heap:
+        count, pc = heappop(heap)
+        if pc not in cols or len(cols[pc]) != count:
+            continue
+        units = [r for r in cols[pc] if rows[r][pc] in (1, -1)]
+        if not units:
+            continue
+        pr = min(units, key=lambda r: (len(rows[r]), r))
+        prow = rows.pop(pr)
+        pv = prow.pop(pc)
+        for r in cols.pop(pc):
+            if r == pr:
+                continue
+            rrow = rows[r]
+            q = rrow.pop(pc) * pv
+            for c, v in prow.items():
+                nv = rrow.get(c, 0) - q * v
+                if nv:
+                    rrow[c] = nv
+                    cols[c].add(r)
+                else:
+                    del rrow[c]
+                    cols[c].discard(r)
+            if not rrow:
+                del rows[r]
+        for c in prow:
+            cols[c].discard(pr)
+            if cols[c]:
                 heappush(heap, (len(cols[c]), c))
-        dirty.clear()
-        while True:
-            count, pc = heappop(heap)
-            if pc in cols and len(cols[pc]) == count:
-                break
-        # a column switch below can leave this column live
-        dirty.add(pc)
-        pr = min(cols[pc], key=lambda r: (abs(rows[r][pc]), len(rows[r]), r))
-        while True:
-            pv = rows[pr][pc]
-            # clear the pivot column with row operations
-            switched = False
-            for r in list(cols[pc]):
-                if r == pr:
-                    continue
-                q = _nearest_quotient(rows[r][pc], pv)
-                if q:
-                    prow = rows[pr]
-                    rrow = rows[r]
-                    dirty.update(prow)
-                    for c, v in prow.items():
-                        nv = rrow.get(c, 0) - q * v
-                        if nv:
-                            rrow[c] = nv
-                            cols[c].add(r)
-                        else:
-                            rrow.pop(c, None)
-                            cols[c].discard(r)
-                if rows.get(r, {}).get(pc):
-                    # remainder is smaller than the pivot; adopt it
-                    pr = r
-                    switched = True
-                    break
-                if not rows.get(r):
-                    rows.pop(r, None)
-            if switched:
-                continue
-            pv = rows[pr][pc]
-            # clear the pivot row with column operations
-            switched = False
-            for c in list(rows[pr]):
-                if c == pc:
-                    continue
-                q = _nearest_quotient(rows[pr][c], pv)
-                if q:
-                    dirty.add(c)
-                    for r in list(cols[pc]):
-                        nv = rows[r].get(c, 0) - q * rows[r][pc]
-                        if nv:
-                            rows[r][c] = nv
-                            cols[c].add(r)
-                        else:
-                            rows[r].pop(c, None)
-                            cols[c].discard(r)
-                if rows[pr].get(c):
-                    pc = c
-                    switched = True
-                    break
-                if not cols.get(c):
-                    cols.pop(c, None)
-            if switched:
-                continue
-            break
-        d = rows[pr][pc]
-        diag.append(d)
-        del rows[pr][pc]
-        if not rows[pr]:
-            del rows[pr]
-        cols[pc].discard(pr)
-        if not cols[pc]:
-            del cols[pc]
-        # the pivot row and column are singleton at this point, so nothing
-        # else references them
+            else:
+                del cols[c]
+        diag.append(pv)
+    if rows:
+        core_cols = sorted(cols)
+        core = [[rows[r].get(c, 0) for c in core_cols] for r in sorted(rows)]
+        diag.extend(smith_normal_form(core).invariant_factors)
     return diag
 
 
@@ -475,24 +412,6 @@ def canonical_invariant_factors(diagonal) -> tuple:
 def integer_rank(M: IntegerMatrix) -> int:
     """Rank over Q (equivalently over Z) of an exact integer matrix."""
     return len(sparse_diagonalize(M))
-
-
-def rational_rank(rows_of_fractions) -> int:
-    """Rank of a dense matrix with Fraction or int entries, exactly."""
-    rows = [list(row) for row in rows_of_fractions]
-    entries = {}
-    ncols = 0
-    for r, row in enumerate(rows):
-        ncols = max(ncols, len(row))
-        scale = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                scale = scale * v.denominator // gcd(scale, v.denominator)
-        for c, v in enumerate(row):
-            iv = int(v * scale)
-            if iv:
-                entries[(r, c)] = iv
-    return integer_rank(IntegerMatrix(len(rows), ncols, entries))
 
 
 # ---------------------------------------------------------------------------

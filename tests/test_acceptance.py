@@ -25,11 +25,9 @@ from altchain import (AltChain, Cochain, CombinatorialHomotopy, SimplicialMap,
                       verify_cohomology_splitting)
 from altchain import alt_chains, permutations, verify
 from altchain.cochain_algebra import (alt_basis, alt_coboundary_matrix,
-                                      alternative_maker_matrix,
                                       alternative_maker_matrix_scaled)
 from altchain.complex_model import SimplicialComplex
-from altchain.integer_homology import (integer_rank, rational_rank,
-                                       smith_normal_form)
+from altchain.integer_homology import integer_rank, smith_normal_form
 from altchain.permutations import (Permutation, act, enumerate_group,
                                    induced_face_perm)
 
@@ -93,9 +91,9 @@ def test_criterion_02_boundary_of_reordered_generator(ctx):
 
 def test_criterion_03_projector_splitting_dimensions(ctx):
     _, sphere_index = ctx["sphere_s2"]
-    dense = alternative_maker_matrix(sphere_index, 1)
-    assert len(dense) == 16
-    rank = rational_rank(dense)
+    scaled = alternative_maker_matrix_scaled(sphere_index, 1)
+    assert scaled.rows == 16
+    rank = integer_rank(scaled)
     assert rank == 6
     assert 16 == 6 + 10 == rank + (16 - rank)
     checked = 1

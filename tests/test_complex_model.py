@@ -135,6 +135,14 @@ def test_load_complex_strictness():
                 {"vertices": 3, "facets": [[False]]}):
         with pytest.raises(FormatError):
             load_complex(json.dumps(bad))
+    # vertex names and the facet entries of a name-list complex are strings
+    for bad in ({"vertices": ["a", ["b"]], "facets": [[0]]},
+                {"vertices": ["1", 1], "facets": [["1"]]},
+                {"vertices": ["a", None], "facets": [["a"]]},
+                {"vertices": ["a", "b"], "facets": [["a", ["b"]]]},
+                {"vertices": ["a", "b"], "facets": [["a", 1]]}):
+        with pytest.raises(FormatError):
+            load_complex(json.dumps(bad))
     with pytest.raises(FormatError):
         load_complex("not json {")
     with pytest.raises(FormatError):

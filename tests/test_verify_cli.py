@@ -1,8 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from altchain import alt_chains, cli, permutations, verify
+from altchain import alt_chains, cli, enumerate_generators, permutations, verify
+from altchain.cochain_algebra import cochain_from_json
+from altchain.complex_model import load_complex
+from altchain.corpus import load_corpus_complex
+from altchain.errors import FormatError
+from altchain.homotopy_prism import simplicial_map_from_json
+from altchain.integer_homology import matrix_from_json
 from altchain.permutations import Permutation
 
 
@@ -273,6 +280,52 @@ def test_cli_cup_and_residual_reject_bad_cochain_files(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+# every key any parser reads, so that drawn objects get past the
+# unknown-field checks and reach the checks on values
+PARSER_KEYS = ("format_version", "name", "provenance", "vertices", "facets",
+               "degree", "values", "rows", "cols", "entries", "max_degree",
+               "degrees", "free", "torsion", "boundaries", "relations",
+               "assignment", "0", "1")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(PARSER_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=10)
+
+
+def json_input(*keys):
+    return json_values | st.fixed_dictionaries(
+        {}, optional={key: json_values for key in keys})
+
+
+POINT = load_corpus_complex("point")
+POINT_INDEX = enumerate_generators(POINT, 2)
+PARSERS = (  # each parser with the keys it reads
+    (load_complex, ("format_version", "name", "provenance", "vertices", "facets")),
+    (cochain_from_json, ("format_version", "degree", "values")),
+    (lambda d: cochain_from_json(d, POINT_INDEX), ("format_version", "degree", "values")),
+    (matrix_from_json, ("format_version", "rows", "cols", "entries")),
+    (alt_chains.presentation_from_json,
+     ("format_version", "max_degree", "degrees", "boundaries", "relations")),
+    (lambda d: simplicial_map_from_json(d, POINT, POINT),
+     ("format_version", "assignment", "name")),
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(PARSERS).flatmap(
+    lambda parser: st.tuples(st.just(parser[0]), json_input(*parser[1]))))
+def test_parsers_return_a_value_or_raise_format_error(parser_and_data):
+    # arbitrary JSON values: each parser returns or raises FormatError,
+    # never another exception
+    parse, data = parser_and_data
+    try:
+        parse(data)
+    except FormatError:
+        pass
+
+
 def test_cli_rejects_negative_max_dim(tmp_path, capsys):
     # a usage error (exit 2) before any work, never a traceback or exit 1
     point = corpus_path("point")
@@ -280,22 +333,23 @@ def test_cli_rejects_negative_max_dim(tmp_path, capsys):
     good.write_text(json.dumps({"format_version": 1, "degree": 0,
                                 "values": [[[0], "1/1"]]}))
     out = tmp_path / "pres.json"
-    for argv in (["homology", point, "--variant", "ordered"],
-                 ["homology", point, "--variant", "alternative"],
-                 ["homology", point, "--variant", "simplicial"],
-                 ["cohomology", point],
-                 ["verify", point],
-                 ["cup", point, str(good), str(good)],
-                 ["residual", point, str(good)],
-                 ["export-presentation", point, "-o", str(out)]):
+    for argv, option in ((["homology", point, "--variant", "ordered"], "--max-dim"),
+                         (["homology", point, "--variant", "alternative"], "--max-dim"),
+                         (["homology", point, "--variant", "simplicial"], "--max-dim"),
+                         (["cohomology", point], "--max-dim"),
+                         (["verify", point], "--max-dim"),
+                         (["verify", point, "--max-dim", "1"], "--cases"),
+                         (["cup", point, str(good), str(good)], "--max-dim"),
+                         (["residual", point, str(good)], "--max-dim"),
+                         (["export-presentation", point, "-o", str(out)], "--max-dim")):
         for bad in ("-1", "x"):
             with pytest.raises(SystemExit) as exc:
-                cli.main(argv + ["--max-dim", bad])
+                cli.main(argv + [option, bad])
             assert exc.value.code == 2, argv
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.splitlines()[-1].endswith(
-                f"error: argument --max-dim: {bad!r} is "
+                f"error: argument {option}: {bad!r} is "
                 + ("negative" if bad == "-1" else "not an integer")), argv
     assert not out.exists()
 
