@@ -37,7 +37,6 @@ from .alt_chains import (
 )
 from .integer_homology import (
     IntegerMatrix,
-    SNFResult,
     AbelianGroup,
     smith_normal_form,
     homology_free,

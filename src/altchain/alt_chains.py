@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import comb
 
 from . import permutations
-from .complex_model import SimplicialComplex, face
-from .errors import BudgetExceededError, FormatError
+from .complex_model import SimplicialComplex, check_generator_budget, face
+from .errors import FormatError
 
 PRESENTATION_FORMAT_VERSION = 1
 
@@ -252,15 +253,21 @@ def _sorted_tuples_with_repeats(K: SimplicialComplex, n: int) -> list:
 
 def alt_chain_complex(K: SimplicialComplex, max_degree: int,
                       budget: int = 200_000) -> AltComplexPresentation:
-    """Build the presented quotient complex for degrees 0..max_degree."""
+    """Build the presented quotient complex for degrees 0..max_degree.
+
+    A d-simplex gives C(n, d) sorted degree-n tuples that use all its
+    vertices (the free generator when d = n), so the generator count is
+    checked against ``budget`` before any list is built.
+    """
+    f = K.f_vector()
+    check_generator_budget(
+        (sum(how_many * comb(n, d) for d, how_many in enumerate(f))
+         for n in range(max_degree + 1)), budget)
     free_gens = []
     torsion_gens = []
     for n in range(max_degree + 1):
         free_gens.append(tuple(K.simplices_of_dim(n)))
         torsion_gens.append(tuple(_sorted_tuples_with_repeats(K, n)))
-    total = sum(len(f) + len(t) for f, t in zip(free_gens, torsion_gens))
-    if total > budget:
-        raise BudgetExceededError(total, budget)
 
     boundaries = [[]]  # degree 0 has no boundary matrix
     for n in range(1, max_degree + 1):

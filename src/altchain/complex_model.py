@@ -117,6 +117,9 @@ def load_complex(description) -> SimplicialComplex:
         raise FormatError(f"unsupported format_version {data.get('format_version')!r}")
     if "vertices" not in data or "facets" not in data:
         raise FormatError("complex description needs 'vertices' and 'facets'")
+    for key in ("name", "provenance"):
+        if not isinstance(data.get(key, ""), str):
+            raise FormatError(f"{key!r} must be a string, got {data[key]!r}")
 
     vertices = data["vertices"]
     facets = data["facets"]
@@ -159,7 +162,7 @@ def load_complex(description) -> SimplicialComplex:
         indexed_facets.append(row)
 
     return SimplicialComplex.from_facets(count, indexed_facets,
-                                         name=str(data.get("name", "")),
+                                         name=data.get("name", ""),
                                          vertex_names=names)
 
 
@@ -182,6 +185,21 @@ def _surjection_count(length: int, support_size: int) -> int:
         total += (-1) ** j * binom * (support_size - j) ** length
         binom = binom * (support_size - j) // (j + 1)
     return total
+
+
+def check_generator_budget(counts, budget: int) -> None:
+    """Raise :class:`BudgetExceededError` at the first degree where the
+    running total of ``counts`` (one predicted generator count per degree,
+    ascending) passes ``budget``.
+
+    Stopping there keeps the check cheap however high the degree cap; the
+    total it reports is then a lower bound on what the request needs.
+    """
+    total = 0
+    for count in counts:
+        total += count
+        if total > budget:
+            raise BudgetExceededError(total, budget)
 
 
 @dataclass(frozen=True)
@@ -235,22 +253,16 @@ def enumerate_generators(K: SimplicialComplex, max_degree: int = DEFAULT_DEGREE_
                          budget: int = DEFAULT_GENERATOR_BUDGET) -> GeneratorIndex:
     """Enumerate every vertex tuple of length <= max_degree+1 spanning a simplex.
 
-    The total count is predicted by inclusion-exclusion before anything is
-    materialized; if it exceeds ``budget`` a :class:`BudgetExceededError`
-    reporting the required count is raised.
+    The count of each degree is predicted by inclusion-exclusion before
+    anything is materialized and checked with :func:`check_generator_budget`.
     """
     if max_degree < 0:
         raise ValueError("degree cap must be nonnegative")
-    sizes = {}
-    for s in K.simplex_set:
-        sizes[len(s)] = sizes.get(len(s), 0) + 1
-    required = 0
-    for n in range(max_degree + 1):
-        for size, how_many in sizes.items():
-            if size <= n + 1:
-                required += how_many * _surjection_count(n + 1, size)
-    if required > budget:
-        raise BudgetExceededError(required, budget)
+    f = K.f_vector()
+    check_generator_budget(
+        (sum(how_many * _surjection_count(n + 1, d + 1)
+             for d, how_many in enumerate(f) if d <= n)
+         for n in range(max_degree + 1)), budget)
 
     by_degree = []
     positions = []

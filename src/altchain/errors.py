@@ -16,13 +16,13 @@ class DegreeCapError(ValueError):
 class BudgetExceededError(RuntimeError):
     """Generator enumeration would exceed the configured budget.
 
-    Carries the count that would have been required so callers can report
-    how far over budget the request was.
+    Carries a lower bound on the generator count the request needs, the
+    running total at the first degree that passed the budget.
     """
 
     def __init__(self, required: int, budget: int):
         super().__init__(
-            f"enumeration needs {required} generators, budget is {budget}"
+            f"enumeration needs at least {required} generators, budget is {budget}"
         )
         self.required = required
         self.budget = budget

@@ -75,12 +75,12 @@ def simplicial_map_from_json(data: dict, domain: SimplicialComplex,
         raise FormatError(f"unknown fields in simplicial map: {sorted(unknown)}")
     if data.get("format_version", MAP_FORMAT_VERSION) != MAP_FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {data.get('format_version')!r}")
+    assignment = data.get("assignment")
+    if not isinstance(assignment, list) or \
+            not all(type(v) is int for v in assignment):
+        raise FormatError(f"assignment {assignment!r} is not a list of vertex integers")
     try:
-        assignment = tuple(int(v) for v in data["assignment"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed assignment: {exc}") from exc
-    try:
-        return SimplicialMap(domain, codomain, assignment)
+        return SimplicialMap(domain, codomain, tuple(assignment))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

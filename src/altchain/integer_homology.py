@@ -123,61 +123,8 @@ def matrix_from_json(data: dict) -> IntegerMatrix:
     return IntegerMatrix(rows, cols, entries)
 
 
-def _identity(k: int) -> list:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
 # ---------------------------------------------------------------------------
-# Smith normal form (dense, with inverse transforms)
-
-@dataclass(frozen=True)
-class SNFResult:
-    """Factorization u_inv @ M @ v_inv = diag with u_inv, v_inv unimodular.
-
-    ``diagonal`` holds the invariant factors d_1 | d_2 | ... padded with
-    zeros up to min(rows, cols).  ``u_inv`` is the product of the row
-    operations and ``v_inv`` that of the column operations, which is what
-    kernels and integer solves need.
-    """
-
-    rows: int
-    cols: int
-    diagonal: tuple
-    u_inv: list = field(repr=False)
-    v_inv: list = field(repr=False)
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d)
-
-    @property
-    def invariant_factors(self) -> tuple:
-        return tuple(d for d in self.diagonal if d)
-
-    def kernel_basis(self) -> list:
-        """Columns spanning the integer kernel (each a length-``cols`` vector)."""
-        r = self.rank
-        return [[self.v_inv[i][j] for i in range(self.cols)]
-                for j in range(r, self.cols)]
-
-    def solve(self, b: list):
-        """An integer x with M x = b, or None when none exists."""
-        if len(b) != self.rows:
-            raise ValueError("length mismatch")
-        ub = [sum(self.u_inv[i][k] * b[k] for k in range(self.rows))
-              for i in range(self.rows)]
-        y = [0] * self.cols
-        for i in range(self.rows):
-            d = self.diagonal[i] if i < len(self.diagonal) else 0
-            if d:
-                if ub[i] % d:
-                    return None
-                y[i] = ub[i] // d
-            elif ub[i]:
-                return None
-        return [sum(self.v_inv[i][k] * y[k] for k in range(self.cols))
-                for i in range(self.cols)]
-
+# Smith normal form (dense)
 
 def _nearest_quotient(a: int, d: int) -> int:
     # quotient minimizing |a - q*d|; keeps reduction residues at half the
@@ -189,37 +136,27 @@ def _nearest_quotient(a: int, d: int) -> int:
     return q
 
 
-def smith_normal_form(M) -> SNFResult:
-    """Diagonalize over Z by elementary row/column operations.
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple:
+    """Invariant factors d_1 | d_2 | ... (all positive) of a dense integer
+    matrix, by elementary row/column operations.
 
     Pivots are chosen with minimal absolute value and reduced with
     round-to-nearest quotients, so each clearing pass at least halves the
     pivot; the divisibility chain is enforced during the sweep and the
     diagonal comes out canonical.
     """
-    if isinstance(M, IntegerMatrix):
-        D = M.to_dense()
-        m, n = M.rows, M.cols
-    else:
-        D = [list(map(int, row)) for row in M]
-        m = len(D)
-        n = len(D[0]) if m else 0
-    Uinv = _identity(m)
-    Vinv = _identity(n)
+    D = [list(map(int, row)) for row in rows]
+    m = len(D)
+    n = len(D[0]) if m else 0
 
     def swap_rows(a, b):
-        if a == b:
-            return
         D[a], D[b] = D[b], D[a]
-        Uinv[a], Uinv[b] = Uinv[b], Uinv[a]
 
     def swap_cols(a, b):
         if a == b:
             return
         for row in D:
             row[a], row[b] = row[b], row[a]
-        for r in Vinv:
-            r[a], r[b] = r[b], r[a]
 
     def row_add(dst, src, k):
         # D[dst] += k * D[src]
@@ -227,22 +164,12 @@ def smith_normal_form(M) -> SNFResult:
         for j in range(n):
             if Ds[j]:
                 Dd[j] += k * Ds[j]
-        Ud, Us = Uinv[dst], Uinv[src]
-        for j in range(m):
-            if Us[j]:
-                Ud[j] += k * Us[j]
 
     def col_add(dst, src, k):
         # D[:,dst] += k * D[:,src]
         for row in D:
             if row[src]:
                 row[dst] += k * row[src]
-        for r in Vinv:
-            r[dst] += k * r[src]
-
-    def negate_row(a):
-        D[a] = [-v for v in D[a]]
-        Uinv[a] = [-v for v in Uinv[a]]
 
     t = 0
     limit = min(m, n)
@@ -306,11 +233,10 @@ def smith_normal_form(M) -> SNFResult:
             row_add(t, offender, 1)
             continue
         if d < 0:
-            negate_row(t)
+            D[t] = [-v for v in D[t]]
         t += 1
 
-    diag = tuple(D[i][i] for i in range(limit))
-    return SNFResult(rows=m, cols=n, diagonal=diag, u_inv=Uinv, v_inv=Vinv)
+    return tuple(D[i][i] for i in range(t))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +308,7 @@ def sparse_diagonalize(M: IntegerMatrix) -> list:
     if rows:
         core_cols = sorted(cols)
         core = [[rows[r].get(c, 0) for c in core_cols] for r in sorted(rows)]
-        diag.extend(smith_normal_form(core).invariant_factors)
+        diag.extend(smith_normal_form(core))
     return diag
 
 

@@ -135,11 +135,17 @@ def test_presentation_sphere_counts(sphere):
     assert all(rel[4 + j][j] == 2 for j in range(len(pres.torsion_generators[2])))
 
 
-def test_presentation_budget():
+def test_presentation_budget(rp2):
     from altchain.complex_model import SimplicialComplex
     K = SimplicialComplex.from_facets(4, [[0, 1, 2, 3]])
     with pytest.raises(BudgetExceededError):
         alt_chain_complex(K, 3, budget=5)
+    # the prediction is exact: a budget one short of the built count fails
+    total = sum(alt_chain_complex(rp2, 3).generator_count(n) for n in range(4))
+    alt_chain_complex(rp2, 3, budget=total)
+    with pytest.raises(BudgetExceededError) as exc:
+        alt_chain_complex(rp2, 3, budget=total - 1)
+    assert exc.value.required == total
 
 
 def test_presentation_roundtrip(rp2):

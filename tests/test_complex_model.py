@@ -110,7 +110,8 @@ def test_position_roundtrip(sphere_index):
 def test_budget_exceeded(torus):
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_generators(torus, 3, budget=100)
-    assert exc.value.required == 7 + 49 + 217 + 805
+    # the running total stops at degree 2, the first one past the budget
+    assert exc.value.required == 7 + 49 + 217
     assert exc.value.budget == 100
 
 
@@ -143,6 +144,12 @@ def test_load_complex_strictness():
                 {"vertices": ["a", "b"], "facets": [["a", 1]]}):
         with pytest.raises(FormatError):
             load_complex(json.dumps(bad))
+    # name and provenance, when present, are JSON strings
+    assert load_complex({**good, "name": "path", "provenance": "by hand"}).name == "path"
+    for key in ("name", "provenance"):
+        for bad in ([1, {"a": None}], 3, None, True, {"a": "b"}):
+            with pytest.raises(FormatError):
+                load_complex(json.dumps({**good, key: bad}))
     with pytest.raises(FormatError):
         load_complex("not json {")
     with pytest.raises(FormatError):

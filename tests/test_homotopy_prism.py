@@ -10,6 +10,7 @@ from altchain import (AltChain, CombinatorialHomotopy, Cochain, SimplicialMap,
                       push_forward, push_forward_alt)
 from altchain.homotopy_prism import prism_generator
 from altchain.permutations import act, enumerate_group
+from oracles import integer_kernel
 
 
 def chain_sub(a, b):
@@ -238,8 +239,7 @@ def test_contiguous_maps_agree_on_homology(torus):
     # boundary(P(z)) equals end(z) - start(z), so the induced maps agree
     # on every homology class
     from altchain.complex_model import SimplicialComplex
-    from altchain.integer_homology import (ordered_boundary_matrix,
-                                           smith_normal_form)
+    from altchain.integer_homology import ordered_boundary_matrix
 
     seg = SimplicialComplex.from_facets(2, [[0, 1]], name="segment")
     seg_index = enumerate_generators(seg, 2)
@@ -248,7 +248,7 @@ def test_contiguous_maps_agree_on_homology(torus):
                               SimplicialMap(seg, torus, (q, r)))
     for n in (1, 2):
         M = ordered_boundary_matrix(seg_index, n)
-        kernel = smith_normal_form(M.to_dense()).kernel_basis()
+        kernel = integer_kernel(M.to_dense())
         gens = seg_index.generators(n)
         for vec in kernel:
             z = {g: c for g, c in zip(gens, vec) if c}
@@ -266,7 +266,6 @@ def test_contiguous_maps_agree_on_alternating_cohomology(torus):
     # primitive A(omega o P)
     from altchain.cochain_algebra import alt_coboundary_matrix
     from altchain.complex_model import SimplicialComplex
-    from altchain.integer_homology import smith_normal_form
 
     index = enumerate_generators(torus, 2)
     edges = torus.simplices_of_dim(1)
@@ -274,7 +273,7 @@ def test_contiguous_maps_agree_on_alternating_cohomology(torus):
     dense = [[0] * M.cols for _ in range(M.rows)]
     for (i, j), v in M.entries.items():
         dense[i][j] = v
-    kernel = smith_normal_form(dense).kernel_basis()
+    kernel = integer_kernel(dense)
     assert kernel  # the torus has closed degree-1 cochains to spare
 
     seg = SimplicialComplex.from_facets(2, [[0, 1]], name="segment")
@@ -314,6 +313,13 @@ def test_simplicial_map_serialization(sphere, full_triangle):
                                  full_triangle, sphere)
     with pytest.raises(FormatError):
         simplicial_map_from_json({"assignment": [0, 1]}, full_triangle, sphere)
+    # vertex images are JSON integers: no floats, booleans or strings
+    for bad in ([0, 1, 3.0], [0, True, 3], [0, 1, "3"], "013", {"0": 0}, None):
+        with pytest.raises(FormatError):
+            simplicial_map_from_json({"assignment": bad}, full_triangle, sphere)
+    with pytest.raises(FormatError):
+        simplicial_map_from_json({"assignment": [0.9, True, " 2 ", 3.7]},
+                                 sphere, sphere)
     with pytest.raises(FormatError):
         # image of the triangle facet spans no sphere simplex
         simplicial_map_from_json({"assignment": [0, 1, 9]}, full_triangle, sphere)

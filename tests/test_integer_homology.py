@@ -1,6 +1,8 @@
+import contextlib
 import itertools
 import json
-from fractions import Fraction
+import signal
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,48 +19,7 @@ from altchain.integer_homology import (canonical_invariant_factors,
                                        matrix_to_json, ordered_boundary_matrix,
                                        simplicial_boundary_matrix,
                                        sparse_diagonalize)
-
-
-def fraction_det(matrix):
-    # independent determinant: fraction Gaussian elimination
-    n = len(matrix)
-    mat = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if mat[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for r in range(c + 1, n):
-            if mat[r][c]:
-                f = mat[r][c] * inv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[c])]
-    return det
-
-
-def matmul(A, B):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
-
-
-def fraction_rank(rows):
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                f = mat[r][c] / mat[rank][c]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+from oracles import fraction_det, fraction_rank
 
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
@@ -69,33 +30,47 @@ small_matrix = st.integers(min_value=1, max_value=5).flatmap(
 
 
 def test_snf_examples():
-    assert smith_normal_form([[2, 4], [6, 8]]).invariant_factors == (2, 4)
-    assert smith_normal_form([[1, 0], [0, 1]]).invariant_factors == (1, 1)
-    zero = smith_normal_form([[0, 0, 0], [0, 0, 0]])
-    assert zero.rank == 0 and zero.invariant_factors == ()
+    assert smith_normal_form([[2, 4], [6, 8]]) == (2, 4)
+    assert smith_normal_form([[1, 0], [0, 1]]) == (1, 1)
+    assert smith_normal_form([[0, 0, 0], [0, 0, 0]]) == ()
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    # an elimination that stops making progress fails instead of hanging
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
 def test_snf_properties(rows):
-    snf = smith_normal_form(rows)
+    with time_limit(1):
+        factors = smith_normal_form(rows)
     m, n = len(rows), len(rows[0])
-    # u_inv * M * v_inv == diag exactly
-    D = [[snf.diagonal[i] if i == j and i < len(snf.diagonal) else 0
-          for j in range(n)] for i in range(m)]
-    assert matmul(matmul(snf.u_inv, rows), snf.v_inv) == D
-    # unimodular transforms
-    assert abs(fraction_det(snf.u_inv)) == 1
-    assert abs(fraction_det(snf.v_inv)) == 1
-    # divisibility chain, nonnegative
-    factors = snf.invariant_factors
+    # divisibility chain, positive
     assert all(d > 0 for d in factors)
     assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
     # rank agrees with an independent fraction elimination
-    assert snf.rank == fraction_rank(rows)
-    # kernel vectors really lie in the kernel
-    for k in snf.kernel_basis():
-        assert all(sum(rows[i][j] * k[j] for j in range(n)) == 0 for i in range(m))
+    assert len(factors) == fraction_rank(rows)
+    # d_1 * ... * d_k is the gcd of all k x k minors (0 beyond the rank)
+    product = 1
+    for k in range(1, min(m, n) + 1):
+        product = product * factors[k - 1] if k <= len(factors) else 0
+        minors = 0
+        for rs in itertools.combinations(range(m), k):
+            for cs in itertools.combinations(range(n), k):
+                minor = fraction_det([[rows[i][j] for j in cs] for i in rs])
+                minors = gcd(minors, int(minor))
+        assert minors == product, k
 
 
 @settings(max_examples=40, deadline=None)
@@ -103,18 +78,8 @@ def test_snf_properties(rows):
 def test_sparse_diagonalize_agrees_with_dense(rows):
     M = IntegerMatrix.from_dense(rows)
     sparse_factors = canonical_invariant_factors(sparse_diagonalize(M))
-    assert sparse_factors == smith_normal_form(rows).invariant_factors
+    assert sparse_factors == smith_normal_form(rows)
     assert integer_rank(M) == fraction_rank(rows)
-
-
-def test_snf_solve():
-    snf = smith_normal_form([[2, 0], [0, 3]])
-    assert snf.solve([4, 9]) == [2, 3]
-    assert snf.solve([1, 0]) is None
-    snf2 = smith_normal_form([[1, 1], [1, 1]])
-    assert snf2.solve([2, 3]) is None
-    x = snf2.solve([5, 5])
-    assert x is not None and x[0] + x[1] == 5
 
 
 def test_canonical_invariant_factors():
@@ -283,8 +248,7 @@ def test_matrix_from_json_rejects_bad_version_and_dimensions():
 def test_big_entry_exactness():
     # arbitrary precision: no overflow on entries far beyond 64 bits
     big = 2 ** 100
-    snf = smith_normal_form([[big, big + 2], [2, 4]])
-    factors = snf.invariant_factors
+    factors = smith_normal_form([[big, big + 2], [2, 4]])
     assert len(factors) == 2
     assert factors[0] == 2
     det = abs(fraction_det([[big, big + 2], [2, 4]]))
@@ -504,7 +468,7 @@ def test_heap_pivots_match_column_scan(M):
     # a core reorders the diagonal, so compare what its consumers read:
     # invariant factors, rank and the F2 rank (the odd entries)
     diag = sparse_diagonalize(M)
-    factors = smith_normal_form(M).invariant_factors
+    factors = smith_normal_form(M.to_dense())
     assert canonical_invariant_factors(diag) == factors
     assert len(diag) == len(factors)
     assert sum(d % 2 for d in diag) == sum(d % 2 for d in factors)
@@ -576,4 +540,4 @@ def test_unit_pivots_leave_a_core_of_minors(monkeypatch):
     for col in zip(*dense):
         hadamard_sq *= max(1, sum(v * v for v in col))
     assert all(v * v <= hadamard_sq for row in cores[0] for v in row)
-    assert canonical_invariant_factors(diag) == smith_normal_form(dense).invariant_factors
+    assert canonical_invariant_factors(diag) == smith_normal_form(dense)

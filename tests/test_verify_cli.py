@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -324,6 +328,71 @@ def test_parsers_return_a_value_or_raise_format_error(parser_and_data):
         parse(data)
     except FormatError:
         pass
+
+
+VALID_COMPLEXES = ({"vertices": 1, "facets": [[0]]},
+                   {"vertices": 3, "facets": [[0, 1], [1, 2], [0, 2]]},
+                   {"vertices": 3, "facets": [[0, 1, 2]], "name": "triangle"})
+VALID_COCHAINS = ({"degree": 0, "values": [[[0], "1/1"]]},
+                  {"degree": 1, "values": [[[0, 1], "1/2"], [[1, 0], "-1/2"]]},
+                  {"degree": 2, "values": [[[0, 1, 2], "3"]]})
+
+
+@st.composite
+def cli_invocations(draw):
+    """A subcommand with small degree caps and JSON inputs, valid or drawn
+    like the parsers' inputs: (argv naming files by key, {key: value})."""
+    def valid_or_drawn(valid, keys):
+        return draw(st.sampled_from(valid) if draw(st.booleans()) else json_input(*keys))
+
+    command = draw(st.sampled_from(("homology", "cohomology", "verify", "cup",
+                                    "residual", "export-presentation")))
+    inputs = {"complex": valid_or_drawn(VALID_COMPLEXES, PARSERS[0][1])}
+    argv = [command, "complex"]
+    if command in ("cup", "residual"):
+        inputs["alpha"] = valid_or_drawn(VALID_COCHAINS, PARSERS[1][1])
+        argv.append("alpha")
+    if command == "cup":
+        inputs["beta"] = valid_or_drawn(VALID_COCHAINS, PARSERS[1][1])
+        argv += ["beta"] + draw(st.sampled_from(([], ["--alternative"])))
+    if command == "homology":
+        argv += ["--variant", draw(st.sampled_from(("alternative", "ordered", "simplicial"))),
+                 "--coeff", draw(st.sampled_from("ZQ"))]
+    if command == "cohomology":
+        argv += ["--variant", draw(st.sampled_from(("full", "alternative")))]
+    if command == "verify":
+        argv += ["--cases", str(draw(st.integers(0, 3))),
+                 "--seed", str(draw(st.integers(0, 9)))]
+    # cup and residual may keep their default cap, p + q and 2p + 1
+    if command not in ("cup", "residual") or draw(st.booleans()):
+        argv += ["--max-dim", str(draw(st.integers(0, 2)))]
+    if command in ("cup", "residual", "export-presentation"):
+        argv += ["--output", "output"]
+    return argv, inputs
+
+
+@settings(max_examples=200)
+@given(cli_invocations())
+def test_cli_exits_with_a_code_on_any_input(invocation):
+    # nothing escapes main: 0, or 2 or 3 ending in a one-line error, or 1
+    # from verify when its report lists a failing suite
+    argv, inputs = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {key: os.path.join(tmp, key + ".json") for key in [*inputs, "output"]}
+        for key, value in inputs.items():
+            with open(paths[key], "w") as fh:
+                json.dump(value, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([paths.get(arg, arg) for arg in argv])
+    if code == 1:
+        assert argv[0] == "verify" and "[FAIL]" in out.getvalue(), argv
+    else:
+        assert code in (0, 2, 3), (argv, code)
+    if code in (2, 3):  # a warning may come first
+        *_, last = err.getvalue().splitlines()
+        assert last.startswith("error: ") and "Traceback" not in err.getvalue(), \
+            (argv, err.getvalue())
 
 
 def test_cli_rejects_negative_max_dim(tmp_path, capsys):
