@@ -47,7 +47,10 @@ print(f"  lifted boundary matrices: "
 print(f"  homology: {[str(g) for g in homology_presented(pres)]}")
 
 print()
-print("Presentations serialize to JSON (generators plus boundary and")
-print("relation matrices) for external tools:")
+print("Presentations serialize to JSON (generators plus boundary")
+print("matrices) for external tools.  The relations are not written:")
+print("they are 2*e_t on each torsion generator t, so the torsion lists")
+print("determine them.")
 data = presentation_to_json(alt_chain_complex(point, 2))
 print(f"  point, degrees 0..2: {data['degrees']}")
+print(f"  format_version {data['format_version']}, keys {sorted(data)}")

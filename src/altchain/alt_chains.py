@@ -19,7 +19,7 @@ from . import permutations
 from .complex_model import SimplicialComplex, check_generator_budget, face
 from .errors import FormatError
 
-PRESENTATION_FORMAT_VERSION = 1
+PRESENTATION_FORMAT_VERSION = 2
 
 
 def sorting_sign(t: tuple) -> int:
@@ -205,9 +205,10 @@ class AltComplexPresentation:
     """Finite presentation of the quotient complex up to a degree cap.
 
     Per degree: the free generators (strictly increasing tuples), the
-    torsion generators (sorted tuples with a repeat), the lifted boundary
-    matrix on the combined generator list (free block first), and the
-    relation columns 2*e_t for each torsion generator t.
+    torsion generators (sorted tuples with a repeat) and the lifted
+    boundary matrix on the combined generator list (free block first).
+    The relations are 2*e_t for each torsion generator t, so the torsion
+    lists determine them and they are not stored.
     """
 
     complex: SimplicialComplex
@@ -222,16 +223,6 @@ class AltComplexPresentation:
     def boundary_matrix(self, n: int) -> list:
         """Dense integer matrix of the lifted boundary C_n -> C_{n-1}."""
         return [row[:] for row in self.boundaries[n]]
-
-    def relation_matrix(self, n: int) -> list:
-        """Columns generating the relation subgroup: 2x each torsion generator."""
-        rows = self.generator_count(n)
-        t = len(self.torsion_generators[n])
-        f = len(self.free_generators[n])
-        mat = [[0] * t for _ in range(rows)]
-        for j in range(t):
-            mat[f + j][j] = 2
-        return mat
 
 
 def _sorted_tuples_with_repeats(K: SimplicialComplex, n: int) -> list:
@@ -292,84 +283,95 @@ def alt_chain_complex(K: SimplicialComplex, max_degree: int,
 
 
 def presentation_to_json(pres: AltComplexPresentation) -> dict:
-    """Serialize generator lists plus boundary and relation matrices.
+    """Serialize the generator lists and the lifted boundary matrices.
 
     Matrices are written as dimensions with row-major entries as decimal
-    strings, the shared exact-matrix interchange format.
+    strings, the shared exact-matrix interchange format.  The relations,
+    2*e_t on each torsion generator t, follow from the torsion lists and
+    are not written.
     """
     from .integer_homology import IntegerMatrix, matrix_to_json
 
-    degrees = []
-    for n in range(pres.max_degree + 1):
-        degrees.append({
-            "degree": n,
-            "free": [list(t) for t in pres.free_generators[n]],
-            "torsion": [list(t) for t in pres.torsion_generators[n]],
-        })
-    boundaries = {}
-    relations = {}
-    for n in range(pres.max_degree + 1):
-        if n >= 1:
-            dense = pres.boundary_matrix(n)
-            entries = {(r, c): v for r, row in enumerate(dense)
-                       for c, v in enumerate(row) if v}
-            boundaries[str(n)] = matrix_to_json(IntegerMatrix(
-                pres.generator_count(n - 1), pres.generator_count(n), entries))
-        rel = pres.relation_matrix(n)
-        t = len(pres.torsion_generators[n])
-        rel_entries = {(r, c): v for r, row in enumerate(rel)
-                       for c, v in enumerate(row) if v}
-        relations[str(n)] = matrix_to_json(IntegerMatrix(
-            pres.generator_count(n), t, rel_entries))
     return {
         "format_version": PRESENTATION_FORMAT_VERSION,
         "max_degree": pres.max_degree,
-        "degrees": degrees,
-        "boundaries": boundaries,
-        "relations": relations,
+        "degrees": [{"degree": n,
+                     "free": [list(t) for t in pres.free_generators[n]],
+                     "torsion": [list(t) for t in pres.torsion_generators[n]]}
+                    for n in range(pres.max_degree + 1)],
+        "boundaries": {str(n): matrix_to_json(IntegerMatrix.from_dense(pres.boundaries[n]))
+                       for n in range(1, pres.max_degree + 1)},
     }
 
 
-_PRESENTATION_FIELDS = {"format_version", "max_degree", "degrees", "boundaries",
-                        "relations"}
+_PRESENTATION_FIELDS = {"format_version", "max_degree", "degrees", "boundaries"}
+_DEGREE_FIELDS = {"degree", "free", "torsion"}
+
+
+def _generators(items, n: int, torsion: bool) -> tuple:
+    """Degree-n generators from JSON: lists of n+1 integers, strictly
+    increasing when free, sorted with a repeated entry when torsion."""
+    if not isinstance(items, list):
+        raise FormatError(f"degree {n} generators are not a list")
+    for g in items:
+        if not (isinstance(g, list) and len(g) == n + 1
+                and all(type(v) is int for v in g)):
+            raise FormatError(f"degree {n} generator {g!r} is not a list of "
+                              f"{n + 1} integers")
+        pairs = list(zip(g, g[1:]))
+        if any(a > b for a, b in pairs) or torsion != any(a == b for a, b in pairs):
+            kind = "sorted with a repeat" if torsion else "strictly increasing"
+            raise FormatError(f"degree {n} generator {g} is not {kind}")
+    return tuple(tuple(g) for g in items)
 
 
 def presentation_from_json(data: dict) -> AltComplexPresentation:
     """Rebuild a presentation from its serialized form (complex not kept).
 
-    Boundary n must be g_{n-1} x g_n with no entry joining a free and a
-    torsion generator, and relations n must be 2*e_t on the torsion
-    generators, as :func:`presentation_to_json` writes them.
+    Degree n lists its free generators (strictly increasing) and torsion
+    generators (sorted with a repeat), n+1 integers each.  Boundary n must
+    be g_{n-1} x g_n with no entry joining a free and a torsion generator.
+    Format version 2 is what :func:`presentation_to_json` writes.  Version
+    1 also carries ``relations``, which must be 2*e_t on the torsion
+    generators; they are checked and dropped.
     """
     from .integer_homology import free_torsion_crossing, matrix_from_json
 
     if not isinstance(data, dict):
         raise FormatError("presentation must be a JSON object")
-    unknown = sorted(set(data) - _PRESENTATION_FIELDS)
+    version = data.get("format_version")
+    if type(version) is not int or version not in (1, PRESENTATION_FORMAT_VERSION):
+        raise FormatError(f"unsupported format_version {version!r}")
+    fields = _PRESENTATION_FIELDS | ({"relations"} if version == 1 else set())
+    unknown = sorted(set(data) - fields)
     if unknown:
         raise FormatError(f"unknown presentation fields {unknown}")
-    if data.get("format_version") != PRESENTATION_FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {data.get('format_version')!r}")
     try:
         max_degree = data["max_degree"]
         if type(max_degree) is not int:
             raise FormatError(f"max_degree {max_degree!r} is not an integer")
         degrees = data["degrees"]
-        free_gens = [tuple(tuple(t) for t in d["free"]) for d in degrees]
-        torsion_gens = [tuple(tuple(t) for t in d["torsion"]) for d in degrees]
-        if max_degree < 0 or len(free_gens) != max_degree + 1:
+        if max_degree < 0 or not isinstance(degrees, list) or len(degrees) != max_degree + 1:
             raise FormatError("degree list does not match max_degree")
+        for n, d in enumerate(degrees):
+            if not (isinstance(d, dict) and set(d) == _DEGREE_FIELDS
+                    and type(d["degree"]) is int and d["degree"] == n):
+                raise FormatError(f"degree object {n} needs exactly the keys "
+                                  f"degree (= {n}), free and torsion")
+        free_gens = [_generators(d["free"], n, False) for n, d in enumerate(degrees)]
+        torsion_gens = [_generators(d["torsion"], n, True) for n, d in enumerate(degrees)]
         free = [len(f) for f in free_gens]
         counts = [len(f) + len(t) for f, t in zip(free_gens, torsion_gens)]
+        if version == 1:
+            for n in range(max_degree + 1):
+                rel = matrix_from_json(data["relations"][str(n)])
+                t = len(torsion_gens[n])
+                if (rel.rows, rel.cols) != (counts[n], t) or \
+                        rel.entries != {(free[n] + j, j): 2 for j in range(t)}:
+                    raise FormatError(f"relations {n} are not 2*e_t on the "
+                                      "torsion generators")
         boundaries = [[]]
-        for n in range(max_degree + 1):
-            rel = matrix_from_json(data["relations"][str(n)])
-            t = len(torsion_gens[n])
-            if (rel.rows, rel.cols) != (counts[n], t) or \
-                    rel.entries != {(free[n] + j, j): 2 for j in range(t)}:
-                raise FormatError(f"relations {n} are not 2*e_t on the torsion generators")
-            if n == 0:
-                continue
+        for n in range(1, max_degree + 1):
             M = matrix_from_json(data["boundaries"][str(n)])
             if (M.rows, M.cols) != (counts[n - 1], counts[n]):
                 raise FormatError(f"boundary {n} is {M.rows}x{M.cols}, "

@@ -3,7 +3,7 @@
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or input format error, 3 enumeration budget exceeded.
 The generator budget can be overridden with the ALTCHAIN_MAX_GENERATORS
-environment variable.
+environment variable, written in ASCII digits like --max-dim and --cases.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import alt_chains, verify
@@ -26,15 +27,17 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+_DIGITS = re.compile(r"[0-9]+")
+
 
 def _budget() -> int:
     raw = os.environ.get("ALTCHAIN_MAX_GENERATORS")
     if raw is None:
         return DEFAULT_GENERATOR_BUDGET
     try:
-        return int(raw)
-    except ValueError:
-        raise FormatError(f"ALTCHAIN_MAX_GENERATORS={raw!r} is not an integer")
+        return _nonnegative_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise FormatError(f"ALTCHAIN_MAX_GENERATORS: {exc}") from None
 
 
 def _presentation(K, max_dim):
@@ -45,15 +48,11 @@ def _presentation(K, max_dim):
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type for degree caps and case counts: a bad value is a
-    usage error (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
+    """Degree caps, case counts and the generator budget: ASCII digits
+    only, so a sign, spaces or underscores are a usage error (exit 2)."""
+    if not _DIGITS.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return int(text)
 
 
 def _read_complex(path: str):
@@ -255,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_residual)
 
     p = sub.add_parser("export-presentation",
-                       help="generators, boundary and relation matrices of "
-                            "the sign-quotient complex")
+                       help="generators and boundary matrices of the "
+                            "sign-quotient complex (format_version 2; the "
+                            "relations 2*e_t follow from the torsion generators)")
     p.add_argument("complex")
     p.add_argument("--max-dim", type=_nonnegative_int, default=3)
     p.add_argument("--output", "-o", default=None)

@@ -355,9 +355,6 @@ class AbelianGroup:
         chain = canonical_invariant_factors(torsion)
         return cls(free_rank, tuple(d for d in chain if d > 1))
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

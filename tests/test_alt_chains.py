@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,10 @@ from altchain import (AltChain, alt_chain_complex, boundary, canonicalize,
 from altchain.alt_chains import (presentation_from_json, presentation_to_json,
                                  sorting_sign)
 from altchain.errors import BudgetExceededError
+from altchain.integer_homology import matrix_from_json
 from altchain.permutations import act, enumerate_group
+
+DATA = Path(__file__).parent / "data"
 
 
 def brute_sorting_sign(t):
@@ -130,9 +134,14 @@ def test_presentation_sphere_counts(sphere):
     # degree 2 torsion: two sorted repeats per edge plus one per vertex
     assert len(pres.torsion_generators[2]) == 2 * 6 + 4
     assert len(pres.torsion_generators[0]) == 0
-    rel = pres.relation_matrix(2)
-    assert len(rel) == pres.generator_count(2)
-    assert all(rel[4 + j][j] == 2 for j in range(len(pres.torsion_generators[2])))
+    assert pres.generator_count(2) == 4 + 16
+    # the relations 2*e_t are implied by the torsion list: exactly the
+    # torsion generators have order 2 in the quotient
+    for t in pres.torsion_generators[2]:
+        g = AltChain.from_generator(t)
+        assert not g.is_zero() and g.scale(2).is_zero()
+    for t in pres.free_generators[2]:
+        assert not AltChain.from_generator(t).scale(2).is_zero()
 
 
 def test_presentation_budget(rp2):
@@ -151,14 +160,30 @@ def test_presentation_budget(rp2):
 def test_presentation_roundtrip(rp2):
     pres = alt_chain_complex(rp2, 3)
     data = json.loads(json.dumps(presentation_to_json(pres)))
+    assert data["format_version"] == 2 and "relations" not in data
     back = presentation_from_json(data)
     assert back.max_degree == pres.max_degree
     assert back.free_generators == pres.free_generators
     assert back.torsion_generators == pres.torsion_generators
     for n in range(1, 4):
         assert back.boundary_matrix(n) == pres.boundary_matrix(n)
-        assert back.relation_matrix(n) == pres.relation_matrix(n)
     assert homology_presented(back) == homology_presented(pres)
+
+
+def test_presentation_version_1_still_loads(sphere):
+    # written by export-presentation of sphere_s2 at --max-dim 2 while the
+    # format still carried the relation matrices (format_version 1)
+    v1 = json.loads((DATA / "presentation_sphere_s2_D2_v1.json").read_text())
+    v2 = presentation_to_json(alt_chain_complex(sphere, 2))
+    assert v1["format_version"] == 1 and "relations" in v1
+    assert dict({k: v for k, v in v1.items() if k != "relations"},
+                format_version=2) == json.loads(json.dumps(v2))
+    old, new = presentation_from_json(v1), presentation_from_json(v2)
+    assert old.max_degree == new.max_degree == 2
+    assert old.free_generators == new.free_generators
+    assert old.torsion_generators == new.torsion_generators
+    assert old.boundaries == new.boundaries
+    assert homology_presented(old) == homology_presented(new)
 
 
 def _matrix(rows, cols, dense):
@@ -172,7 +197,6 @@ def test_presentation_from_json_rejects_inconsistent_input(rp2):
     pres = alt_chain_complex(rp2, 3)
     d2 = pres.boundary_matrix(2)
     d1 = pres.boundary_matrix(1)
-    rel1 = pres.relation_matrix(1)
     f1 = len(pres.free_generators[1])
 
     def mutated(**changes):
@@ -193,21 +217,89 @@ def test_presentation_from_json_rejects_inconsistent_input(rp2):
     with pytest.raises(FormatError):
         presentation_from_json(mutated(boundaries=(
             1, _matrix(len(d1), len(d1[0]), joined))))
-    # relations other than 2*e_t on the torsion generators
-    doubled = [[2 * v for v in row] for row in rel1]
-    with pytest.raises(FormatError):
-        presentation_from_json(mutated(relations=(
-            1, _matrix(len(rel1), len(rel1[0]), doubled))))
-    with pytest.raises(FormatError):
-        presentation_from_json(mutated(relations=(1, _matrix(0, 0, []))))
-    # an unknown top-level field
+    # an unknown top-level field; version 2 has no relations
     with pytest.raises(FormatError):
         presentation_from_json(dict(good, comment="hand edited"))
+    with pytest.raises(FormatError, match="relations"):
+        presentation_from_json(dict(good, relations={}))
     # a max_degree that is not a JSON integer, though int() would take it
     for bad in (3.0, 3.7, "3", True):
         with pytest.raises(FormatError):
             presentation_from_json(dict(good, max_degree=bad))
+    for bad in (0, 3, 1.0, True, "2", None):
+        with pytest.raises(FormatError, match="format_version"):
+            presentation_from_json(dict(good, format_version=bad))
     assert presentation_from_json(good).max_degree == 3
+
+
+def test_presentation_from_json_rejects_bad_generators(rp2):
+    # the first rows keep every generator count and boundary shape, so
+    # only the parse of the generator lists can reject them; the last
+    # four change a generator count or the degree list itself
+    from altchain.errors import FormatError
+    good = presentation_to_json(alt_chain_complex(rp2, 3))
+    assert good["degrees"][1]["free"][0] == [0, 1]
+    assert good["degrees"][1]["torsion"][0] == [0, 0]
+
+    def with_degree(n, **fields):
+        data = json.loads(json.dumps(good))
+        data["degrees"][n].update(fields)
+        return data
+
+    def with_generator(n, kind, g):
+        data = json.loads(json.dumps(good))
+        data["degrees"][n][kind][0] = g
+        return data
+
+    rows = [with_generator(0, "free", [0.5]),        # float vertex
+            with_generator(0, "free", [True]),       # boolean vertex
+            with_generator(0, "free", [0.0]),
+            with_generator(0, "free", "0"),          # string generators
+            with_generator(1, "free", "01"),
+            with_generator(1, "free", [0, 1, 2, 3]),  # wrong length
+            with_generator(1, "free", [0]),
+            with_generator(1, "free", [1, 0]),       # unsorted free tuple
+            with_generator(1, "free", [0, 0]),       # free tuple with a repeat
+            with_generator(1, "torsion", [0, 1]),    # torsion without a repeat
+            with_generator(2, "torsion", [1, 0, 0]),  # unsorted torsion tuple
+            with_degree(1, degree=1.0),              # degree not a JSON integer
+            with_degree(1, degree=True),
+            with_degree(1, degree="1"),
+            with_degree(1, degree=2),                # degree off its position
+            with_degree(0, comment="hand edited"),   # unknown key
+            with_degree(0, free={})]                 # generators not a list
+    missing = json.loads(json.dumps(good))
+    del missing["degrees"][2]["torsion"]
+    rows.append(missing)
+    rows.append(dict(good, degrees={str(n): d for n, d in enumerate(good["degrees"])}))
+    rows.append(dict(good, degrees=good["degrees"][:3] + [[]]))
+    for data in rows:
+        with pytest.raises(FormatError):
+            presentation_from_json(data)
+
+
+def test_presentation_version_1_relations_are_checked():
+    from altchain.errors import FormatError
+    v1 = json.loads((DATA / "presentation_sphere_s2_D2_v1.json").read_text())
+    presentation_from_json(v1)
+    rel1 = matrix_from_json(v1["relations"]["1"]).to_dense()
+
+    def with_relations(relations):
+        return dict(v1, relations=dict(v1["relations"], **relations))
+
+    # relations other than 2*e_t on the torsion generators
+    doubled = [[2 * v for v in row] for row in rel1]
+    with pytest.raises(FormatError):
+        presentation_from_json(with_relations(
+            {"1": _matrix(len(rel1), len(rel1[0]), doubled)}))
+    with pytest.raises(FormatError):
+        presentation_from_json(with_relations({"1": _matrix(0, 0, [])}))
+    # version 1 still needs them
+    with pytest.raises(FormatError, match="relations"):
+        presentation_from_json({k: v for k, v in v1.items() if k != "relations"})
+    partial = dict(v1, relations={"0": v1["relations"]["0"]})
+    with pytest.raises(FormatError):
+        presentation_from_json(partial)
 
 
 def test_dual_dimension_invariant(corpus):

@@ -270,9 +270,6 @@ def test_homology_presented_rejects_non_cycle_boundary():
         def boundary_matrix(self, n):
             return [[1]]
 
-        def relation_matrix(self, n):
-            return [[]]
-
         @property
         def torsion_generators(self):
             return ((), (), ())

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -108,6 +109,55 @@ def test_mutation_in_torsion_boundary_is_caught(point, monkeypatch):
                                     "quotient": "Z/2", "simplicial": "0"}
 
 
+def test_mutation_in_presentation_boundary_is_caught(point, monkeypatch):
+    # the relations 2*e_t are stored nowhere; quotient-boundary reads them
+    # off the torsion rows, where the lifted product may only be even.  On
+    # the point the torsion generators of degrees 2 and 3 get boundary 1
+    # each, so their composite is 1, odd on a torsion row.
+    real = alt_chains.alt_chain_complex
+
+    def broken(K, max_degree, **kwargs):
+        pres = real(K, max_degree, **kwargs)
+        boundaries = list(pres.boundaries)
+        boundaries[3] = [[1]]
+        return dataclasses.replace(pres, boundaries=tuple(boundaries))
+
+    monkeypatch.setattr(alt_chains, "alt_chain_complex", broken)
+    report = verify.run_all([("point", point)], seed=0, cases=5)
+    failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
+    # the homology of the presented complex cannot be computed either
+    assert set(failed) == {"quotient-boundary", "quotient-homology-agreement"}
+    assert failed["quotient-boundary"] == {"complex": "point", "degree": 2,
+                                           "row": 0, "col": 0, "value": 1}
+    assert "mod 2" in failed["quotient-homology-agreement"]["reason"]
+
+
+def test_mutation_dropping_a_free_generator_is_caught(sphere, monkeypatch):
+    # the last triangle of S^2 goes, with its column of the top boundary;
+    # the rest stays a consistent presented complex with the same homology
+    # below the cap, so only dual-dimension-match (and the known-red
+    # projected-cup-associativity) fails
+    real = alt_chains.alt_chain_complex
+
+    def broken(K, max_degree, **kwargs):
+        pres = real(K, max_degree, **kwargs)
+        free = list(pres.free_generators)
+        boundaries = list(pres.boundaries)
+        f = len(free[max_degree])
+        free[max_degree] = free[max_degree][:-1]
+        boundaries[max_degree] = [row[:f - 1] + row[f:] for row in boundaries[max_degree]]
+        return dataclasses.replace(pres, free_generators=tuple(free),
+                                   boundaries=tuple(boundaries))
+
+    monkeypatch.setattr(alt_chains, "alt_chain_complex", broken)
+    report = verify.run_all([("sphere_s2", sphere)], seed=0, cases=5, degree_cap=2)
+    failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
+    assert set(failed) <= {"dual-dimension-match", "projected-cup-associativity"}
+    assert failed["dual-dimension-match"] == {"complex": "sphere_s2", "degree": 2,
+                                              "alternating_dim": 4,
+                                              "free_generators": 3}
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -179,9 +229,15 @@ def test_cli_budget_exit(tmp_path, capsys, monkeypatch):
                      "--variant", "ordered"]) == 3
     err = capsys.readouterr().err
     assert "budget" in err
-    monkeypatch.setenv("ALTCHAIN_MAX_GENERATORS", "junk")
-    assert cli.main(["homology", corpus_path("torus_7"),
-                     "--variant", "ordered"]) == 2
+    # ASCII digits only, the rule of --max-dim and --cases, though int()
+    # takes the last four and -1 is an integer
+    for bad in ("junk", "", "-1", "1_000", " 7 ", "+5", "\u0663"):
+        monkeypatch.setenv("ALTCHAIN_MAX_GENERATORS", bad)
+        assert cli.main(["homology", corpus_path("torus_7"),
+                         "--variant", "ordered"]) == 2, bad
+        err = capsys.readouterr().err
+        assert err == f"error: ALTCHAIN_MAX_GENERATORS: {bad!r} is not a " \
+                      "nonnegative integer\n", bad
 
 
 def test_cli_cup_both_orders(tmp_path, capsys):
@@ -411,15 +467,15 @@ def test_cli_rejects_negative_max_dim(tmp_path, capsys):
                          (["cup", point, str(good), str(good)], "--max-dim"),
                          (["residual", point, str(good)], "--max-dim"),
                          (["export-presentation", point, "-o", str(out)], "--max-dim")):
-        for bad in ("-1", "x"):
+        for bad in ("-1", "x", "+1", " 1", "1_0", "1.0", "\u0663"):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv + [option, bad])
             assert exc.value.code == 2, argv
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.splitlines()[-1].endswith(
-                f"error: argument {option}: {bad!r} is "
-                + ("negative" if bad == "-1" else "not an integer")), argv
+                f"error: argument {option}: {bad!r} is not a nonnegative "
+                "integer"), argv
     assert not out.exists()
 
 
@@ -428,6 +484,8 @@ def test_cli_export_presentation(tmp_path, capsys):
     assert cli.main(["export-presentation", corpus_path("rp2_6"),
                      "-o", str(out)]) == 0
     data = json.loads(out.read_text())
+    # format_version 2: the relations follow from the torsion generators
+    assert data["format_version"] == 2 and "relations" not in data
     pres = alt_chains.presentation_from_json(data)
     from altchain import homology_presented
     assert [str(g) for g in homology_presented(pres)] == ["Z", "Z/2", "0"]
