@@ -7,6 +7,13 @@ repeat (a repeated tuple is fixed by the odd swap of its equal entries,
 so twice its class is zero).  The relation subgroup is never materialized:
 :func:`canonicalize` rewrites any generator into its canonical class and
 everything else works with those classes.
+
+A chain map on ordered chains that commutes with reordering descends to
+the quotient (:func:`descend`): apply it to the canonical representatives
+and project the image.  The image of a torsion generator must then
+project to torsion only, since the class has order 2.  The boundary here,
+and the induced map and the prism of :mod:`altchain.homotopy_prism`, are
+descended this way from their ordered forms.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from math import comb
 from . import permutations
 from .complex_model import SimplicialComplex, check_generator_budget, face
 from .errors import FormatError
+from .integer_homology import (IntegerMatrix, free_torsion_crossing,
+                               matrix_from_json, matrix_to_json)
 
 PRESENTATION_FORMAT_VERSION = 2
 
@@ -83,27 +92,20 @@ class AltChain:
     @classmethod
     def from_ordered(cls, degree: int, coefficients) -> "AltChain":
         """Project an ordered chain {tuple: int} into the quotient."""
-        out = cls(degree)
+        free: dict = {}
+        torsion: dict = {}
         for g, c in coefficients.items():
-            out._add_generator(g, c)
-        out._prune()
-        return out
+            klass, sign = canonicalize(g)
+            t = klass.canonical_tuple
+            if klass.is_torsion:
+                torsion[t] = torsion.get(t, 0) + c
+            else:
+                free[t] = free.get(t, 0) + sign * c
+        return cls(degree, free, torsion)
 
     @classmethod
     def from_generator(cls, g: tuple, coefficient: int = 1) -> "AltChain":
         return cls.from_ordered(len(g) - 1, {g: coefficient})
-
-    def _add_generator(self, g: tuple, c: int) -> None:
-        cls, coeff = canonicalize(g)
-        t = cls.canonical_tuple
-        if cls.is_torsion:
-            self.torsion[t] = self.torsion.get(t, 0) + c
-        else:
-            self.free[t] = self.free.get(t, 0) + coeff * c
-
-    def _prune(self) -> None:
-        self.free = {t: c for t, c in self.free.items() if c}
-        self.torsion = {t: c % 2 for t, c in self.torsion.items() if c % 2}
 
     def __add__(self, other: "AltChain") -> "AltChain":
         if self.degree != other.degree:
@@ -153,38 +155,33 @@ def ordered_boundary(coefficients: dict) -> dict:
     return {t: c for t, c in out.items() if c}
 
 
-def boundary(chain: AltChain) -> AltChain:
-    """Boundary in the quotient, computed on canonical representatives.
+def descend(ordered_map, chain: AltChain, degree: int) -> AltChain:
+    """Apply a chain map on ordered chains to a chain of the quotient.
 
-    The boundary of a torsion class must stay torsion: its free-part face
-    terms cancel in the (i, s(i)) pairs coming from the odd symmetry.  A
-    nonzero free remainder would contradict the class having order 2, so
-    it raises instead of being returned.
+    ``ordered_map`` takes an ordered chain {tuple: int} to an ordered chain
+    of degree ``degree`` and commutes with reordering, so it is applied to
+    the canonical representatives and the result projected.  A torsion
+    class has order 2, so the image of each torsion generator must project
+    to torsion only; a free term there raises ArithmeticError.
     """
+    image = AltChain.from_ordered(degree, ordered_map(chain.free))
+    torsion = dict(image.torsion)
+    for t, c in chain.torsion.items():
+        piece = AltChain.from_ordered(degree, ordered_map({t: c}))
+        if piece.free:
+            raise ArithmeticError(
+                f"image of torsion class {t} has free terms {piece.free}; "
+                "its class would not have order 2")
+        for u, w in piece.torsion.items():
+            torsion[u] = torsion.get(u, 0) + w
+    return AltChain(degree, image.free, torsion)
+
+
+def boundary(chain: AltChain) -> AltChain:
+    """Boundary in the quotient: the ordered boundary, descended."""
     if chain.degree < 1:
         raise ValueError("boundary needs degree >= 1")
-    out = AltChain(chain.degree - 1)
-    for t, c in chain.free.items():
-        for i in range(len(t)):
-            out._add_generator(face(t, i), ((-1) ** i) * c)
-    pending_free: dict = {}
-    for t, c in chain.torsion.items():
-        for i in range(len(t)):
-            f = face(t, i)
-            cls, coeff = canonicalize(f)
-            if cls.is_torsion:
-                out.torsion[cls.canonical_tuple] = (
-                    out.torsion.get(cls.canonical_tuple, 0) + c)
-            else:
-                key = cls.canonical_tuple
-                pending_free[key] = pending_free.get(key, 0) + ((-1) ** i) * coeff * c
-    bad = {t: c for t, c in pending_free.items() if c}
-    if bad:
-        raise ArithmeticError(
-            f"boundary of a torsion class produced free terms {bad}; "
-            "its class would not have order 2")
-    out._prune()
-    return out
+    return descend(ordered_boundary, chain, chain.degree - 1)
 
 
 def face_class_compat(g: tuple, s: "permutations.Permutation", i: int) -> bool:
@@ -290,8 +287,6 @@ def presentation_to_json(pres: AltComplexPresentation) -> dict:
     2*e_t on each torsion generator t, follow from the torsion lists and
     are not written.
     """
-    from .integer_homology import IntegerMatrix, matrix_to_json
-
     return {
         "format_version": PRESENTATION_FORMAT_VERSION,
         "max_degree": pres.max_degree,
@@ -335,8 +330,6 @@ def presentation_from_json(data: dict) -> AltComplexPresentation:
     1 also carries ``relations``, which must be 2*e_t on the torsion
     generators; they are checked and dropped.
     """
-    from .integer_homology import free_torsion_crossing, matrix_from_json
-
     if not isinstance(data, dict):
         raise FormatError("presentation must be a JSON object")
     version = data.get("format_version")

@@ -299,16 +299,17 @@ def coboundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
     if n + 1 > index.max_degree:
         raise DegreeCapError(f"need generators of degree {n + 1}")
     column = index.positions(n)
-    signs = [(-1) ** k for k in range(n + 2)]
     entries: dict = {}
     for i, g in enumerate(index.generators(n + 1)):
-        for k, sign in enumerate(signs):
+        sign = 1
+        for k in range(n + 2):
             key = (i, column[g[:k] + g[k + 1:]])
             v = entries.get(key, 0) + sign
             if v:
                 entries[key] = v
             else:
                 entries.pop(key, None)
+            sign = -sign
     return IntegerMatrix(index.count(n + 1), index.count(n), entries)
 
 
@@ -358,8 +359,9 @@ def cochain_from_json(data: dict, index: GeneratorIndex | None = None) -> Cochai
     unknown = set(data) - _COCHAIN_FIELDS
     if unknown:
         raise FormatError(f"unknown fields in cochain: {sorted(unknown)}")
-    if data.get("format_version", COCHAIN_FORMAT_VERSION) != COCHAIN_FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {data.get('format_version')!r}")
+    version = data.get("format_version", COCHAIN_FORMAT_VERSION)
+    if type(version) is not int or version != COCHAIN_FORMAT_VERSION:
+        raise FormatError(f"unsupported format_version {version!r}")
     if "degree" not in data or "values" not in data:
         raise FormatError("cochain needs 'degree' and 'values'")
     degree = data["degree"]

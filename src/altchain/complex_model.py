@@ -113,8 +113,9 @@ def load_complex(description) -> SimplicialComplex:
     unknown = set(data) - _COMPLEX_FIELDS
     if unknown:
         raise FormatError(f"unknown fields in complex description: {sorted(unknown)}")
-    if data.get("format_version", COMPLEX_FORMAT_VERSION) != COMPLEX_FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {data.get('format_version')!r}")
+    version = data.get("format_version", COMPLEX_FORMAT_VERSION)
+    if type(version) is not int or version != COMPLEX_FORMAT_VERSION:
+        raise FormatError(f"unsupported format_version {version!r}")
     if "vertices" not in data or "facets" not in data:
         raise FormatError("complex description needs 'vertices' and 'facets'")
     for key in ("name", "provenance"):

@@ -4,7 +4,10 @@ Two simplicial maps are treated as homotopic when they are contiguous:
 the images of each simplex under both maps jointly span a simplex of the
 codomain.  That is precisely what makes every front/back vertex list of
 the prism construction a valid generator, on every reordering of every
-tuple, so the prism descends to the sign quotient.
+tuple.  The induced map and the prism commute with reordering, so both
+descend to the sign quotient through :func:`altchain.alt_chains.descend`;
+a torsion generator stays torsion under both, because its image, and
+every front/back list of its sorted representative, keeps a repeat.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .alt_chains import AltChain
+from .alt_chains import AltChain, descend
 from .cochain_algebra import Cochain
 from .complex_model import SimplicialComplex
 from .errors import FormatError
@@ -73,8 +76,9 @@ def simplicial_map_from_json(data: dict, domain: SimplicialComplex,
     unknown = set(data) - _MAP_FIELDS
     if unknown:
         raise FormatError(f"unknown fields in simplicial map: {sorted(unknown)}")
-    if data.get("format_version", MAP_FORMAT_VERSION) != MAP_FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {data.get('format_version')!r}")
+    version = data.get("format_version", MAP_FORMAT_VERSION)
+    if type(version) is not int or version != MAP_FORMAT_VERSION:
+        raise FormatError(f"unsupported format_version {version!r}")
     assignment = data.get("assignment")
     if not isinstance(assignment, list) or \
             not all(type(v) is int for v in assignment):
@@ -96,14 +100,7 @@ def push_forward(f: SimplicialMap, chain: dict) -> dict:
 
 def push_forward_alt(f: SimplicialMap, chain: AltChain) -> AltChain:
     """The induced map on the sign quotient."""
-    out = AltChain(chain.degree)
-    for t, c in chain.free.items():
-        out._add_generator(f.apply(t), c)
-    for t, c in chain.torsion.items():
-        ft = tuple(sorted(f.apply(t)))
-        out.torsion[ft] = out.torsion.get(ft, 0) + c
-    out._prune()
-    return out
+    return descend(lambda c: push_forward(f, c), chain, chain.degree)
 
 
 def pull_back(f: SimplicialMap, alpha: Cochain) -> Cochain:
@@ -170,22 +167,5 @@ def prism(h: CombinatorialHomotopy, chain: dict) -> dict:
 
 
 def prism_alt(h: CombinatorialHomotopy, chain: AltChain) -> AltChain:
-    """Prism on the sign quotient, generator by canonical generator.
-
-    A torsion input must produce a pure torsion output (its class has
-    order 2); the canonical sorted representative guarantees this because
-    every slice of a tuple with an adjacent repeat keeps a repeat.
-    """
-    out = AltChain(chain.degree + 1)
-    for t, c in chain.free.items():
-        for u, v in prism_generator(h, t).items():
-            out._add_generator(u, c * v)
-    for t, c in chain.torsion.items():
-        piece = AltChain.from_ordered(chain.degree + 1, prism_generator(h, t))
-        if piece.free:
-            raise ArithmeticError(
-                f"prism of torsion class {t} produced free terms {piece.free}")
-        for u, w in piece.torsion.items():
-            out.torsion[u] = out.torsion.get(u, 0) + c * w
-    out._prune()
-    return out
+    """Prism on the sign quotient; one degree up."""
+    return descend(lambda c: prism(h, c), chain, chain.degree + 1)

@@ -97,9 +97,9 @@ def matrix_to_json(M: IntegerMatrix) -> dict:
 def matrix_from_json(data: dict) -> IntegerMatrix:
     if not isinstance(data, dict):
         raise FormatError("matrix must be a JSON object")
-    if data.get("format_version") != MATRIX_FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported matrix format_version {data.get('format_version')!r}")
+    version = data.get("format_version")
+    if type(version) is not int or version != MATRIX_FORMAT_VERSION:
+        raise FormatError(f"unsupported matrix format_version {version!r}")
     for key in ("rows", "cols", "entries"):
         if key not in data:
             raise FormatError(f"matrix object missing '{key}'")
@@ -480,16 +480,17 @@ def ordered_boundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
     if n < 1:
         raise ValueError("boundary matrices start at degree 1")
     row = index.positions(n - 1)
-    signs = [(-1) ** i for i in range(n + 1)]
     entries: dict = {}
     for j, g in enumerate(index.generators(n)):
-        for i, sign in enumerate(signs):
+        sign = 1
+        for i in range(n + 1):
             key = (row[g[:i] + g[i + 1:]], j)
             v = entries.get(key, 0) + sign
             if v:
                 entries[key] = v
             else:
                 entries.pop(key, None)
+            sign = -sign
     return IntegerMatrix(index.count(n - 1), index.count(n), entries)
 
 

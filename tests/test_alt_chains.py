@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from altchain import (AltChain, alt_chain_complex, boundary, canonicalize,
                       enumerate_generators, face_class_compat,
                       homology_presented, ordered_boundary)
-from altchain.alt_chains import (presentation_from_json, presentation_to_json,
-                                 sorting_sign)
+from altchain.alt_chains import (descend, presentation_from_json,
+                                 presentation_to_json, sorting_sign)
 from altchain.errors import BudgetExceededError
 from altchain.integer_homology import matrix_from_json
 from altchain.permutations import act, enumerate_group
@@ -106,6 +106,34 @@ def test_boundary_equals_projected_ordered_boundary(sphere_index):
             direct = boundary(AltChain.from_generator(g))
             via_ordered = AltChain.from_ordered(n - 1, ordered_boundary({g: 1}))
             assert direct == via_ordered
+
+
+def linear_map(images):
+    """The ordered chain map sending each generator g to images[g]."""
+    def apply(chain):
+        out: dict = {}
+        for g, c in chain.items():
+            for u, v in images[g].items():
+                out[u] = out.get(u, 0) + c * v
+        return out
+    return apply
+
+
+def test_descend_checks_each_torsion_image():
+    # the free terms of (0, 0) and (1, 1) cancel only in their sum, since
+    # (1, 0) is -(0, 1) in the quotient; a check on the summed torsion
+    # image, as the hand-written boundary made, would miss both
+    bad = linear_map({(0, 0): {(0, 1): 1}, (1, 1): {(1, 0): 1}})
+    for torsion in ({(0, 0): 1}, {(1, 1): 1}, {(0, 0): 1, (1, 1): 1}):
+        with pytest.raises(ArithmeticError):
+            descend(bad, AltChain(1, torsion=torsion), 1)
+    # free terms that cancel within one generator's image are fine, and a
+    # free generator may map to anything
+    good = linear_map({(0, 0): {(0, 1): 1, (1, 0): 1, (2, 2): 1},
+                       (0, 2): {(0, 1): 2, (1, 1): 1}})
+    chain = AltChain(1, free={(0, 2): 3}, torsion={(0, 0): 1})
+    assert descend(good, chain, 1) == AltChain(1, free={(0, 1): 6},
+                                               torsion={(1, 1): 1, (2, 2): 1})
 
 
 def test_face_class_compat_examples():

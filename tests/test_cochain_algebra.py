@@ -372,9 +372,10 @@ def test_serialization_strictness(sphere_index):
         cochain_from_json({"degree": 1, "values": [[[0, 1], "1/0"]]})
     with pytest.raises(FormatError):
         cochain_from_json({"degree": 1, "values": [[[0], "1/2"]]})
-    with pytest.raises(FormatError):
-        cochain_from_json({"degree": 1, "values": [[[0, 1], "1/2"]],
-                           "format_version": 2})
+    for version in (2, True, 1.0):
+        with pytest.raises(FormatError):
+            cochain_from_json({"degree": 1, "values": [[[0, 1], "1/2"]],
+                               "format_version": version})
     # vertices are JSON integers; values are JSON integers or exact strings
     loaded = cochain_from_json({"degree": 1, "values": [
         [[0, 1], "1/3"], [[1, 2], "-2"], [[0, 2], 5], [[2, 3], "0.25"]]})

@@ -122,6 +122,10 @@ def test_load_complex_strictness():
 
     with pytest.raises(FormatError):
         load_complex(json.dumps({**good, "extra": 1}))
+    # the version is the JSON integer 1, not a value equal to it
+    for version in (True, 1.0):
+        with pytest.raises(FormatError):
+            load_complex(json.dumps({**good, "format_version": version}))
     with pytest.raises(FormatError):
         load_complex(json.dumps({"vertices": 3}))
     with pytest.raises(FormatError):

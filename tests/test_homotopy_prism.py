@@ -2,12 +2,15 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altchain import (AltChain, CombinatorialHomotopy, Cochain, SimplicialMap,
                       alternating_cochain, alternative_maker, boundary,
                       coboundary, enumerate_generators, is_alternative,
                       ordered_boundary, prism, prism_alt, pull_back,
                       push_forward, push_forward_alt)
+from altchain.alt_chains import canonicalize
+from altchain.complex_model import SimplicialComplex, face
 from altchain.homotopy_prism import prism_generator
 from altchain.permutations import act, enumerate_group
 from oracles import integer_kernel
@@ -313,6 +316,11 @@ def test_simplicial_map_serialization(sphere, full_triangle):
                                  full_triangle, sphere)
     with pytest.raises(FormatError):
         simplicial_map_from_json({"assignment": [0, 1]}, full_triangle, sphere)
+    # the version is the JSON integer 1, not a value equal to it
+    for version in (True, 1.0):
+        with pytest.raises(FormatError):
+            simplicial_map_from_json({"format_version": version,
+                                      "assignment": [0, 1, 3]}, full_triangle, sphere)
     # vertex images are JSON integers: no floats, booleans or strings
     for bad in ([0, 1, 3.0], [0, True, 3], [0, 1, "3"], "013", {"0": 0}, None):
         with pytest.raises(FormatError):
@@ -323,3 +331,107 @@ def test_simplicial_map_serialization(sphere, full_triangle):
     with pytest.raises(FormatError):
         # image of the triangle facet spans no sphere simplex
         simplicial_map_from_json({"assignment": [0, 1, 9]}, full_triangle, sphere)
+
+
+# ---------------------------------------------------------------------------
+# the descended maps against the hand-written loops they replaced
+
+def _add_generator(free, torsion, g, c):
+    cls, coeff = canonicalize(g)
+    t = cls.canonical_tuple
+    if cls.is_torsion:
+        torsion[t] = torsion.get(t, 0) + c
+    else:
+        free[t] = free.get(t, 0) + coeff * c
+
+
+def oracle_boundary(chain):
+    free, torsion = {}, {}
+    for t, c in chain.free.items():
+        for i in range(len(t)):
+            _add_generator(free, torsion, face(t, i), ((-1) ** i) * c)
+    pending_free: dict = {}
+    for t, c in chain.torsion.items():
+        for i in range(len(t)):
+            cls, coeff = canonicalize(face(t, i))
+            key = cls.canonical_tuple
+            if cls.is_torsion:
+                torsion[key] = torsion.get(key, 0) + c
+            else:
+                pending_free[key] = pending_free.get(key, 0) + ((-1) ** i) * coeff * c
+    if any(pending_free.values()):
+        raise ArithmeticError(f"free terms {pending_free}")
+    return AltChain(chain.degree - 1, free, torsion)
+
+
+def oracle_push_forward_alt(f, chain):
+    free, torsion = {}, {}
+    for t, c in chain.free.items():
+        _add_generator(free, torsion, f.apply(t), c)
+    for t, c in chain.torsion.items():
+        ft = tuple(sorted(f.apply(t)))
+        torsion[ft] = torsion.get(ft, 0) + c
+    return AltChain(chain.degree, free, torsion)
+
+
+def oracle_prism_alt(h, chain):
+    free, torsion = {}, {}
+    for t, c in chain.free.items():
+        for u, v in prism_generator(h, t).items():
+            _add_generator(free, torsion, u, c * v)
+    for t, c in chain.torsion.items():
+        piece = AltChain.from_ordered(chain.degree + 1, prism_generator(h, t))
+        if piece.free:
+            raise ArithmeticError(f"free terms {piece.free}")
+        for u, w in piece.torsion.items():
+            torsion[u] = torsion.get(u, 0) + c * w
+    return AltChain(chain.degree + 1, free, torsion)
+
+
+@pytest.fixture(scope="module")
+def prism_fixtures(corpus):
+    """(domain index, homotopy) pairs of the verify prism suite: cone
+    contractions of full simplices, the identity homotopy on each corpus
+    complex, and an edge walked across a triangle of each."""
+    out = []
+    for d in (1, 2, 3):
+        K = SimplicialComplex.from_facets(d + 1, [range(d + 1)])
+        out.append((enumerate_generators(K, min(3, d + 1)), CombinatorialHomotopy(
+            SimplicialMap.constant(K, K, 0), SimplicialMap.identity(K))))
+    edge = SimplicialComplex.from_facets(2, [[0, 1]])
+    edge_index = enumerate_generators(edge, 3)
+    for _, K in corpus:
+        ident = SimplicialMap.identity(K)
+        out.append((enumerate_generators(K, 3), CombinatorialHomotopy(ident, ident)))
+        if K.simplices_of_dim(2):
+            p, q, r = K.simplices_of_dim(2)[0]
+            out.append((edge_index, CombinatorialHomotopy(
+                SimplicialMap(edge, K, (p, q)), SimplicialMap(edge, K, (q, r)))))
+    return out
+
+
+@st.composite
+def alt_chains(draw, index):
+    """A quotient chain of degree 0-3 projected from a few ordered
+    generators with distinct entries and a few with a repeat, so that it
+    has a free and a torsion part whenever its degree allows."""
+    n = draw(st.integers(0, min(3, index.max_degree)))
+    ordered: dict = {}
+    for repeat in (False, True):
+        pool = [g for g in index.generators(n) if (len(set(g)) < len(g)) == repeat]
+        if pool:
+            for g in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)):
+                ordered[g] = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    return AltChain.from_ordered(n, ordered)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_descended_maps_match_the_loops_they_replaced(prism_fixtures, data):
+    index, h = data.draw(st.sampled_from(prism_fixtures))
+    chain = data.draw(alt_chains(index))
+    for f in (h.start, h.end):
+        assert push_forward_alt(f, chain) == oracle_push_forward_alt(f, chain)
+    assert prism_alt(h, chain) == oracle_prism_alt(h, chain)
+    if chain.degree >= 1:
+        assert boundary(chain) == oracle_boundary(chain)

@@ -228,6 +228,11 @@ def test_matrix_json_roundtrip():
         with pytest.raises(FormatError):
             matrix_from_json({"format_version": 1, "rows": 1, "cols": 2,
                               "entries": ["1", bad]})
+    # the version is the JSON integer 1, not a value equal to it
+    for version in (True, 1.0):
+        with pytest.raises(FormatError):
+            matrix_from_json({"format_version": version, "rows": 1, "cols": 1,
+                              "entries": ["3"]})
 
 
 def test_matrix_from_json_rejects_bad_version_and_dimensions():
@@ -507,6 +512,23 @@ def test_matrix_builders_match_face_position_oracle(sphere_index, rp2):
             assert list(coboundary_matrix(index, n).entries.items()) == list(cob.items())
             bd = [((r, c), v) for (c, r), v in cob.items()]
             assert list(ordered_boundary_matrix(index, n + 1).entries.items()) == bd
+
+
+def test_empty_complex_costs_linear_in_the_degree_cap():
+    # no simplex means no generator in any degree, so no budget bounds the
+    # cap; a degree without generators must cost O(1), not O(n)
+    from altchain.complex_model import load_complex
+
+    K = load_complex({"vertices": 0, "facets": []})
+    cap = 20_000
+    index = enumerate_generators(K, cap)
+    with time_limit(5):
+        groups = ordered_homology(index)
+    assert groups == [AbelianGroup(0)] * cap
+    with time_limit(5):
+        ranks = cohomology_rational([0] * (cap + 1),
+                                    [coboundary_matrix(index, n) for n in range(cap)])
+    assert ranks == [0] * cap
 
 
 def test_unit_pivots_leave_a_core_of_minors(monkeypatch):

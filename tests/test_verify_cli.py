@@ -498,6 +498,21 @@ def test_cli_verify_corpus_text_output(capsys):
     assert out.count("[") == len(verify.REGISTRY) or "FAIL" in out
 
 
+def test_cli_verify_corpus_report_is_golden(tmp_path, capsys):
+    # the text and the JSON report of a fixed seed are pinned byte for
+    # byte; a change to either is a deliberate report change and rewrites
+    # these files
+    from pathlib import Path
+    data = Path(__file__).resolve().parent / "data"
+    report = tmp_path / "report.json"
+    code = cli.main(["verify", "--corpus", "--seed", "5", "--cases", "10",
+                     "--max-dim", "3", "--json", str(report)])
+    assert code == 1
+    text = capsys.readouterr().out
+    assert text == (data / "verify_corpus_seed5_cases10_D3.txt").read_text()
+    assert report.read_bytes() == (data / "verify_corpus_seed5_cases10_D3.json").read_bytes()
+
+
 def test_cli_verify_zero_cases(capsys):
     # randomized portions drop to zero cases; exhaustive checks still run
     code = cli.main(["verify", corpus_path("point"), "--cases", "0"])
