@@ -18,7 +18,6 @@ descended this way from their ordered forms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -222,30 +221,16 @@ class AltComplexPresentation:
         return [row[:] for row in self.boundaries[n]]
 
 
-def _sorted_tuples_with_repeats(K: SimplicialComplex, n: int) -> list:
-    out = []
-    for s in K.simplex_set:
-        members = sorted(s)
-        # support smaller than the tuple length forces a repeated entry;
-        # support of size exactly n+1 gives the strictly increasing free
-        # generator instead
-        if len(members) > n:
-            continue
-        full = frozenset(members)
-        for t in itertools.combinations_with_replacement(members, n + 1):
-            if frozenset(t) == full:
-                out.append(t)
-    out.sort()
-    return out
-
-
 def alt_chain_complex(K: SimplicialComplex, max_degree: int,
                       budget: int = 200_000) -> AltComplexPresentation:
     """Build the presented quotient complex for degrees 0..max_degree.
 
     A d-simplex gives C(n, d) sorted degree-n tuples that use all its
     vertices (the free generator when d = n), so the generator count is
-    checked against ``budget`` before any list is built.
+    checked against ``budget`` before any list is built.  The sorted
+    tuples of degree n extend those of degree n-1 by each coface vertex
+    not below their last entry, in lexicographic order; the strictly
+    increasing ones are the free generators, the rest the torsion ones.
     """
     f = K.f_vector()
     check_generator_budget(
@@ -253,9 +238,13 @@ def alt_chain_complex(K: SimplicialComplex, max_degree: int,
          for n in range(max_degree + 1)), budget)
     free_gens = []
     torsion_gens = []
+    level = K.simplices_of_dim(0)
     for n in range(max_degree + 1):
-        free_gens.append(tuple(K.simplices_of_dim(n)))
-        torsion_gens.append(tuple(_sorted_tuples_with_repeats(K, n)))
+        if n:
+            level = [g + (v,) for g in level
+                     for v in K.coface_vertices[frozenset(g)] if v >= g[-1]]
+        free_gens.append(tuple(t for t in level if len(set(t)) == n + 1))
+        torsion_gens.append(tuple(t for t in level if len(set(t)) <= n))
 
     boundaries = [[]]  # degree 0 has no boundary matrix
     for n in range(1, max_degree + 1):

@@ -9,10 +9,12 @@ environment variable, written in ASCII digits like --max-dim and --cases.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
 import sys
+from contextlib import nullcontext
 
 from . import alt_chains, verify
 from . import cochain_algebra as ca
@@ -90,12 +92,22 @@ def _degree(cochain_data: dict) -> int:
     return degree
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _write_output(path: str | None, chunks) -> None:
+    """Write the strings ``chunks`` to stdout (path None or '-') or to the
+    file at path, joined in batches, since an unbuffered stdout takes one
+    write call each.  A path that cannot be written is a usage error."""
+    chunks = iter(chunks)
+    try:
+        with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
+            while batch := "".join(itertools.islice(chunks, 8192)):
+                fh.write(batch)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path or '-'}: {exc}") from None
+
+
+def _json_chunks(payload):
+    """Indented JSON plus a newline, streamed token by token."""
+    return itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
 
 
 def _cmd_homology(args) -> int:
@@ -151,7 +163,7 @@ def _cmd_verify(args) -> int:
                             degree_cap=args.max_dim, budget=_budget())
     sys.stdout.write(report.to_text())
     if args.json is not None:
-        _write_output(report.to_json(), args.json)
+        _write_output(args.json, [report.to_json()])
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
 
@@ -165,8 +177,7 @@ def _cmd_cup(args) -> int:
     alpha = ca.cochain_from_json(alpha_data, index)
     beta = ca.cochain_from_json(beta_data, index)
     product = (ca.alt_cup if args.alternative else ca.cup)(index, alpha, beta)
-    _write_output(json.dumps(ca.cochain_to_json(product), indent=2) + "\n",
-                  args.output)
+    _write_output(args.output, _json_chunks(ca.cochain_to_json(product)))
     return EXIT_OK
 
 
@@ -189,16 +200,14 @@ def _cmd_residual(args) -> int:
         print(f"residual: nonzero on {len(residual.values)} generators; "
               f"max |numerator| = {max_num}")
         print(f"witness: value {value} on generator {list(witness)}")
-    _write_output(json.dumps(ca.cochain_to_json(residual), indent=2) + "\n",
-                  args.output)
+    _write_output(args.output, _json_chunks(ca.cochain_to_json(residual)))
     return EXIT_OK
 
 
 def _cmd_export_presentation(args) -> int:
     K = _read_complex(args.complex)
     pres = _presentation(K, args.max_dim)
-    _write_output(json.dumps(alt_chains.presentation_to_json(pres), indent=2) + "\n",
-                  args.output)
+    _write_output(args.output, _json_chunks(alt_chains.presentation_to_json(pres)))
     return EXIT_OK
 
 

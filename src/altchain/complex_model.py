@@ -5,6 +5,9 @@ allowed, whose set of distinct entries spans a simplex of the complex.
 These tuples are closed under the face maps (delete one entry) and under
 the symmetric group action (reorder entries), which is exactly what the
 chain and cochain algebra downstream needs.
+
+:class:`GeneratorIndex` predicts its counts, builds each degree's tuples
+when first read, and reads membership off the simplex set.
 """
 
 from __future__ import annotations
@@ -188,61 +191,70 @@ def _surjection_count(length: int, support_size: int) -> int:
     return total
 
 
-def check_generator_budget(counts, budget: int) -> None:
+def check_generator_budget(counts, budget: int) -> tuple:
     """Raise :class:`BudgetExceededError` at the first degree where the
     running total of ``counts`` (one predicted generator count per degree,
-    ascending) passes ``budget``.
+    ascending) passes ``budget``; otherwise return the counts as a tuple.
 
     Stopping there keeps the check cheap however high the degree cap; the
     total it reports is then a lower bound on what the request needs.
     """
-    total = 0
+    seen = []
     for count in counts:
-        total += count
-        if total > budget:
-            raise BudgetExceededError(total, budget)
+        seen.append(count)
+        if sum(seen) > budget:
+            raise BudgetExceededError(sum(seen), budget)
+    return tuple(seen)
 
 
 @dataclass(frozen=True)
 class GeneratorIndex:
     """Per-degree dense indexing of all tuple generators up to a degree cap.
 
-    Enumeration order is lexicographic on the vertex sequences, so indices
-    are stable across runs.  The generator sets are closed under face maps
-    and under entry permutation by construction (both preserve support).
+    A degree's list and position table are built when a caller first reads
+    them: degree n is g + (v,) for each degree-(n-1) generator g in order
+    and each v in ``coface_vertices[frozenset(g)]``, which is lexicographic,
+    so indices are stable across runs.  ``is_generator`` needs no list: its
+    length in range and its set of entries a simplex.
     """
 
     complex: SimplicialComplex
     max_degree: int
-    _by_degree: tuple = field(repr=False)
-    _positions: tuple = field(repr=False)
+    _counts: tuple = field(repr=False)
+    _levels: list = field(default_factory=list, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def count(self, n: int) -> int:
         self._check_degree(n)
-        return len(self._by_degree[n])
+        return self._counts[n]
 
     def generators(self, n: int) -> tuple:
         self._check_degree(n)
-        return self._by_degree[n]
+        levels = self._levels
+        if not levels:
+            levels.append(tuple(self.complex.simplices_of_dim(0)))
+        coface_vertices = self.complex.coface_vertices
+        while len(levels) <= n:
+            levels.append(tuple(g + (v,) for g in levels[-1]
+                                for v in coface_vertices[frozenset(g)]))
+        return levels[n]
 
     def position(self, g: tuple) -> int:
-        n = len(g) - 1
-        self._check_degree(n)
         try:
-            return self._positions[n][g]
+            return self.positions(len(g) - 1)[g]
         except KeyError:
             raise KeyError(f"{g} is not a generator of this complex") from None
 
     def positions(self, n: int) -> dict:
         """The degree-n generator -> position table (read it, do not mutate it)."""
-        self._check_degree(n)
-        return self._positions[n]
+        table = self._tables.get(n)
+        if table is None:
+            table = self._tables[n] = {g: i for i, g in enumerate(self.generators(n))}
+        return table
 
     def is_generator(self, g: tuple) -> bool:
-        n = len(g) - 1
-        if not 0 <= n <= self.max_degree:
-            return False
-        return g in self._positions[n]
+        return (1 <= len(g) <= self.max_degree + 1
+                and frozenset(g) in self.complex.simplex_set)
 
     def _check_degree(self, n: int) -> None:
         if not 0 <= n <= self.max_degree:
@@ -252,33 +264,16 @@ class GeneratorIndex:
 
 def enumerate_generators(K: SimplicialComplex, max_degree: int = DEFAULT_DEGREE_CAP,
                          budget: int = DEFAULT_GENERATOR_BUDGET) -> GeneratorIndex:
-    """Enumerate every vertex tuple of length <= max_degree+1 spanning a simplex.
+    """Index every vertex tuple of length <= max_degree+1 spanning a simplex.
 
-    The count of each degree is predicted by inclusion-exclusion before
-    anything is materialized and checked with :func:`check_generator_budget`.
+    The count of each degree is predicted by inclusion-exclusion and checked
+    with :func:`check_generator_budget`; no list is built here.
     """
     if max_degree < 0:
         raise ValueError("degree cap must be nonnegative")
     f = K.f_vector()
-    check_generator_budget(
+    counts = check_generator_budget(
         (sum(how_many * _surjection_count(n + 1, d + 1)
              for d, how_many in enumerate(f) if d <= n)
          for n in range(max_degree + 1)), budget)
-
-    by_degree = []
-    positions = []
-    for n in range(max_degree + 1):
-        tuples = []
-        for s in K.simplex_set:
-            members = sorted(s)
-            if len(members) > n + 1:
-                continue
-            full = frozenset(members)
-            for t in itertools.product(members, repeat=n + 1):
-                if frozenset(t) == full:
-                    tuples.append(t)
-        tuples.sort()
-        by_degree.append(tuple(tuples))
-        positions.append({g: i for i, g in enumerate(tuples)})
-    return GeneratorIndex(complex=K, max_degree=max_degree,
-                          _by_degree=tuple(by_degree), _positions=tuple(positions))
+    return GeneratorIndex(complex=K, max_degree=max_degree, _counts=counts)

@@ -1,6 +1,8 @@
-"""Independent exact linear algebra for the tests: one reduced row echelon
-form over Fraction, sharing no code with altchain's integer elimination."""
+"""Independent references for the tests: one reduced row echelon form over
+Fraction, sharing no code with altchain's integer elimination, and the
+tuple generators enumerated by brute force."""
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -59,3 +61,23 @@ def integer_kernel(rows) -> list:
         scale = lcm(*(v.denominator for v in vec))
         basis.append([int(v * scale) for v in vec])
     return basis
+
+
+def product_filter_generators(K, max_degree: int) -> list:
+    """The degree-n tuple generators for n = 0..max_degree, found the long
+    way: every tuple over each simplex's vertices that uses all of them,
+    sorted lexicographically."""
+    out = []
+    for n in range(max_degree + 1):
+        tuples = []
+        for s in K.simplex_set:
+            members = sorted(s)
+            if len(members) > n + 1:
+                continue
+            full = frozenset(members)
+            for t in itertools.product(members, repeat=n + 1):
+                if frozenset(t) == full:
+                    tuples.append(t)
+        tuples.sort()
+        out.append(tuple(tuples))
+    return out

@@ -12,6 +12,7 @@ from altchain.alt_chains import (descend, presentation_from_json,
 from altchain.errors import BudgetExceededError
 from altchain.integer_homology import matrix_from_json
 from altchain.permutations import act, enumerate_group
+from oracles import product_filter_generators
 
 DATA = Path(__file__).parent / "data"
 
@@ -154,6 +155,17 @@ def test_presentation_point(point):
     assert pres.boundary_matrix(3) == [[0]]
     assert pres.boundary_matrix(4) == [[1]]
     assert [str(g) for g in homology_presented(pres)] == ["Z", "0", "0", "0"]
+
+
+def test_presentation_generators_match_product_filter_oracle(corpus, full_tetrahedron):
+    # the sorted tuple generators, strictly increasing (free) or with a
+    # repeat (torsion), in lexicographic order
+    for K in [K for _, K in corpus] + [full_tetrahedron]:
+        pres = alt_chain_complex(K, 4)
+        for n, level in enumerate(product_filter_generators(K, 4)):
+            ascending = [t for t in level if list(t) == sorted(t)]
+            assert pres.free_generators[n] == tuple(t for t in ascending if len(set(t)) == n + 1)
+            assert pres.torsion_generators[n] == tuple(t for t in ascending if len(set(t)) <= n)
 
 
 def test_presentation_sphere_counts(sphere):

@@ -2,10 +2,12 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altchain import (BudgetExceededError, FormatError, SimplicialComplex,
                       enumerate_generators, face, load_complex)
 from altchain.permutations import act, enumerate_group
+from oracles import product_filter_generators
 
 
 def brute_force_tuple_count(facets, vertex_count, n):
@@ -105,6 +107,73 @@ def test_position_roundtrip(sphere_index):
     with pytest.raises(KeyError):
         sphere_index.position((9, 9))
     assert not sphere_index.is_generator((0, 1, 2, 3))  # support not a simplex
+
+
+def subdivision(K):
+    """The barycentric subdivision: one vertex per simplex of K, one facet
+    per maximal chain of faces."""
+    order = sorted(K.simplex_set, key=lambda s: (len(s), sorted(s)))
+    vertex = {s: i for i, s in enumerate(order)}
+
+    def chains(s):
+        if len(s) == 1:
+            return [[s]]
+        return [c + [s] for v in s for c in chains(s - {v})]
+    facets = [[vertex[s] for s in c] for f in K.facets for c in chains(f)]
+    return SimplicialComplex.from_facets(len(order), facets, name=f"sd({K.name})")
+
+
+def assert_matches_oracle(K, cap, exhaustive=True):
+    index = enumerate_generators(K, cap)
+    expected = product_filter_generators(K, cap)
+    for n in range(cap + 1):
+        assert index.count(n) == len(expected[n]), (K.name, cap, n)
+        assert index.generators(n) == expected[n], (K.name, cap, n)
+        assert len(index.generators(n)) == index.count(n)
+        assert index.positions(n) == {g: i for i, g in enumerate(expected[n])}
+    if not exhaustive:
+        return
+    members = [set(level) for level in expected]
+    for length in range(1, cap + 3):
+        for t in itertools.product(range(K.vertex_count), repeat=length):
+            assert index.is_generator(t) == (length <= cap + 1 and t in members[length - 1]), \
+                (K.name, cap, t)
+
+
+def test_generators_match_product_filter_oracle(corpus, sphere):
+    boundary_5 = SimplicialComplex.from_facets(
+        6, itertools.combinations(range(6), 5), name="boundary_5_simplex")
+    solid_4 = SimplicialComplex.from_facets(5, [range(5)], name="solid_4_simplex")
+    sd_sphere = subdivision(sphere)
+    assert sd_sphere.f_vector() == (14, 36, 24)
+    for K in [K for _, K in corpus] + [boundary_5, solid_4, sd_sphere]:
+        for cap in range(5):
+            # 14^(cap+2) tuples would be millions at caps 3 and 4 on sd(S^2)
+            assert_matches_oracle(K, cap, exhaustive=K.vertex_count ** (cap + 2) <= 300_000)
+
+
+@st.composite
+def small_complexes(draw):
+    """Up to six vertex indices, some possibly in no facet."""
+    vertex_count = draw(st.integers(1, 6))
+    facets = draw(st.lists(st.sets(st.integers(0, vertex_count - 1), min_size=1,
+                                   max_size=4), min_size=1, max_size=5))
+    return SimplicialComplex.from_facets(vertex_count, facets, name="drawn")
+
+
+@settings(max_examples=60)
+@given(small_complexes(), st.integers(0, 4))
+def test_drawn_generators_match_product_filter_oracle(K, cap):
+    assert_matches_oracle(K, cap)
+
+
+def test_degrees_are_built_when_first_read(sphere):
+    index = enumerate_generators(sphere, 4)
+    assert [index.count(n) for n in range(5)] == [4, 16, 64, 232, 784]
+    assert index.is_generator((0, 1, 1, 2)) and not index.is_generator((0, 1, 2, 3))
+    assert index._levels == [] and index._tables == {}
+    index.position((0, 1, 2))
+    assert len(index._levels) == 3 and list(index._tables) == [2]
 
 
 def test_budget_exceeded(torus):

@@ -1,16 +1,18 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from altchain import alt_chains, cli, enumerate_generators, permutations, verify
-from altchain.cochain_algebra import cochain_from_json
-from altchain.complex_model import load_complex
+from altchain.cochain_algebra import alternating_cochain, cochain_from_json, cochain_to_json
+from altchain.complex_model import GeneratorIndex, load_complex
 from altchain.corpus import load_corpus_complex
 from altchain.errors import FormatError
 from altchain.homotopy_prism import simplicial_map_from_json
@@ -502,8 +504,7 @@ def test_cli_verify_corpus_report_is_golden(tmp_path, capsys):
     # the text and the JSON report of a fixed seed are pinned byte for
     # byte; a change to either is a deliberate report change and rewrites
     # these files
-    from pathlib import Path
-    data = Path(__file__).resolve().parent / "data"
+    data = DATA
     report = tmp_path / "report.json"
     code = cli.main(["verify", "--corpus", "--seed", "5", "--cases", "10",
                      "--max-dim", "3", "--json", str(report)])
@@ -519,3 +520,87 @@ def test_cli_verify_zero_cases(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "face-permutation-sign" in out
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+DATA = Path(__file__).resolve().parent / "data"
+SOLID_TETRAHEDRON = {"format_version": 1, "name": "solid", "vertices": 4,
+                     "facets": [[0, 1, 2, 3]]}
+EDGE_01 = {"format_version": 1, "degree": 1,
+           "values": [[[0, 1], "1/1"], [[1, 0], "-1/1"]]}
+EDGE_12 = {"format_version": 1, "degree": 1,
+           "values": [[[1, 2], "1/1"], [[2, 1], "-1/1"]]}
+NOT_CLOSED = {"format_version": 1, "degree": 1, "values": [
+    [[0, 1], "1/1"], [[1, 0], "-1/1"], [[1, 2], "3/1"], [[2, 1], "-3/1"],
+    [[2, 3], "-2/1"], [[3, 2], "2/1"], [[0, 2], "5/1"], [[2, 0], "-5/1"]]}
+
+
+def write_json(path, value) -> str:
+    path.write_text(json.dumps(value))
+    return str(path)
+
+
+def test_cli_file_outputs_are_pinned(tmp_path, capsys):
+    # each writer's bytes, to a file and to stdout ('-o -'); residual
+    # prints its verdict before the cochain
+    a = write_json(tmp_path / "a.json", EDGE_01)
+    b = write_json(tmp_path / "b.json", EDGE_12)
+    solid = write_json(tmp_path / "solid.json", SOLID_TETRAHEDRON)
+    alpha = write_json(tmp_path / "alpha.json", NOT_CLOSED)
+    sphere = corpus_path("sphere_s2")
+    for name, argv in (
+            ("presentation_sphere_s2_D2_v2.json",
+             ["export-presentation", sphere, "--max-dim", "2"]),
+            ("cup_alternative_sphere_s2_edges.json", ["cup", sphere, a, b, "--alternative"]),
+            ("residual_solid_tetrahedron.json", ["residual", solid, alpha])):
+        pinned = (DATA / name).read_bytes()
+        out = tmp_path / name
+        assert cli.main(argv + ["-o", str(out)]) == 0, argv
+        verdict = capsys.readouterr().out
+        assert out.read_bytes() == pinned, name
+        assert cli.main(argv + ["-o", "-"]) == 0, argv
+        assert capsys.readouterr().out.encode() == verdict.encode() + pinned, name
+
+
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    # a missing directory or a directory in place of the file is a usage
+    # error with one line, not a traceback and not exit 1
+    point, sphere = corpus_path("point"), corpus_path("sphere_s2")
+    a = write_json(tmp_path / "a.json", EDGE_01)
+    for path in (str(tmp_path / "missing" / "out.json"), str(tmp_path)):
+        for argv in (["export-presentation", point, "-o", path],
+                     ["cup", sphere, a, a, "-o", path],
+                     ["residual", sphere, a, "-o", path],
+                     ["verify", point, "--cases", "1", "--json", path]):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
+
+
+def test_cochain_commands_build_no_generator_list(tmp_path, monkeypatch, capsys):
+    # cup, projected cup, residual and alternating cohomology need only
+    # membership and the simplices, never a degree's tuple list
+    def refuse(self, n):
+        raise AssertionError(f"degree {n} tuple list built")
+    monkeypatch.setattr(GeneratorIndex, "generators", refuse)
+    monkeypatch.setattr(GeneratorIndex, "positions", refuse)
+    boundary_6 = write_json(tmp_path / "boundary_6.json", {
+        "vertices": 7, "facets": [list(c) for c in itertools.combinations(range(7), 6)]})
+    a = write_json(tmp_path / "a.json", cochain_to_json(
+        alternating_cochain((0, 1, 2)) + alternating_cochain((1, 2, 3), 2)))
+    b = write_json(tmp_path / "b.json", cochain_to_json(
+        alternating_cochain((2, 3, 4)) + alternating_cochain((2, 4, 5), -1)))
+    alpha = write_json(tmp_path / "alpha.json", NOT_CLOSED)
+    out = str(tmp_path / "out.json")
+    for argv in (["cup", boundary_6, a, b, "-o", out],
+                 ["cup", boundary_6, a, b, "--alternative", "-o", out],
+                 ["residual", boundary_6, alpha, "--max-dim", "4", "-o", out],
+                 ["cohomology", boundary_6, "--variant", "alternative", "--max-dim", "4"]):
+        assert cli.main(argv) == 0, argv
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("residual: nonzero on ")
+    assert lines[-4:] == ["H^0 = Q", "H^1 = 0", "H^2 = 0", "H^3 = 0"]
+    with pytest.raises(AssertionError, match="tuple list built"):
+        cli.main(["cohomology", boundary_6, "--variant", "full", "--max-dim", "4"])
