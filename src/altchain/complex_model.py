@@ -196,14 +196,17 @@ def check_generator_budget(counts, budget: int) -> tuple:
     running total of ``counts`` (one predicted generator count per degree,
     ascending) passes ``budget``; otherwise return the counts as a tuple.
 
-    Stopping there keeps the check cheap however high the degree cap; the
-    total it reports is then a lower bound on what the request needs.
+    The total is kept as it runs, so the check costs one addition per
+    degree read; stopping at the budget bounds the degrees read wherever
+    they have generators, and the total reported is a lower bound.
     """
     seen = []
+    total = 0
     for count in counts:
         seen.append(count)
-        if sum(seen) > budget:
-            raise BudgetExceededError(sum(seen), budget)
+        total += count
+        if total > budget:
+            raise BudgetExceededError(total, budget)
     return tuple(seen)
 
 

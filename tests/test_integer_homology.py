@@ -520,9 +520,13 @@ def test_empty_complex_costs_linear_in_the_degree_cap():
     from altchain.complex_model import load_complex
 
     K = load_complex({"vertices": 0, "facets": []})
+    with time_limit(2):
+        # the budget check sums the counts once; recomputing the running
+        # total at every degree takes about half a minute at this cap
+        enumerate_generators(K, 100_000)
     cap = 20_000
-    index = enumerate_generators(K, cap)
     with time_limit(5):
+        index = enumerate_generators(K, cap)
         groups = ordered_homology(index)
     assert groups == [AbelianGroup(0)] * cap
     with time_limit(5):
