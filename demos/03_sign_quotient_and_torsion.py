@@ -14,9 +14,9 @@ from altchain.corpus import load_corpus_complex
 
 print("Canonicalizing reordered tuples:")
 for g in [(1, 0, 2), (2, 0, 1), (0, 0, 1)]:
-    cls, coeff = canonicalize(g)
-    kind = "torsion (order 2)" if cls.is_torsion else "free"
-    print(f"  {g} -> {coeff:+d} * {cls.canonical_tuple}  [{kind}]")
+    t, is_torsion, coeff = canonicalize(g)
+    kind = "torsion (order 2)" if is_torsion else "free"
+    print(f"  {g} -> {coeff:+d} * {t}  [{kind}]")
 
 print()
 print("Boundaries in the quotient:")
@@ -43,7 +43,7 @@ print("so every positive-degree homology group dies:")
 point = load_corpus_complex("point")
 pres = alt_chain_complex(point, 4)
 print(f"  lifted boundary matrices: "
-      f"{[pres.boundary_matrix(n) for n in range(1, 5)]}")
+      f"{[pres.boundary_matrix(n).to_dense() for n in range(1, 5)]}")
 print(f"  homology: {[str(g) for g in homology_presented(pres)]}")
 
 print()

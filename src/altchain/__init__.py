@@ -27,7 +27,6 @@ from .cochain_algebra import (
 )
 from .alt_chains import (
     AltChain,
-    AltChainClass,
     AltComplexPresentation,
     canonicalize,
     boundary,

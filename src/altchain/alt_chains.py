@@ -8,6 +8,11 @@ so twice its class is zero).  The relation subgroup is never materialized:
 :func:`canonicalize` rewrites any generator into its canonical class and
 everything else works with those classes.
 
+Sorted tuples form a subcomplex of the tuple complex: every face of a
+sorted tuple is sorted, hence already canonical.  So the lifted boundary
+of the presentation (:func:`alt_chain_complex`) is the ordered boundary
+on sorted tuples, with the torsion rows read mod 2.
+
 A chain map on ordered chains that commutes with reordering descends to
 the quotient (:func:`descend`): apply it to the canonical representatives
 and project the image.  The image of a torsion generator must then
@@ -24,7 +29,7 @@ from math import comb
 from . import permutations
 from .complex_model import SimplicialComplex, check_generator_budget, face
 from .errors import FormatError
-from .integer_homology import (IntegerMatrix, free_torsion_crossing,
+from .integer_homology import (IntegerMatrix, face_matrix, free_torsion_crossing,
                                matrix_from_json, matrix_to_json)
 
 PRESENTATION_FORMAT_VERSION = 2
@@ -40,33 +45,18 @@ def sorting_sign(t: tuple) -> int:
     return -1 if inv % 2 else 1
 
 
-@dataclass(frozen=True)
-class AltChainClass:
-    """Canonical coset of a generator: a sorted tuple plus its coefficient ring.
-
-    Free classes (strictly increasing tuple) carry integer coefficients;
-    torsion classes (some repeated entry) carry mod-2 coefficients.
-    """
-
-    canonical_tuple: tuple
-    is_torsion: bool
-
-    @property
-    def degree(self) -> int:
-        return len(self.canonical_tuple) - 1
-
-
 def canonicalize(g: tuple) -> tuple:
-    """Rewrite a generator as (class, coefficient).
+    """Rewrite a generator as (sorted tuple, is_torsion, sign).
 
-    Distinct entries: (sorted tuple, sign of the sorting permutation).
-    Repeated entries: (sorted tuple, 1) with the class marked torsion.
+    Distinct entries give a free class (integer coefficients) and the sign
+    of the sorting permutation; a repeated entry gives a torsion class
+    (mod-2 coefficients) and sign 1.
     """
     srt = tuple(sorted(g))
     for a in range(len(srt) - 1):
         if srt[a] == srt[a + 1]:
-            return AltChainClass(srt, True), 1
-    return AltChainClass(srt, False), sorting_sign(g)
+            return srt, True, 1
+    return srt, False, sorting_sign(g)
 
 
 class AltChain:
@@ -94,9 +84,8 @@ class AltChain:
         free: dict = {}
         torsion: dict = {}
         for g, c in coefficients.items():
-            klass, sign = canonicalize(g)
-            t = klass.canonical_tuple
-            if klass.is_torsion:
+            t, is_torsion, sign = canonicalize(g)
+            if is_torsion:
                 torsion[t] = torsion.get(t, 0) + c
             else:
                 free[t] = free.get(t, 0) + sign * c
@@ -202,23 +191,34 @@ class AltComplexPresentation:
 
     Per degree: the free generators (strictly increasing tuples), the
     torsion generators (sorted tuples with a repeat) and the lifted
-    boundary matrix on the combined generator list (free block first).
-    The relations are 2*e_t for each torsion generator t, so the torsion
-    lists determine them and they are not stored.
+    boundary matrix on the combined generator list (free block first),
+    one sparse :class:`IntegerMatrix` per degree; degree 0 maps to the
+    zero group, 0 x g_0.  The relations are 2*e_t for each torsion
+    generator t, so the torsion lists determine them and they are not
+    stored.
     """
 
     complex: SimplicialComplex
     max_degree: int
     free_generators: tuple
     torsion_generators: tuple
-    boundaries: tuple = field(repr=False)
+    matrices: tuple = field(repr=False)
 
     def generator_count(self, n: int) -> int:
         return len(self.free_generators[n]) + len(self.torsion_generators[n])
 
-    def boundary_matrix(self, n: int) -> list:
-        """Dense integer matrix of the lifted boundary C_n -> C_{n-1}."""
-        return [row[:] for row in self.boundaries[n]]
+    def boundary_matrix(self, n: int) -> IntegerMatrix:
+        """The lifted boundary C_n -> C_{n-1}."""
+        return self.matrices[n]
+
+    @property
+    def boundaries(self) -> tuple:
+        """The lifted boundaries as dense nested lists, ``[]`` at degree 0.
+
+        Read-only and rebuilt on every read; only the benchmark harness
+        under ``perfbench/`` reads presentations this way.
+        """
+        return tuple(M.to_dense() for M in self.matrices)
 
 
 def alt_chain_complex(K: SimplicialComplex, max_degree: int,
@@ -231,6 +231,10 @@ def alt_chain_complex(K: SimplicialComplex, max_degree: int,
     tuples of degree n extend those of degree n-1 by each coface vertex
     not below their last entry, in lexicographic order; the strictly
     increasing ones are the free generators, the rest the torsion ones.
+    Every face of a sorted tuple is a sorted tuple, so the lifted boundary
+    is the ordered face sum (:func:`face_matrix`) with each torsion row
+    entry read mod 2.  The two faces that drop one copy of a repeated
+    entry cancel there, so no entry joins a free and a torsion generator.
     """
     f = K.f_vector()
     check_generator_budget(
@@ -238,34 +242,30 @@ def alt_chain_complex(K: SimplicialComplex, max_degree: int,
          for n in range(max_degree + 1)), budget)
     free_gens = []
     torsion_gens = []
+    matrices = []
     level = K.simplices_of_dim(0)
     for n in range(max_degree + 1):
         if n:
             level = [g + (v,) for g in level
                      for v in K.coface_vertices[frozenset(g)] if v >= g[-1]]
-        free_gens.append(tuple(t for t in level if len(set(t)) == n + 1))
-        torsion_gens.append(tuple(t for t in level if len(set(t)) <= n))
-
-    boundaries = [[]]  # degree 0 has no boundary matrix
-    for n in range(1, max_degree + 1):
-        col_gens = list(free_gens[n]) + list(torsion_gens[n])
-        row_pos = {t: i for i, t in enumerate(free_gens[n - 1])}
-        offset = len(free_gens[n - 1])
-        for i, t in enumerate(torsion_gens[n - 1]):
-            row_pos[t] = offset + i
-        rows = len(row_pos)
-        mat = [[0] * len(col_gens) for _ in range(rows)]
-        for j, g in enumerate(col_gens):
-            image = boundary(AltChain.from_generator(g))
-            for t, c in image.free.items():
-                mat[row_pos[t]][j] += c
-            for t, c in image.torsion.items():
-                mat[row_pos[t]][j] += c
-        boundaries.append(mat)
+        free = tuple(t for t in level if len(set(t)) == n + 1)
+        columns = free + tuple(t for t in level if len(set(t)) <= n)
+        if n:
+            M = face_matrix(columns, row_of)
+            free_rows = len(free_gens[-1])
+            M = IntegerMatrix(M.rows, M.cols, {
+                (r, c): v if r < free_rows else 1
+                for (r, c), v in M.entries.items() if r < free_rows or v % 2})
+        else:
+            M = IntegerMatrix(0, len(columns), {})
+        row_of = {t: i for i, t in enumerate(columns)}
+        free_gens.append(free)
+        torsion_gens.append(columns[len(free):])
+        matrices.append(M)
     return AltComplexPresentation(
         complex=K, max_degree=max_degree,
         free_generators=tuple(free_gens), torsion_generators=tuple(torsion_gens),
-        boundaries=tuple(boundaries))
+        matrices=tuple(matrices))
 
 
 def presentation_to_json(pres: AltComplexPresentation) -> dict:
@@ -283,7 +283,7 @@ def presentation_to_json(pres: AltComplexPresentation) -> dict:
                      "free": [list(t) for t in pres.free_generators[n]],
                      "torsion": [list(t) for t in pres.torsion_generators[n]]}
                     for n in range(pres.max_degree + 1)],
-        "boundaries": {str(n): matrix_to_json(IntegerMatrix.from_dense(pres.boundaries[n]))
+        "boundaries": {str(n): matrix_to_json(pres.boundary_matrix(n))
                        for n in range(1, pres.max_degree + 1)},
     }
 
@@ -352,7 +352,7 @@ def presentation_from_json(data: dict) -> AltComplexPresentation:
                         rel.entries != {(free[n] + j, j): 2 for j in range(t)}:
                     raise FormatError(f"relations {n} are not 2*e_t on the "
                                       "torsion generators")
-        boundaries = [[]]
+        matrices = [IntegerMatrix(0, counts[0], {})]
         for n in range(1, max_degree + 1):
             M = matrix_from_json(data["boundaries"][str(n)])
             if (M.rows, M.cols) != (counts[n - 1], counts[n]):
@@ -360,10 +360,10 @@ def presentation_from_json(data: dict) -> AltComplexPresentation:
                                   f"expected {counts[n - 1]}x{counts[n]}")
             if free_torsion_crossing(M.entries, free[n - 1], free[n]) is not None:
                 raise FormatError(f"boundary {n} joins a free and a torsion generator")
-            boundaries.append(M.to_dense())
+            matrices.append(M)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed presentation: {exc}") from exc
     return AltComplexPresentation(
         complex=None, max_degree=max_degree,
         free_generators=tuple(free_gens), torsion_generators=tuple(torsion_gens),
-        boundaries=tuple(boundaries))
+        matrices=tuple(matrices))

@@ -18,10 +18,6 @@ from dataclasses import dataclass
 from .alt_chains import AltChain, descend
 from .cochain_algebra import Cochain
 from .complex_model import SimplicialComplex
-from .errors import FormatError
-
-MAP_FORMAT_VERSION = 1
-_MAP_FIELDS = {"format_version", "assignment", "name"}
 
 
 @dataclass(frozen=True)
@@ -59,34 +55,6 @@ class SimplicialMap:
     @classmethod
     def constant(cls, K: SimplicialComplex, L: SimplicialComplex, w: int) -> "SimplicialMap":
         return cls(K, L, (w,) * K.vertex_count)
-
-
-def simplicial_map_to_json(f: SimplicialMap, name: str = "") -> dict:
-    """Serialize as a vertex-assignment list."""
-    out = {"format_version": MAP_FORMAT_VERSION, "assignment": list(f.assignment)}
-    if name:
-        out["name"] = name
-    return out
-
-
-def simplicial_map_from_json(data: dict, domain: SimplicialComplex,
-                             codomain: SimplicialComplex) -> SimplicialMap:
-    if not isinstance(data, dict):
-        raise FormatError("simplicial map must be a JSON object")
-    unknown = set(data) - _MAP_FIELDS
-    if unknown:
-        raise FormatError(f"unknown fields in simplicial map: {sorted(unknown)}")
-    version = data.get("format_version", MAP_FORMAT_VERSION)
-    if type(version) is not int or version != MAP_FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {version!r}")
-    assignment = data.get("assignment")
-    if not isinstance(assignment, list) or \
-            not all(type(v) is int for v in assignment):
-        raise FormatError(f"assignment {assignment!r} is not a list of vertex integers")
-    try:
-        return SimplicialMap(domain, codomain, tuple(assignment))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
 
 
 def push_forward(f: SimplicialMap, chain: dict) -> dict:

@@ -85,12 +85,14 @@ class IntegerMatrix:
 
 def matrix_to_json(M: IntegerMatrix) -> dict:
     """Serialize as dimensions plus row-major entries as decimal strings."""
-    dense = M.to_dense()
+    flat = ["0"] * (M.rows * M.cols)
+    for (r, c), v in M.entries.items():
+        flat[r * M.cols + c] = str(v)
     return {
         "format_version": MATRIX_FORMAT_VERSION,
         "rows": M.rows,
         "cols": M.cols,
-        "entries": [str(v) for row in dense for v in row],
+        "entries": flat,
     }
 
 
@@ -404,7 +406,8 @@ def homology_presented(pres) -> list:
 
     ``pres`` provides ``max_degree``, ``generator_count(n)``,
     ``torsion_generators`` (one sequence per degree) and
-    ``boundary_matrix(n)`` (dense, degree n -> n-1, free generators first).
+    ``boundary_matrix(n)``, an :class:`IntegerMatrix` (degree n -> n-1,
+    free generators first).
     The free block is a free chain complex; the torsion block is read mod 2
     and adds t_n - r_n - r_{n+1} summands Z/2 in degree n (t_n torsion
     generators, r_n the F2 rank of the degree-n block).  Raises
@@ -419,12 +422,11 @@ def homology_presented(pres) -> list:
     free_blocks: list = [None]
     tors_blocks: list = [None]
     for n in range(1, D + 1):
-        dense = pres.boundary_matrix(n)
-        if len(dense) != gens[n - 1] or any(len(row) != gens[n] for row in dense):
+        M = pres.boundary_matrix(n)
+        if (M.rows, M.cols) != (gens[n - 1], gens[n]):
             raise ValueError(f"boundary matrix {n} has wrong shape")
         f_rows, f_cols = free[n - 1], free[n]
-        entries = {(r, c): v for r, row in enumerate(dense)
-                   for c, v in enumerate(row) if v}
+        entries = M.entries
         crossing = free_torsion_crossing(entries, f_rows, f_cols)
         if crossing is not None:
             raise ValueError(
@@ -453,16 +455,14 @@ def cohomology_rational(dims: Sequence[int], deltas: Sequence[IntegerMatrix]) ->
     """Betti numbers of a cochain complex given by coboundary matrices.
 
     ``deltas[n]`` maps degree n to degree n+1, for n = 0..D-1.  Ranks are
-    returned for degrees 0..D-1.
+    returned for degrees 0..D-1.  The callers build the deltas from a
+    complex, so delta delta = 0 is not checked again here.
     """
     D = len(dims) - 1
     for n in range(D):
         M = deltas[n]
         if M.rows != dims[n + 1] or M.cols != dims[n]:
             raise ValueError(f"coboundary matrix {n} has wrong shape")
-    for n in range(D - 1):
-        if not deltas[n + 1].matmul(deltas[n]).is_zero():
-            raise ValueError(f"coboundary composition at degree {n} is not zero")
     ranks = {n: integer_rank(deltas[n]) for n in range(D)}
     out = []
     for n in range(D):
@@ -475,23 +475,29 @@ def cohomology_rational(dims: Sequence[int], deltas: Sequence[IntegerMatrix]) ->
 # ---------------------------------------------------------------------------
 # matrices of the standard complexes
 
-def ordered_boundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
-    """Boundary matrix of the full tuple complex, degree n -> n-1."""
-    if n < 1:
-        raise ValueError("boundary matrices start at degree 1")
-    row = index.positions(n - 1)
+def face_matrix(columns: Sequence[tuple], row_of: dict) -> IntegerMatrix:
+    """Ordered boundary of each column tuple g, sum_i (-1)^i (g without
+    entry i), as a len(row_of) x len(columns) matrix; ``row_of`` gives the
+    row of every face."""
     entries: dict = {}
-    for j, g in enumerate(index.generators(n)):
+    for j, g in enumerate(columns):
         sign = 1
-        for i in range(n + 1):
-            key = (row[g[:i] + g[i + 1:]], j)
+        for i in range(len(g)):
+            key = (row_of[g[:i] + g[i + 1:]], j)
             v = entries.get(key, 0) + sign
             if v:
                 entries[key] = v
             else:
                 entries.pop(key, None)
             sign = -sign
-    return IntegerMatrix(index.count(n - 1), index.count(n), entries)
+    return IntegerMatrix(len(row_of), len(columns), entries)
+
+
+def ordered_boundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
+    """Boundary matrix of the full tuple complex, degree n -> n-1."""
+    if n < 1:
+        raise ValueError("boundary matrices start at degree 1")
+    return face_matrix(index.generators(n), index.positions(n - 1))
 
 
 def simplicial_boundary_matrix(K: SimplicialComplex, n: int) -> IntegerMatrix:

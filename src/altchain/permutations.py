@@ -62,12 +62,6 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         return self.compose(other)
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self)
-        for j, img in enumerate(self.images):
-            inv[img] = j
-        return Permutation(inv)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 

@@ -399,13 +399,9 @@ def _suite_quotient_boundary(ctxs, rng, cases):
         # lifted matrices compose to zero modulo the relations 2*e_t on the
         # torsion generators: the product may only be even on torsion rows
         for n in range(1, pres.max_degree):
-            A = ih.IntegerMatrix.from_dense(pres.boundary_matrix(n)) \
-                if pres.generator_count(n) else None
-            B = ih.IntegerMatrix.from_dense(pres.boundary_matrix(n + 1)) \
-                if pres.generator_count(n + 1) else None
-            if A is None or B is None:
+            if not (pres.generator_count(n) and pres.generator_count(n + 1)):
                 continue
-            prod = A.matmul(B)
+            prod = pres.boundary_matrix(n).matmul(pres.boundary_matrix(n + 1))
             free_rows = len(pres.free_generators[n - 1])
             count += 1
             for (r, c), v in prod.entries.items():
@@ -435,8 +431,8 @@ def _suite_torsion_cancellation(ctxs, rng, cases):
                             return count, {"complex": ctx.name, "tuple": t,
                                            "i": i, "swapped": si}
                     else:
-                        cls, _ = alt_chains.canonicalize(face(t, i))
-                        if not cls.is_torsion:
+                        _, is_torsion, _ = alt_chains.canonicalize(face(t, i))
+                        if not is_torsion:
                             return count, {"complex": ctx.name, "tuple": t,
                                            "i": i, "reason": "fixed face not torsion"}
     return count, None

@@ -1,10 +1,15 @@
 """Independent references for the tests: one reduced row echelon form over
-Fraction, sharing no code with altchain's integer elimination, and the
-tuple generators enumerated by brute force."""
+Fraction, sharing no code with altchain's integer elimination, the tuple
+generators enumerated by brute force, and the quotient boundary built by
+descending each generator's boundary through ``AltChain``."""
 
 import itertools
 from fractions import Fraction
 from math import lcm
+
+from altchain import SimplicialComplex
+from altchain.alt_chains import AltChain, boundary
+from altchain.integer_homology import IntegerMatrix
 
 
 def _rref(rows):
@@ -81,3 +86,37 @@ def product_filter_generators(K, max_degree: int) -> list:
         tuples.sort()
         out.append(tuple(tuples))
     return out
+
+
+def descended_boundary_matrices(free_generators, torsion_generators) -> list:
+    """The lifted boundary of a sign-quotient presentation, degree n -> n-1
+    for n = 1..D (index 0 is None): each generator's quotient boundary,
+    :func:`altchain.alt_chains.boundary`, written into the column of the
+    combined generator list, free generators first."""
+    out = [None]
+    for n in range(1, len(free_generators)):
+        rows = free_generators[n - 1] + torsion_generators[n - 1]
+        row_of = {t: i for i, t in enumerate(rows)}
+        columns = free_generators[n] + torsion_generators[n]
+        dense = [[0] * len(columns) for _ in rows]
+        for j, g in enumerate(columns):
+            image = boundary(AltChain.from_generator(g))
+            for t, c in list(image.free.items()) + list(image.torsion.items()):
+                dense[row_of[t]][j] += c
+        out.append(IntegerMatrix(len(rows), len(columns), {
+            (r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}))
+    return out
+
+
+def subdivision(K):
+    """The barycentric subdivision: one vertex per simplex of K, one facet
+    per maximal chain of faces."""
+    order = sorted(K.simplex_set, key=lambda s: (len(s), sorted(s)))
+    vertex = {s: i for i, s in enumerate(order)}
+
+    def chains(s):
+        if len(s) == 1:
+            return [[s]]
+        return [c + [s] for v in s for c in chains(s - {v})]
+    facets = [[vertex[s] for s in c] for f in K.facets for c in chains(f)]
+    return SimplicialComplex.from_facets(len(order), facets, name=f"sd({K.name})")

@@ -294,8 +294,8 @@ def test_criterion_06_quotient_boundary_and_torsion(ctx):
                             + AltChain.from_generator(face(t, si), (-1) ** si)
                         assert paired.is_zero(), (name, t, i)
                     else:
-                        cls, _ = canonicalize(face(t, i))
-                        assert cls.is_torsion, (name, t, i)
+                        _, is_torsion, _ = canonicalize(face(t, i))
+                        assert is_torsion, (name, t, i)
                     cases += 1
     report(f"[criterion 6] PASS - quotient boundary squares to zero; torsion "
            f"boundaries stay torsion with the pairwise face cancellation, "
@@ -434,8 +434,8 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
     real_canon = alt_chains.canonicalize
 
     def unsigned(g):
-        cls, coeff = real_canon(g)
-        return cls, abs(coeff)
+        t, is_torsion, coeff = real_canon(g)
+        return t, is_torsion, abs(coeff)
 
     monkeypatch.setattr(alt_chains, "canonicalize", unsigned)
     broken_report2 = verify.run_all([("sphere_s2", sphere)], seed=0, cases=5)

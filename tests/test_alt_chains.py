@@ -9,10 +9,11 @@ from altchain import (AltChain, alt_chain_complex, boundary, canonicalize,
                       homology_presented, ordered_boundary)
 from altchain.alt_chains import (descend, presentation_from_json,
                                  presentation_to_json, sorting_sign)
+from altchain.complex_model import SimplicialComplex
 from altchain.errors import BudgetExceededError
-from altchain.integer_homology import matrix_from_json
+from altchain.integer_homology import IntegerMatrix, matrix_from_json, matrix_to_json
 from altchain.permutations import act, enumerate_group
-from oracles import product_filter_generators
+from oracles import descended_boundary_matrices, product_filter_generators, subdivision
 
 DATA = Path(__file__).parent / "data"
 
@@ -36,20 +37,17 @@ def test_sorting_sign_matches_bubble_sort(entries):
 
 
 def test_canonicalize_examples():
-    cls, coeff = canonicalize((1, 0, 2))
-    assert (cls.canonical_tuple, cls.is_torsion, coeff) == ((0, 1, 2), False, -1)
-    cls, coeff = canonicalize((2, 0, 1))
-    assert (cls.canonical_tuple, cls.is_torsion, coeff) == ((0, 1, 2), False, 1)
-    cls, coeff = canonicalize((0, 0, 1))
-    assert (cls.canonical_tuple, cls.is_torsion, coeff) == ((0, 0, 1), True, 1)
+    assert canonicalize((1, 0, 2)) == ((0, 1, 2), False, -1)
+    assert canonicalize((2, 0, 1)) == ((0, 1, 2), False, 1)
+    assert canonicalize((0, 0, 1)) == ((0, 0, 1), True, 1)
 
 
 def test_canonicalize_respects_action():
     g = (3, 1, 2)
     for s in enumerate_group(3):
-        cls, coeff = canonicalize(act(s, g))
-        base_cls, base_coeff = canonicalize(g)
-        assert cls == base_cls
+        t, is_torsion, coeff = canonicalize(act(s, g))
+        base_t, base_torsion, base_coeff = canonicalize(g)
+        assert (t, is_torsion) == (base_t, base_torsion)
         assert coeff == s.sign * base_coeff
 
 
@@ -150,10 +148,11 @@ def test_presentation_point(point):
     assert [len(t) for t in pres.torsion_generators] == [0, 1, 1, 1, 1]
     # lifted boundary alternates zero and the identity on the single
     # torsion generator
-    assert pres.boundary_matrix(1) == [[0]]
-    assert pres.boundary_matrix(2) == [[1]]
-    assert pres.boundary_matrix(3) == [[0]]
-    assert pres.boundary_matrix(4) == [[1]]
+    assert pres.boundary_matrix(0) == IntegerMatrix(0, 1, {})
+    for n in (1, 3):
+        assert pres.boundary_matrix(n) == IntegerMatrix(1, 1, {})
+    for n in (2, 4):
+        assert pres.boundary_matrix(n) == IntegerMatrix(1, 1, {(0, 0): 1})
     assert [str(g) for g in homology_presented(pres)] == ["Z", "0", "0", "0"]
 
 
@@ -166,6 +165,22 @@ def test_presentation_generators_match_product_filter_oracle(corpus, full_tetrah
             ascending = [t for t in level if list(t) == sorted(t)]
             assert pres.free_generators[n] == tuple(t for t in ascending if len(set(t)) == n + 1)
             assert pres.torsion_generators[n] == tuple(t for t in ascending if len(set(t)) <= n)
+
+
+def test_presentation_matches_descended_oracle(corpus, sphere, full_tetrahedron):
+    # the ordered face sum on sorted tuples, torsion rows mod 2, against
+    # each generator's boundary descended through AltChain
+    boundary_5 = SimplicialComplex.from_facets(
+        6, [[v for v in range(6) if v != w] for w in range(6)], name="boundary_5_simplex")
+    cases = [(K, 4) for _, K in corpus] + [(subdivision(sphere), 3), (boundary_5, 3),
+                                          (full_tetrahedron, 4)]
+    for K, cap in cases:
+        pres = alt_chain_complex(K, cap)
+        expected = descended_boundary_matrices(pres.free_generators,
+                                               pres.torsion_generators)
+        assert pres.boundary_matrix(0) == IntegerMatrix(0, pres.generator_count(0), {})
+        for n in range(1, cap + 1):
+            assert pres.boundary_matrix(n) == expected[n], (K.name, n)
 
 
 def test_presentation_sphere_counts(sphere):
@@ -205,7 +220,7 @@ def test_presentation_roundtrip(rp2):
     assert back.max_degree == pres.max_degree
     assert back.free_generators == pres.free_generators
     assert back.torsion_generators == pres.torsion_generators
-    for n in range(1, 4):
+    for n in range(4):
         assert back.boundary_matrix(n) == pres.boundary_matrix(n)
     assert homology_presented(back) == homology_presented(pres)
 
@@ -222,7 +237,7 @@ def test_presentation_version_1_still_loads(sphere):
     assert old.max_degree == new.max_degree == 2
     assert old.free_generators == new.free_generators
     assert old.torsion_generators == new.torsion_generators
-    assert old.boundaries == new.boundaries
+    assert old.matrices == new.matrices
     assert homology_presented(old) == homology_presented(new)
 
 
@@ -238,6 +253,7 @@ def test_presentation_from_json_rejects_inconsistent_input(rp2):
     d2 = pres.boundary_matrix(2)
     d1 = pres.boundary_matrix(1)
     f1 = len(pres.free_generators[1])
+    assert (0, f1) not in d1.entries
 
     def mutated(**changes):
         data = json.loads(json.dumps(good))
@@ -250,13 +266,11 @@ def test_presentation_from_json_rejects_inconsistent_input(rp2):
         presentation_from_json(mutated(boundaries=(2, _matrix(1, 1, [[0]]))))
     with pytest.raises(FormatError):
         presentation_from_json(mutated(boundaries=(
-            2, _matrix(len(d2), len(d2[0]) + 1, [row + [0] for row in d2]))))
+            2, matrix_to_json(IntegerMatrix(d2.rows, d2.cols + 1, d2.entries)))))
     # a free vertex row hit by a torsion edge column
-    joined = [row[:] for row in d1]
-    joined[0][f1] = 1
+    joined = IntegerMatrix(d1.rows, d1.cols, {**d1.entries, (0, f1): 1})
     with pytest.raises(FormatError):
-        presentation_from_json(mutated(boundaries=(
-            1, _matrix(len(d1), len(d1[0]), joined))))
+        presentation_from_json(mutated(boundaries=(1, matrix_to_json(joined))))
     # an unknown top-level field; version 2 has no relations
     with pytest.raises(FormatError):
         presentation_from_json(dict(good, comment="hand edited"))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from altchain import (BudgetExceededError, FormatError, SimplicialComplex,
                       enumerate_generators, face, load_complex)
 from altchain.permutations import act, enumerate_group
-from oracles import product_filter_generators
+from oracles import product_filter_generators, subdivision
 
 
 def brute_force_tuple_count(facets, vertex_count, n):
@@ -107,20 +107,6 @@ def test_position_roundtrip(sphere_index):
     with pytest.raises(KeyError):
         sphere_index.position((9, 9))
     assert not sphere_index.is_generator((0, 1, 2, 3))  # support not a simplex
-
-
-def subdivision(K):
-    """The barycentric subdivision: one vertex per simplex of K, one facet
-    per maximal chain of faces."""
-    order = sorted(K.simplex_set, key=lambda s: (len(s), sorted(s)))
-    vertex = {s: i for i, s in enumerate(order)}
-
-    def chains(s):
-        if len(s) == 1:
-            return [[s]]
-        return [c + [s] for v in s for c in chains(s - {v})]
-    facets = [[vertex[s] for s in c] for f in K.facets for c in chains(f)]
-    return SimplicialComplex.from_facets(len(order), facets, name=f"sd({K.name})")
 
 
 def assert_matches_oracle(K, cap, exhaustive=True):

@@ -302,44 +302,12 @@ def test_contiguous_maps_agree_on_alternating_cohomology(torus):
         assert is_alternative(pulled_diff)
 
 
-def test_simplicial_map_serialization(sphere, full_triangle):
-    import json as _json
-    from altchain.errors import FormatError
-    from altchain.homotopy_prism import (simplicial_map_from_json,
-                                         simplicial_map_to_json)
-    f = SimplicialMap(full_triangle, sphere, (0, 1, 3))
-    data = _json.loads(_json.dumps(simplicial_map_to_json(f, name="corner")))
-    back = simplicial_map_from_json(data, full_triangle, sphere)
-    assert back == f
-    with pytest.raises(FormatError):
-        simplicial_map_from_json({"assignment": [0, 1, 3], "bogus": 1},
-                                 full_triangle, sphere)
-    with pytest.raises(FormatError):
-        simplicial_map_from_json({"assignment": [0, 1]}, full_triangle, sphere)
-    # the version is the JSON integer 1, not a value equal to it
-    for version in (True, 1.0):
-        with pytest.raises(FormatError):
-            simplicial_map_from_json({"format_version": version,
-                                      "assignment": [0, 1, 3]}, full_triangle, sphere)
-    # vertex images are JSON integers: no floats, booleans or strings
-    for bad in ([0, 1, 3.0], [0, True, 3], [0, 1, "3"], "013", {"0": 0}, None):
-        with pytest.raises(FormatError):
-            simplicial_map_from_json({"assignment": bad}, full_triangle, sphere)
-    with pytest.raises(FormatError):
-        simplicial_map_from_json({"assignment": [0.9, True, " 2 ", 3.7]},
-                                 sphere, sphere)
-    with pytest.raises(FormatError):
-        # image of the triangle facet spans no sphere simplex
-        simplicial_map_from_json({"assignment": [0, 1, 9]}, full_triangle, sphere)
-
-
 # ---------------------------------------------------------------------------
 # the descended maps against the hand-written loops they replaced
 
 def _add_generator(free, torsion, g, c):
-    cls, coeff = canonicalize(g)
-    t = cls.canonical_tuple
-    if cls.is_torsion:
+    t, is_torsion, coeff = canonicalize(g)
+    if is_torsion:
         torsion[t] = torsion.get(t, 0) + c
     else:
         free[t] = free.get(t, 0) + coeff * c
@@ -353,9 +321,8 @@ def oracle_boundary(chain):
     pending_free: dict = {}
     for t, c in chain.torsion.items():
         for i in range(len(t)):
-            cls, coeff = canonicalize(face(t, i))
-            key = cls.canonical_tuple
-            if cls.is_torsion:
+            key, is_torsion, coeff = canonicalize(face(t, i))
+            if is_torsion:
                 torsion[key] = torsion.get(key, 0) + c
             else:
                 pending_free[key] = pending_free.get(key, 0) + ((-1) ** i) * coeff * c

@@ -273,7 +273,7 @@ def test_homology_presented_rejects_non_cycle_boundary():
             return 1
 
         def boundary_matrix(self, n):
-            return [[1]]
+            return IntegerMatrix(1, 1, {(0, 0): 1})
 
         @property
         def torsion_generators(self):
@@ -287,7 +287,7 @@ def test_homology_presented_rejects_non_cycle_boundary():
 
 class BlockPresentation:
     """Duck-typed presentation: free and torsion counts per degree, with
-    free blocks and torsion blocks given separately (degree -> dense)."""
+    free blocks and torsion blocks given separately (degree -> dense rows)."""
 
     def __init__(self, free, torsion, torsion_blocks, free_blocks=None):
         self.max_degree = len(free) - 1
@@ -301,13 +301,12 @@ class BlockPresentation:
 
     def boundary_matrix(self, n):
         f_rows, f_cols = self.free[n - 1], self.free[n]
-        out = [[0] * self.generator_count(n)
-               for _ in range(self.generator_count(n - 1))]
-        for r, row in enumerate(self.free_blocks.get(n, [])):
-            out[r][:f_cols] = row
-        for r, row in enumerate(self.torsion_blocks.get(n, [])):
-            out[f_rows + r][f_cols:] = row
-        return out
+        entries = {}
+        for block, (dr, dc) in ((self.free_blocks.get(n, []), (0, 0)),
+                                (self.torsion_blocks.get(n, []), (f_rows, f_cols))):
+            entries.update({(dr + r, dc + c): v for r, row in enumerate(block)
+                            for c, v in enumerate(row) if v})
+        return IntegerMatrix(self.generator_count(n - 1), self.generator_count(n), entries)
 
 
 def test_homology_presented_torsion_term(rp2):
@@ -330,13 +329,19 @@ def test_homology_presented_torsion_term(rp2):
 def test_homology_presented_rejects_non_block_and_bad_torsion_square():
     # a free edge whose boundary hits the torsion vertex
     non_block = BlockPresentation([0, 1, 0], [1, 0, 0], {})
-    non_block.boundary_matrix = lambda n: [[1]] if n == 1 else [[]]
+    non_block.boundary_matrix = lambda n: (IntegerMatrix(1, 1, {(0, 0): 1}) if n == 1
+                                           else IntegerMatrix(1, 0, {}))
     with pytest.raises(ValueError, match="joins a free and a torsion"):
         homology_presented(non_block)
     odd_square = BlockPresentation([0, 0, 0, 0], [1, 1, 1, 0],
                                    {1: [[1]], 2: [[1]]})
     with pytest.raises(ValueError, match="mod 2"):
         homology_presented(odd_square)
+    # a boundary that is not g_{n-1} x g_n
+    wrong_shape = BlockPresentation([0, 0, 0], [1, 1, 0], {})
+    wrong_shape.boundary_matrix = lambda n: IntegerMatrix(1, 2, {})
+    with pytest.raises(ValueError, match="wrong shape"):
+        homology_presented(wrong_shape)
 
 
 def test_rational_cochain_ranks_match_free_quotient_ranks(corpus):

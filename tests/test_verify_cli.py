@@ -15,8 +15,7 @@ from altchain.cochain_algebra import alternating_cochain, cochain_from_json, coc
 from altchain.complex_model import GeneratorIndex, load_complex
 from altchain.corpus import load_corpus_complex
 from altchain.errors import FormatError
-from altchain.homotopy_prism import simplicial_map_from_json
-from altchain.integer_homology import matrix_from_json
+from altchain.integer_homology import IntegerMatrix, homology_presented, matrix_from_json
 from altchain.permutations import Permutation
 
 
@@ -80,8 +79,8 @@ def test_mutation_in_canonicalize_is_caught(sphere, monkeypatch):
     real = alt_chains.canonicalize
 
     def broken(g):
-        cls, coeff = real(g)
-        return cls, abs(coeff)  # drop every orientation sign
+        t, is_torsion, coeff = real(g)
+        return t, is_torsion, abs(coeff)  # drop every orientation sign
 
     monkeypatch.setattr(alt_chains, "canonicalize", broken)
     report = verify.run_all([("sphere_s2", sphere)], seed=0, cases=5)
@@ -94,6 +93,29 @@ def test_mutation_in_canonicalize_is_caught(sphere, monkeypatch):
 def test_mutation_in_torsion_boundary_is_caught(point, monkeypatch):
     # the free block alone reproduces simplicial homology, so only the
     # torsion block can turn quotient-homology-agreement red
+    real = alt_chains.alt_chain_complex
+
+    def broken(K, max_degree, **kwargs):
+        pres = real(K, max_degree, **kwargs)
+        matrices = [IntegerMatrix(M.rows, M.cols, {
+            (r, c): v for (r, c), v in M.entries.items()
+            if c < len(pres.free_generators[n])})  # free columns only
+            for n, M in enumerate(pres.matrices)]
+        return dataclasses.replace(pres, matrices=tuple(matrices))
+
+    monkeypatch.setattr(alt_chains, "alt_chain_complex", broken)
+    report = verify.run_all([("point", point)], seed=0, cases=5)
+    entry = next(r for r in report.results
+                 if r.suite_id == "quotient-homology-agreement")
+    assert not entry.passed
+    assert entry.counterexample == {"complex": "point", "degree": 1,
+                                    "quotient": "Z/2", "simplicial": "0"}
+
+
+def test_mutation_in_quotient_boundary_is_caught(point, monkeypatch):
+    # the presentation is built without alt_chains.boundary, and dropping
+    # the torsion images there keeps d d = 0; the prism identity
+    # d h + h d = g - f on the quotient is what reads them
     real = alt_chains.boundary
 
     def broken(chain):
@@ -104,11 +126,8 @@ def test_mutation_in_torsion_boundary_is_caught(point, monkeypatch):
 
     monkeypatch.setattr(alt_chains, "boundary", broken)
     report = verify.run_all([("point", point)], seed=0, cases=5)
-    entry = next(r for r in report.results
-                 if r.suite_id == "quotient-homology-agreement")
-    assert not entry.passed
-    assert entry.counterexample == {"complex": "point", "degree": 1,
-                                    "quotient": "Z/2", "simplicial": "0"}
+    failed = {r.suite_id for r in report.results if not r.passed}
+    assert "prism-homotopy-identity" in failed
 
 
 def test_mutation_in_presentation_boundary_is_caught(point, monkeypatch):
@@ -120,9 +139,9 @@ def test_mutation_in_presentation_boundary_is_caught(point, monkeypatch):
 
     def broken(K, max_degree, **kwargs):
         pres = real(K, max_degree, **kwargs)
-        boundaries = list(pres.boundaries)
-        boundaries[3] = [[1]]
-        return dataclasses.replace(pres, boundaries=tuple(boundaries))
+        matrices = list(pres.matrices)
+        matrices[3] = IntegerMatrix(1, 1, {(0, 0): 1})
+        return dataclasses.replace(pres, matrices=tuple(matrices))
 
     monkeypatch.setattr(alt_chains, "alt_chain_complex", broken)
     report = verify.run_all([("point", point)], seed=0, cases=5)
@@ -144,12 +163,14 @@ def test_mutation_dropping_a_free_generator_is_caught(sphere, monkeypatch):
     def broken(K, max_degree, **kwargs):
         pres = real(K, max_degree, **kwargs)
         free = list(pres.free_generators)
-        boundaries = list(pres.boundaries)
+        matrices = list(pres.matrices)
         f = len(free[max_degree])
         free[max_degree] = free[max_degree][:-1]
-        boundaries[max_degree] = [row[:f - 1] + row[f:] for row in boundaries[max_degree]]
+        top = matrices[max_degree]
+        matrices[max_degree] = IntegerMatrix(top.rows, top.cols - 1, {
+            (r, c - (c >= f)): v for (r, c), v in top.entries.items() if c != f - 1})
         return dataclasses.replace(pres, free_generators=tuple(free),
-                                   boundaries=tuple(boundaries))
+                                   matrices=tuple(matrices))
 
     monkeypatch.setattr(alt_chains, "alt_chain_complex", broken)
     report = verify.run_all([("sphere_s2", sphere)], seed=0, cases=5, degree_cap=2)
@@ -347,7 +368,7 @@ def test_cli_cup_and_residual_reject_bad_cochain_files(tmp_path, capsys):
 PARSER_KEYS = ("format_version", "name", "provenance", "vertices", "facets",
                "degree", "values", "rows", "cols", "entries", "max_degree",
                "degrees", "free", "torsion", "boundaries", "relations",
-               "assignment", "0", "1")
+               "0", "1")
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 3) | st.text(max_size=3)
     | st.floats(allow_nan=False, allow_infinity=False),
@@ -370,8 +391,6 @@ PARSERS = (  # each parser with the keys it reads
     (matrix_from_json, ("format_version", "rows", "cols", "entries")),
     (alt_chains.presentation_from_json,
      ("format_version", "max_degree", "degrees", "boundaries", "relations")),
-    (lambda d: simplicial_map_from_json(d, POINT, POINT),
-     ("format_version", "assignment", "name")),
 )
 
 
@@ -489,7 +508,6 @@ def test_cli_export_presentation(tmp_path, capsys):
     # format_version 2: the relations follow from the torsion generators
     assert data["format_version"] == 2 and "relations" not in data
     pres = alt_chains.presentation_from_json(data)
-    from altchain import homology_presented
     assert [str(g) for g in homology_presented(pres)] == ["Z", "Z/2", "0"]
 
 
@@ -604,3 +622,21 @@ def test_cochain_commands_build_no_generator_list(tmp_path, monkeypatch, capsys)
     assert lines[-4:] == ["H^0 = Q", "H^1 = 0", "H^2 = 0", "H^3 = 0"]
     with pytest.raises(AssertionError, match="tuple list built"):
         cli.main(["cohomology", boundary_6, "--variant", "full", "--max-dim", "4"])
+
+
+def test_presentation_commands_build_no_dense_matrix(tmp_path, monkeypatch, capsys):
+    # a presentation stays sparse from alt_chain_complex through its homology,
+    # the registry, the JSON writer and the reader
+    def refuse(self):
+        raise AssertionError("dense matrix built")
+    monkeypatch.setattr(IntegerMatrix, "to_dense", refuse)
+    out = tmp_path / "pres.json"
+    klein = corpus_path("klein_8")
+    assert cli.main(["export-presentation", klein, "--max-dim", "3", "-o", str(out)]) == 0
+    assert cli.main(["homology", klein, "--variant", "alternative", "--max-dim", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == ["H_0 = Z", "H_1 = Z + Z/2", "H_2 = 0"]
+    pres = alt_chains.presentation_from_json(json.loads(out.read_text()))
+    assert [str(g) for g in homology_presented(pres)] == ["Z", "Z + Z/2", "0"]
+    # exit 1: only the known-red projected-cup-associativity fails
+    assert cli.main(["verify", "--corpus", "--cases", "2", "--max-dim", "2"]) == 1
+    assert capsys.readouterr().out.count("[FAIL]") == 1
