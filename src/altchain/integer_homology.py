@@ -42,28 +42,11 @@ class IntegerMatrix:
     cols: int
     entries: dict = field(repr=False)  # (row, col) -> nonzero int
 
-    @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged matrix")
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = int(v)
-        return cls(rows, cols, entries)
-
     def to_dense(self) -> list:
         out = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.cols, self.rows,
-                             {(c, r): v for (r, c), v in self.entries.items()})
 
     def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
@@ -244,9 +227,11 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple:
 # ---------------------------------------------------------------------------
 # sparse diagonalization (unit pivots, then the dense core)
 
-def sparse_diagonalize(M: IntegerMatrix) -> list:
-    """Diagonal entries of a diagonalization of M: the unit pivots of the
-    sparse phase in pivot order, then the invariant factors of the core.
+def sparse_diagonalize(M: IntegerMatrix, cleared=frozenset()) -> tuple:
+    """(diagonal, unit-pivot rows) of a diagonalization of M without the
+    columns in ``cleared``: the unit pivots of the sparse phase in pivot
+    order, then the invariant factors of the core; and the rows of the
+    unit pivots, never a row of the core.
 
     Elementary integer row and column operations only, so the multiset of
     entries determines the invariant factors (``canonical_invariant_factors``).
@@ -270,11 +255,13 @@ def sparse_diagonalize(M: IntegerMatrix) -> list:
     rows: dict = {}
     cols: dict = {}
     for (r, c), v in M.entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
+        if c not in cleared:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
     heap = [(len(rs), c) for c, rs in cols.items()]
     heapify(heap)
     diag = []
+    pivot_rows = set()
     while heap:
         count, pc = heappop(heap)
         if pc not in cols or len(cols[pc]) != count:
@@ -307,11 +294,12 @@ def sparse_diagonalize(M: IntegerMatrix) -> list:
             else:
                 del cols[c]
         diag.append(pv)
+        pivot_rows.add(pr)
     if rows:
         core_cols = sorted(cols)
         core = [[rows[r].get(c, 0) for c in core_cols] for r in sorted(rows)]
         diag.extend(smith_normal_form(core))
-    return diag
+    return diag, pivot_rows
 
 
 def canonical_invariant_factors(diagonal) -> tuple:
@@ -339,7 +327,7 @@ def canonical_invariant_factors(diagonal) -> tuple:
 
 def integer_rank(M: IntegerMatrix) -> int:
     """Rank over Q (equivalently over Z) of an exact integer matrix."""
-    return len(sparse_diagonalize(M))
+    return len(sparse_diagonalize(M)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +355,31 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def _cleared_diagonals(matrices) -> list:
+    """Diagonals of a chain complex's matrices, eliminated in the order
+    given with clearing across degrees: each matrix's columns are the rows
+    of the one before it, and it is eliminated without the columns that
+    are that one's unit-pivot rows P.  The earlier matrix M's pivot block
+    M[P, Q] has determinant +-1, so the M e_q (q in Q) and the e_i (i not
+    in P) form a basis, over Z and mod 2.  The next matrix kills the M e_q,
+    since the two compose to zero, so it keeps its invariant factors (and
+    F2 rank) on the rest.
+    """
+    diags, cleared = [], frozenset()
+    for M in matrices:
+        diag, cleared = sparse_diagonalize(M, cleared)
+        diags.append(diag)
+    return diags
+
+
 def homology_free(dims: Sequence[int], boundaries: Sequence[IntegerMatrix]) -> list:
     """Homology of a free chain complex given as boundary matrices.
 
     ``dims[n]`` is the rank of the degree-n chain group for n = 0..D and
     ``boundaries[n]`` (for n = 1..D) maps degree n to degree n-1.  Groups
     are returned for degrees 0..D-1; the top degree would need the absent
-    degree-(D+1) matrix.
+    degree-(D+1) matrix.  The matrices are checked to compose to zero, then
+    eliminated top-down with clearing across degrees (``_cleared_diagonals``).
     """
     D = len(dims) - 1
     for n in range(1, D + 1):
@@ -384,15 +390,9 @@ def homology_free(dims: Sequence[int], boundaries: Sequence[IntegerMatrix]) -> l
         if not boundaries[n].matmul(boundaries[n + 1]).is_zero():
             raise ValueError(f"boundary composition at degree {n + 1} is not zero")
 
-    diags = {n: sparse_diagonalize(boundaries[n]) for n in range(1, D + 1)}
-    groups = []
-    for n in range(D):
-        rank_n = len(diags[n]) if n >= 1 else 0
-        nullity = dims[n] - rank_n
-        rank_next = len(diags[n + 1])
-        torsion = canonical_invariant_factors(diags[n + 1])
-        groups.append(AbelianGroup.canonical(nullity - rank_next, torsion))
-    return groups
+    diags = [[]] + _cleared_diagonals(boundaries[D:0:-1])[::-1]
+    return [AbelianGroup.canonical(dims[n] - len(diags[n]) - len(diags[n + 1]),
+                                   diags[n + 1]) for n in range(D)]
 
 
 def free_torsion_crossing(entries, free_rows: int, free_cols: int):
@@ -410,7 +410,8 @@ def homology_presented(pres) -> list:
     free generators first).
     The free block is a free chain complex; the torsion block is read mod 2
     and adds t_n - r_n - r_{n+1} summands Z/2 in degree n (t_n torsion
-    generators, r_n the F2 rank of the degree-n block).  Raises
+    generators, r_n the F2 rank of the degree-n block); the torsion blocks
+    are eliminated top-down with clearing across degrees.  Raises
     ``ValueError`` on a wrong shape, on an entry joining a free and a
     torsion generator, or when a block does not square to zero (mod 2 for
     the torsion block).
@@ -443,7 +444,8 @@ def homology_presented(pres) -> list:
                              "to zero mod 2; the presented complex is inconsistent")
     # unimodular integer operations stay invertible mod 2, so the odd
     # diagonal entries count the F2 rank
-    ranks = [0] + [sum(d % 2 for d in sparse_diagonalize(M)) for M in tors_blocks[1:]]
+    ranks = [0] + [sum(d % 2 for d in diag)
+                   for diag in _cleared_diagonals(tors_blocks[:0:-1])][::-1]
     groups = []
     for n, g in enumerate(homology_free(free, free_blocks)):
         extra = tors[n] - ranks[n] - ranks[n + 1]
@@ -455,21 +457,17 @@ def cohomology_rational(dims: Sequence[int], deltas: Sequence[IntegerMatrix]) ->
     """Betti numbers of a cochain complex given by coboundary matrices.
 
     ``deltas[n]`` maps degree n to degree n+1, for n = 0..D-1.  Ranks are
-    returned for degrees 0..D-1.  The callers build the deltas from a
-    complex, so delta delta = 0 is not checked again here.
+    returned for degrees 0..D-1.  The deltas are eliminated bottom-up with
+    clearing across degrees, which is exact only when delta delta = 0.
+    That is not checked here: the callers build the deltas from a complex.
     """
     D = len(dims) - 1
     for n in range(D):
         M = deltas[n]
         if M.rows != dims[n + 1] or M.cols != dims[n]:
             raise ValueError(f"coboundary matrix {n} has wrong shape")
-    ranks = {n: integer_rank(deltas[n]) for n in range(D)}
-    out = []
-    for n in range(D):
-        z = dims[n] - ranks[n]
-        b = ranks[n - 1] if n >= 1 else 0
-        out.append(z - b)
-    return out
+    ranks = [0] + [len(diag) for diag in _cleared_diagonals(deltas[:D])]
+    return [dims[n] - ranks[n + 1] - ranks[n] for n in range(D)]
 
 
 # ---------------------------------------------------------------------------

@@ -686,7 +686,7 @@ def run_all(complexes, seed: int = 0, cases: int = 200, degree_cap: int = 3,
     ctxs = []
     for name, K in complexes:
         index = enumerate_generators(K, degree_cap, budget=budget)
-        pres = alt_chains.alt_chain_complex(K, degree_cap)
+        pres = alt_chains.alt_chain_complex(K, degree_cap, budget=budget)
         ctxs.append(ComplexContext(name=name, complex=K, index=index,
                                    presentation=pres))
     results = []

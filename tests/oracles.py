@@ -1,5 +1,6 @@
 """Independent references for the tests: one reduced row echelon form over
-Fraction, sharing no code with altchain's integer elimination, the tuple
+Fraction, sharing no code with altchain's integer elimination, dense to
+sparse conversion and transposition of test matrices, the tuple
 generators enumerated by brute force, and the quotient boundary built by
 descending each generator's boundary through ``AltChain``."""
 
@@ -10,6 +11,19 @@ from math import lcm
 from altchain import SimplicialComplex
 from altchain.alt_chains import AltChain, boundary
 from altchain.integer_homology import IntegerMatrix
+
+
+def from_dense(dense) -> IntegerMatrix:
+    """The sparse matrix of a list of equal-length rows."""
+    cols = len(dense[0]) if dense else 0
+    if any(len(row) != cols for row in dense):
+        raise ValueError("ragged matrix")
+    return IntegerMatrix(len(dense), cols, {
+        (r, c): int(v) for r, row in enumerate(dense) for c, v in enumerate(row) if v})
+
+
+def transpose(M) -> IntegerMatrix:
+    return IntegerMatrix(M.cols, M.rows, {(c, r): v for (r, c), v in M.entries.items()})
 
 
 def _rref(rows):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import inspect
 import io
 import itertools
 import json
@@ -43,6 +44,22 @@ def test_run_all_sphere_flags_only_associativity(sphere):
     bad = next(r for r in report.results if not r.passed)
     assert bad.counterexample is not None
     json.dumps(bad.counterexample)  # serializable
+
+
+def test_run_all_passes_its_budget_to_the_presentation(point, sphere, monkeypatch):
+    real = alt_chains.alt_chain_complex
+    budgets = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        budgets.append(bound.arguments["budget"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(alt_chains, "alt_chain_complex", spy)
+    verify.run_all([("point", point), ("sphere_s2", sphere)], seed=0, cases=1,
+                   degree_cap=2, budget=12_345)
+    assert budgets == [12_345, 12_345]
 
 
 def test_report_determinism(sphere, point):
