@@ -23,12 +23,11 @@ descended this way from their ordered forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 from . import permutations
 from .complex_model import SimplicialComplex, check_generator_budget, face
-from .errors import FormatError
+from .errors import FormatError, Record
 from .integer_homology import (IntegerMatrix, face_matrix, free_torsion_crossing,
                                matrix_from_json, matrix_to_json)
 
@@ -185,8 +184,7 @@ def face_class_compat(g: tuple, s: "permutations.Permutation", i: int) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class AltComplexPresentation:
+class AltComplexPresentation(Record):
     """Finite presentation of the quotient complex up to a degree cap.
 
     Per degree: the free generators (strictly increasing tuples), the
@@ -202,7 +200,8 @@ class AltComplexPresentation:
     max_degree: int
     free_generators: tuple
     torsion_generators: tuple
-    matrices: tuple = field(repr=False)
+    matrices: tuple
+    _unshown = ("matrices",)
 
     def generator_count(self, n: int) -> int:
         return len(self.free_generators[n]) + len(self.torsion_generators[n])

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -39,7 +38,7 @@ from math import factorial
 # face stays importable from here: perfbench's tracer test checks that
 # cochain_algebra.face is restored after a traced replay
 from .complex_model import GeneratorIndex, face  # noqa: F401
-from .errors import DegreeCapError, FormatError
+from .errors import DegreeCapError, FormatError, Record
 from .integer_homology import IntegerMatrix
 
 COCHAIN_FORMAT_VERSION = 1
@@ -254,8 +253,7 @@ def nonlinear_residual(index: GeneratorIndex, alpha: Cochain) -> Cochain:
 # ---------------------------------------------------------------------------
 # the alternating basis
 
-@dataclass(frozen=True)
-class AltBasis:
+class AltBasis(Record):
     """Basis data for the alternating cochains of one degree.
 
     The alternating cochains are spanned by one basis element per

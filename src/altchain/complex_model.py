@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import BudgetExceededError, DegreeCapError, FormatError
+from .errors import BudgetExceededError, DegreeCapError, FormatError, Record
 
 DEFAULT_DEGREE_CAP = 4
 DEFAULT_GENERATOR_BUDGET = 1_000_000
@@ -26,8 +25,7 @@ COMPLEX_FORMAT_VERSION = 1
 _COMPLEX_FIELDS = {"format_version", "name", "provenance", "vertices", "facets"}
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """A finite abstract simplicial complex on vertices 0..vertex_count-1.
 
     ``simplex_set`` is the downward closure of the facets: every nonempty
@@ -210,8 +208,7 @@ def check_generator_budget(counts, budget: int) -> tuple:
     return tuple(seen)
 
 
-@dataclass(frozen=True)
-class GeneratorIndex:
+class GeneratorIndex(Record):
     """Per-degree dense indexing of all tuple generators up to a degree cap.
 
     A degree's list and position table are built when a caller first reads
@@ -223,9 +220,12 @@ class GeneratorIndex:
 
     complex: SimplicialComplex
     max_degree: int
-    _counts: tuple = field(repr=False)
-    _levels: list = field(default_factory=list, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
+    _counts: tuple
+    _unshown = ("_counts",)
+
+    def __init__(self, complex, max_degree, _counts):
+        super().__init__(complex, max_degree, _counts)
+        self.__dict__.update(_levels=[], _tables={})  # caches, not fields
 
     def count(self, n: int) -> int:
         self._check_degree(n)

@@ -13,15 +13,14 @@ every front/back list of its sorted representative, keeps a repeat.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .alt_chains import AltChain, descend
 from .cochain_algebra import Cochain
 from .complex_model import SimplicialComplex
+from .errors import Record
 
 
-@dataclass(frozen=True)
-class SimplicialMap:
+class SimplicialMap(Record):
     """Vertex assignment sending simplices of the domain into simplices
     of the codomain."""
 
@@ -29,8 +28,8 @@ class SimplicialMap:
     codomain: SimplicialComplex
     assignment: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(self.assignment))
+    def __init__(self, domain, codomain, assignment):
+        super().__init__(domain, codomain, tuple(assignment))
         if len(self.assignment) != self.domain.vertex_count:
             raise ValueError("assignment must cover every domain vertex")
         for v in self.assignment:
@@ -86,8 +85,7 @@ def pull_back(f: SimplicialMap, alpha: Cochain) -> Cochain:
     return Cochain(alpha.degree, out)
 
 
-@dataclass(frozen=True)
-class CombinatorialHomotopy:
+class CombinatorialHomotopy(Record):
     """A contiguous pair of simplicial maps between the same complexes.
 
     Contiguity (joint images of each simplex span a simplex) is checked on
@@ -97,8 +95,9 @@ class CombinatorialHomotopy:
     start: SimplicialMap
     end: SimplicialMap
 
-    def __post_init__(self):
-        f, g = self.start, self.end
+    def __init__(self, start, end):
+        super().__init__(start, end)
+        f, g = start, end
         if f.domain is not g.domain and f.domain != g.domain:
             raise ValueError("maps must share their domain")
         if f.codomain is not g.codomain and f.codomain != g.codomain:

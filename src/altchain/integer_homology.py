@@ -18,29 +18,28 @@ degree-n generator and one row per degree-(n-1) generator; composition
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Sequence
 
 from .complex_model import GeneratorIndex, SimplicialComplex
-from .errors import FormatError
+from .errors import FormatError, Record
 
-MATRIX_FORMAT_VERSION = 1
+MATRIX_FORMAT_VERSION = 2
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Record):
     """Sparse exact integer matrix: only nonzero entries are stored."""
 
     rows: int
     cols: int
-    entries: dict = field(repr=False)  # (row, col) -> nonzero int
+    entries: dict  # (row, col) -> nonzero int
+    _unshown = ("entries",)
 
     def to_dense(self) -> list:
         out = [[0] * self.cols for _ in range(self.rows)]
@@ -67,23 +66,23 @@ class IntegerMatrix:
 
 
 def matrix_to_json(M: IntegerMatrix) -> dict:
-    """Serialize as dimensions plus row-major entries as decimal strings."""
-    flat = ["0"] * (M.rows * M.cols)
-    for (r, c), v in M.entries.items():
-        flat[r * M.cols + c] = str(v)
+    """Serialize as dimensions plus the nonzero entries as
+    ``[row, col, "value"]`` triples in row-major order (format 2)."""
     return {
         "format_version": MATRIX_FORMAT_VERSION,
         "rows": M.rows,
         "cols": M.cols,
-        "entries": flat,
+        "entries": [[r, c, str(v)] for (r, c), v in sorted(M.entries.items())],
     }
 
 
 def matrix_from_json(data: dict) -> IntegerMatrix:
+    """Read format 2, the nonzero entries as ``[row, col, "value"]``
+    triples with no cell twice, or format 1, every entry row-major."""
     if not isinstance(data, dict):
         raise FormatError("matrix must be a JSON object")
     version = data.get("format_version")
-    if type(version) is not int or version != MATRIX_FORMAT_VERSION:
+    if type(version) is not int or version not in (1, MATRIX_FORMAT_VERSION):
         raise FormatError(f"unsupported matrix format_version {version!r}")
     for key in ("rows", "cols", "entries"):
         if key not in data:
@@ -92,19 +91,25 @@ def matrix_from_json(data: dict) -> IntegerMatrix:
     for dim in (rows, cols):
         if type(dim) is not int or dim < 0:
             raise FormatError(f"matrix dimension {dim!r} is not a nonnegative integer")
-    flat = data["entries"]
-    if not isinstance(flat, list) or len(flat) != rows * cols:
+    triples = data["entries"]
+    if not isinstance(triples, list) or (version == 1 and len(triples) != rows * cols):
         raise FormatError("matrix entry count does not match dimensions")
+    if version == 1:
+        triples = [[k // cols, k % cols, s] for k, s in enumerate(triples)]
     entries = {}
-    for k, s in enumerate(flat):
-        if type(s) is int:
-            v = s
-        elif isinstance(s, str) and _DECIMAL.fullmatch(s):
-            v = int(s)
-        else:
+    for t in triples:
+        if not (isinstance(t, list) and len(t) == 3
+                and type(t[0]) is int and 0 <= t[0] < rows
+                and type(t[1]) is int and 0 <= t[1] < cols):
+            raise FormatError(f"bad matrix triple {t!r}")
+        r, c, s = t
+        if not (type(s) is int or isinstance(s, str) and _DECIMAL.fullmatch(s)):
             raise FormatError(f"bad matrix entry {s!r}")
+        v = int(s)
+        if (r, c) in entries or not (v or version == 1):
+            raise FormatError(f"matrix triple {t!r} is zero or repeats a cell")
         if v:
-            entries[(k // cols, k % cols)] = v
+            entries[(r, c)] = v
     return IntegerMatrix(rows, cols, entries)
 
 
@@ -333,8 +338,7 @@ def integer_rank(M: IntegerMatrix) -> int:
 # ---------------------------------------------------------------------------
 # abelian groups and homology
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Finitely generated abelian group in canonical form."""
 
     free_rank: int
@@ -476,18 +480,18 @@ def cohomology_rational(dims: Sequence[int], deltas: Sequence[IntegerMatrix]) ->
 def face_matrix(columns: Sequence[tuple], row_of: dict) -> IntegerMatrix:
     """Ordered boundary of each column tuple g, sum_i (-1)^i (g without
     entry i), as a len(row_of) x len(columns) matrix; ``row_of`` gives the
-    row of every face."""
+    row of every face.  All entries of a run of equal entries give one
+    face, so a run starting at index i adds (-1)^i if its length is odd."""
     entries: dict = {}
     for j, g in enumerate(columns):
-        sign = 1
-        for i in range(len(g)):
-            key = (row_of[g[:i] + g[i + 1:]], j)
-            v = entries.get(key, 0) + sign
-            if v:
-                entries[key] = v
-            else:
-                entries.pop(key, None)
-            sign = -sign
+        n, i = len(g), 0
+        while i < n:
+            k = i + 1
+            while k < n and g[k] == g[i]:
+                k += 1
+            if (k - i) % 2:
+                entries[(row_of[g[:i] + g[i + 1:]], j)] = -1 if i % 2 else 1
+            i = k
     return IntegerMatrix(len(row_of), len(columns), entries)
 
 
@@ -502,13 +506,8 @@ def simplicial_boundary_matrix(K: SimplicialComplex, n: int) -> IntegerMatrix:
     """Classical simplicial boundary matrix on sorted simplices."""
     if n < 1:
         raise ValueError("boundary matrices start at degree 1")
-    rows = {s: i for i, s in enumerate(K.simplices_of_dim(n - 1))}
-    cols = K.simplices_of_dim(n)
-    entries = {}
-    for j, s in enumerate(cols):
-        for i in range(len(s)):
-            entries[(rows[s[:i] + s[i + 1:]], j)] = (-1) ** i
-    return IntegerMatrix(len(rows), len(cols), entries)
+    rows = K.simplices_of_dim(n - 1)
+    return face_matrix(K.simplices_of_dim(n), {s: i for i, s in enumerate(rows)})
 
 
 def simplicial_homology(K: SimplicialComplex) -> list:
@@ -537,8 +536,7 @@ def ordered_homology(index: GeneratorIndex) -> list:
 # ---------------------------------------------------------------------------
 # cohomology splitting report
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(Record):
     """Rank bookkeeping for the projector acting on degree-n cohomology."""
 
     degree: int

@@ -10,7 +10,6 @@ the seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -20,20 +19,19 @@ from . import homotopy_prism as hp
 from . import integer_homology as ih
 from .complex_model import (DEFAULT_GENERATOR_BUDGET, SimplicialComplex,
                             enumerate_generators, face)
+from .errors import Record
 
 REPORT_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ComplexContext:
+class ComplexContext(Record):
     name: str
     complex: SimplicialComplex
     index: object
     presentation: object
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     suite_id: str
     statement: str
     complexes: tuple
@@ -42,8 +40,7 @@ class SuiteResult:
     counterexample: dict | None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     seed: int
     cases_requested: int
     degree_cap: int

@@ -122,6 +122,23 @@ def descended_boundary_matrices(free_generators, torsion_generators) -> list:
     return out
 
 
+def face_matrix_per_index(columns, row_of) -> IntegerMatrix:
+    """The ordered boundary sum_i (-1)^i (g without entry i) of each column
+    tuple, one face per entry with the coefficients accumulated."""
+    entries: dict = {}
+    for j, g in enumerate(columns):
+        sign = 1
+        for i in range(len(g)):
+            key = (row_of[g[:i] + g[i + 1:]], j)
+            v = entries.get(key, 0) + sign
+            if v:
+                entries[key] = v
+            else:
+                entries.pop(key, None)
+            sign = -sign
+    return IntegerMatrix(len(row_of), len(columns), entries)
+
+
 def subdivision(K):
     """The barycentric subdivision: one vertex per simplex of K, one facet
     per maximal chain of faces."""

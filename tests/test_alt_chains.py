@@ -229,10 +229,11 @@ def test_presentation_version_1_still_loads(sphere):
     # written by export-presentation of sphere_s2 at --max-dim 2 while the
     # format still carried the relation matrices (format_version 1)
     v1 = json.loads((DATA / "presentation_sphere_s2_D2_v1.json").read_text())
-    v2 = presentation_to_json(alt_chain_complex(sphere, 2))
+    v2 = json.loads(json.dumps(presentation_to_json(alt_chain_complex(sphere, 2))))
     assert v1["format_version"] == 1 and "relations" in v1
-    assert dict({k: v for k, v in v1.items() if k != "relations"},
-                format_version=2) == json.loads(json.dumps(v2))
+    # the same generators; the matrices differ in format and compare loaded
+    assert v1["max_degree"] == v2["max_degree"] and v1["degrees"] == v2["degrees"]
+    assert v1["boundaries"].keys() == v2["boundaries"].keys()
     old, new = presentation_from_json(v1), presentation_from_json(v2)
     assert old.max_degree == new.max_degree == 2
     assert old.free_generators == new.free_generators

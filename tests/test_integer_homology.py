@@ -15,11 +15,12 @@ from altchain import (AbelianGroup, IntegerMatrix, alt_chain_complex,
 from altchain.cochain_algebra import alt_coboundary_matrix, coboundary_matrix
 from altchain.complex_model import SimplicialComplex
 from altchain.integer_homology import (canonical_invariant_factors,
-                                       integer_rank, matrix_from_json,
+                                       face_matrix, integer_rank, matrix_from_json,
                                        matrix_to_json, ordered_boundary_matrix,
                                        simplicial_boundary_matrix,
                                        sparse_diagonalize)
-from oracles import fraction_det, fraction_rank, from_dense, transpose
+from oracles import (face_matrix_per_index, fraction_det, fraction_rank,
+                     from_dense, transpose)
 from test_complex_model import small_complexes
 
 
@@ -208,12 +209,21 @@ def test_euler_characteristic_consistency(corpus):
 
 
 def test_matrix_json_roundtrip():
-    M = from_dense([[1, -2, 0], [0, 5, 7]])
+    M = from_dense([[0, -2, 0], [1, 5, 7]])
+    M = IntegerMatrix(M.rows, M.cols, dict(reversed(M.entries.items())))
     data = json.loads(json.dumps(matrix_to_json(M)))
-    assert data["entries"] == ["1", "-2", "0", "0", "5", "7"]
+    # format 2: the nonzero entries as [row, col, "value"], row-major
+    assert data == {"format_version": 2, "rows": 2, "cols": 3, "entries": [
+        [0, 1, "-2"], [1, 0, "1"], [1, 1, "5"], [1, 2, "7"]]}
     back = matrix_from_json(data)
-    assert back.rows == 2 and back.cols == 3 and back.entries == M.entries
+    assert back == M
+    empty = IntegerMatrix(0, 4, {})
+    assert matrix_to_json(empty)["entries"] == []
+    assert matrix_from_json(json.loads(json.dumps(matrix_to_json(empty)))) == empty
     from altchain.errors import FormatError
+    # format 1, every entry row-major, is still read
+    assert matrix_from_json({"format_version": 1, "rows": 2, "cols": 3, "entries": [
+        "0", "-2", "0", "1", "5", "7"]}) == M
     with pytest.raises(FormatError):
         matrix_from_json({"format_version": 1, "rows": 1, "cols": 2,
                           "entries": ["1"]})
@@ -229,18 +239,36 @@ def test_matrix_json_roundtrip():
         with pytest.raises(FormatError):
             matrix_from_json({"format_version": 1, "rows": 1, "cols": 2,
                               "entries": ["1", bad]})
-    # the version is the JSON integer 1, not a value equal to it
-    for version in (True, 1.0):
+    # the version is a JSON integer, not a value equal to one
+    for version in (True, 1.0, 2.0):
         with pytest.raises(FormatError):
             matrix_from_json({"format_version": version, "rows": 1, "cols": 1,
                               "entries": ["3"]})
+    # format 2 rejects, per rule: an index that is not a JSON integer, an
+    # index out of range, a repeated cell, a zero, a value that is not
+    # -?[0-9]+, and anything that is not a triple
+    good = [[0, 1, "3"], [1, 0, "-12"]]
+    assert matrix_from_json({"format_version": 2, "rows": 2, "cols": 2,
+                             "entries": good}).entries == {(0, 1): 3, (1, 0): -12}
+    for bad in ([1.0, 0, "3"], [0, True, "3"], [0, "1", "3"], [None, 0, "3"],  # index type
+                [2, 0, "3"], [0, 2, "3"], [-1, 0, "3"],                         # out of range
+                [0, 1, "5"],                                                    # duplicate cell
+                [0, 0, "0"], [0, 0, "-0"], [0, 0, 0],                           # zero
+                [0, 0, " 3"], [0, 0, "+3"], [0, 0, "1.0"], [0, 0, 1.5],         # value rule
+                [0, 0, True], [0, 0, "\u0663"], [0, 0, None],
+                [0, 0], [0, 0, "3", "4"], "0 0 3", {"row": 0}):                # not a triple
+        with pytest.raises(FormatError):
+            matrix_from_json({"format_version": 2, "rows": 2, "cols": 2,
+                              "entries": good + [bad]})
+    with pytest.raises(FormatError):
+        matrix_from_json({"format_version": 2, "rows": 2, "cols": 2, "entries": {}})
 
 
 def test_matrix_from_json_rejects_bad_version_and_dimensions():
     from altchain.errors import FormatError
     with pytest.raises(FormatError):
-        matrix_from_json({"format_version": 2, "rows": 1, "cols": 1,
-                          "entries": ["5"]})
+        matrix_from_json({"format_version": 3, "rows": 1, "cols": 1,
+                          "entries": [[0, 0, "5"]]})
     with pytest.raises(FormatError):
         matrix_from_json({"rows": 1, "cols": 1, "entries": ["5"]})
     with pytest.raises(FormatError):
@@ -539,6 +567,30 @@ def test_empty_complex_costs_linear_in_the_degree_cap():
         ranks = cohomology_rational([0] * (cap + 1),
                                     [coboundary_matrix(index, n) for n in range(cap)])
     assert ranks == [0] * cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=7),
+                min_size=1, max_size=6))
+def test_face_matrix_matches_the_per_index_sum(columns):
+    # entries from {0, 1, 2} make runs of equal entries common
+    columns = [tuple(g) for g in columns]
+    faces = {g[:i] + g[i + 1:] for g in columns for i in range(len(g))}
+    row_of = {t: r for r, t in enumerate(sorted(faces))}
+    M, expected = face_matrix(columns, row_of), face_matrix_per_index(columns, row_of)
+    assert M == expected
+    assert list(M.entries) == list(expected.entries)  # same order in each column
+
+
+def test_face_work_is_one_face_per_run():
+    # the point's only degree-n generator is (0,) * (n + 1): one run, so
+    # one face; one face per entry took over 6 s at this cap
+    from altchain.complex_model import load_complex
+
+    index = enumerate_generators(load_complex({"vertices": 1, "facets": [[0]]}), 1000)
+    with time_limit(3):
+        groups = ordered_homology(index)
+    assert groups == [AbelianGroup(1)] + [AbelianGroup(0)] * 999
 
 
 def test_unit_pivots_leave_a_core_of_minors(monkeypatch):
