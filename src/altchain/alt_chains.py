@@ -26,22 +26,13 @@ from __future__ import annotations
 from math import comb
 
 from . import permutations
-from .complex_model import SimplicialComplex, check_generator_budget, face
+from .complex_model import (DEFAULT_GENERATOR_BUDGET, SimplicialComplex,
+                            check_generator_budget, face)
 from .errors import FormatError, Record
 from .integer_homology import (IntegerMatrix, face_matrix, free_torsion_crossing,
                                matrix_from_json, matrix_to_json)
 
 PRESENTATION_FORMAT_VERSION = 2
-
-
-def sorting_sign(t: tuple) -> int:
-    """Parity of the permutation that sorts ``t`` (entries must be distinct)."""
-    inv = 0
-    for a in range(len(t)):
-        for b in range(a + 1, len(t)):
-            if t[a] > t[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 def canonicalize(g: tuple) -> tuple:
@@ -55,7 +46,7 @@ def canonicalize(g: tuple) -> tuple:
     for a in range(len(srt) - 1):
         if srt[a] == srt[a + 1]:
             return srt, True, 1
-    return srt, False, sorting_sign(g)
+    return srt, False, permutations.parity(g)
 
 
 class AltChain:
@@ -221,7 +212,7 @@ class AltComplexPresentation(Record):
 
 
 def alt_chain_complex(K: SimplicialComplex, max_degree: int,
-                      budget: int = 200_000) -> AltComplexPresentation:
+                      budget: int = DEFAULT_GENERATOR_BUDGET) -> AltComplexPresentation:
     """Build the presented quotient complex for degrees 0..max_degree.
 
     A d-simplex gives C(n, d) sorted degree-n tuples that use all its

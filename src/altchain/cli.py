@@ -42,13 +42,6 @@ def _budget() -> int:
         raise FormatError(f"ALTCHAIN_MAX_GENERATORS: {exc}") from None
 
 
-def _presentation(K, max_dim):
-    kwargs = {}
-    if os.environ.get("ALTCHAIN_MAX_GENERATORS") is not None:
-        kwargs["budget"] = _budget()
-    return alt_chains.alt_chain_complex(K, max_dim, **kwargs)
-
-
 def _nonnegative_int(text: str) -> int:
     """Degree caps, case counts and the generator budget: ASCII digits
     only, so a sign, spaces or underscores are a usage error (exit 2)."""
@@ -120,7 +113,7 @@ def _cmd_homology(args) -> int:
         groups = ih.ordered_homology(index)
         degrees = range(args.max_dim)
     else:
-        pres = _presentation(K, args.max_dim)
+        pres = alt_chains.alt_chain_complex(K, args.max_dim, budget=_budget())
         groups = ih.homology_presented(pres)
         degrees = range(args.max_dim)
     for n, group in zip(degrees, groups):
@@ -206,7 +199,7 @@ def _cmd_residual(args) -> int:
 
 def _cmd_export_presentation(args) -> int:
     K = _read_complex(args.complex)
-    pres = _presentation(K, args.max_dim)
+    pres = alt_chains.alt_chain_complex(K, args.max_dim, budget=_budget())
     _write_output(args.output, _json_chunks(alt_chains.presentation_to_json(pres)))
     return EXIT_OK
 

@@ -35,11 +35,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from . import permutations
 # face stays importable from here: perfbench's tracer test checks that
 # cochain_algebra.face is restored after a traced replay
 from .complex_model import GeneratorIndex, face  # noqa: F401
 from .errors import DegreeCapError, FormatError, Record
-from .integer_homology import IntegerMatrix
+from .integer_homology import (IntegerMatrix, ordered_boundary_matrix,
+                               simplicial_boundary_matrix)
 
 COCHAIN_FORMAT_VERSION = 1
 _COCHAIN_FIELDS = {"format_version", "degree", "values"}
@@ -115,12 +117,8 @@ class Cochain:
 def _signed_orders(k: int) -> tuple:
     """Every ordering of k positions as (order, parity), in lexicographic
     order of the orders."""
-    out = []
-    for order in itertools.permutations(range(k)):
-        inversions = sum(1 for a in range(k) for b in range(a + 1, k)
-                         if order[a] > order[b])
-        out.append((order, -1 if inversions % 2 else 1))
-    return tuple(out)
+    return tuple((order, permutations.parity(order))
+                 for order in itertools.permutations(range(k)))
 
 
 def _orbit(key: tuple) -> dict:
@@ -293,36 +291,18 @@ def alternating_cochain(tau: tuple, value=1) -> Cochain:
 
 def coboundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
     """Matrix of the coboundary from degree n to degree n+1 on the
-    generator bases (integer entries)."""
+    generator bases: the transpose of the degree-(n+1) ordered boundary."""
     if n + 1 > index.max_degree:
         raise DegreeCapError(f"need generators of degree {n + 1}")
-    column = index.positions(n)
-    entries: dict = {}
-    for i, g in enumerate(index.generators(n + 1)):
-        sign = 1
-        for k in range(n + 2):
-            key = (i, column[g[:k] + g[k + 1:]])
-            v = entries.get(key, 0) + sign
-            if v:
-                entries[key] = v
-            else:
-                entries.pop(key, None)
-            sign = -sign
-    return IntegerMatrix(index.count(n + 1), index.count(n), entries)
+    return ordered_boundary_matrix(index, n + 1).transpose()
 
 
 def alt_coboundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
-    """Coboundary on the alternating bases (strictly increasing tuples)."""
+    """Coboundary on the alternating bases (strictly increasing tuples):
+    the transpose of the degree-(n+1) simplicial boundary."""
     if n + 1 > index.max_degree:
         raise DegreeCapError(f"need generators of degree {n + 1}")
-    cols = {t: j for j, t in enumerate(index.complex.simplices_of_dim(n))}
-    rows = index.complex.simplices_of_dim(n + 1)
-    entries: dict = {}
-    for i, rho in enumerate(rows):
-        for k in range(n + 2):
-            f = rho[:k] + rho[k + 1:]
-            entries[(i, cols[f])] = (-1) ** k
-    return IntegerMatrix(len(rows), len(cols), entries)
+    return simplicial_boundary_matrix(index.complex, n + 1).transpose()
 
 
 def alternative_maker_matrix_scaled(index: GeneratorIndex, n: int) -> IntegerMatrix:

@@ -61,6 +61,10 @@ class IntegerMatrix(Record):
         return IntegerMatrix(self.rows, other.cols,
                              {k: v for k, v in acc.items() if v})
 
+    def transpose(self) -> "IntegerMatrix":
+        return IntegerMatrix(self.cols, self.rows,
+                             {(c, r): v for (r, c), v in self.entries.items()})
+
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -514,12 +518,7 @@ def simplicial_homology(K: SimplicialComplex) -> list:
     """Simplicial homology of the complex in all degrees 0..dim."""
     top = K.dimension()
     dims = [len(K.simplices_of_dim(n)) for n in range(top + 2)]
-    boundaries: list = [None]
-    for n in range(1, top + 2):
-        if dims[n] == 0:
-            boundaries.append(IntegerMatrix(dims[n - 1], 0, {}))
-        else:
-            boundaries.append(simplicial_boundary_matrix(K, n))
+    boundaries = [None] + [simplicial_boundary_matrix(K, n) for n in range(1, top + 2)]
     return homology_free(dims, boundaries)
 
 

@@ -15,12 +15,14 @@ from functools import lru_cache
 GROUP_SIZE_CAP = 8
 
 
-def _inversion_sign(images) -> int:
+def parity(seq) -> int:
+    """(-1) to the number of inversions of ``seq``: the sign of the
+    permutation that sorts it, when its entries are distinct."""
     inv = 0
-    k = len(images)
+    k = len(seq)
     for a in range(k):
         for b in range(a + 1, k):
-            if images[a] > images[b]:
+            if seq[a] > seq[b]:
                 inv += 1
     return -1 if inv % 2 else 1
 
@@ -38,7 +40,7 @@ class Permutation:
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection on 0..{len(images) - 1}: {images}")
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "sign", _inversion_sign(images))
+        object.__setattr__(self, "sign", parity(images))
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -107,10 +109,11 @@ def _group_cached(k: int) -> tuple:
     return tuple(Permutation(p) for p in itertools.permutations(range(k)))
 
 
-def enumerate_group(k: int, cap: int = GROUP_SIZE_CAP) -> tuple:
-    """All k! permutations of {0,...,k-1} in lexicographic order of images."""
+def enumerate_group(k: int) -> tuple:
+    """All k! permutations of {0,...,k-1} in lexicographic order of images,
+    for k up to ``GROUP_SIZE_CAP``."""
     if k < 0:
         raise ValueError("group size must be nonnegative")
-    if k > cap:
-        raise ValueError(f"S_{k} exceeds the enumeration cap of S_{cap}")
+    if k > GROUP_SIZE_CAP:
+        raise ValueError(f"S_{k} exceeds the enumeration cap of S_{GROUP_SIZE_CAP}")
     return _group_cached(k)

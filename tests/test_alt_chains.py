@@ -2,13 +2,11 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
 
 from altchain import (AltChain, alt_chain_complex, boundary, canonicalize,
                       enumerate_generators, face_class_compat,
                       homology_presented, ordered_boundary)
-from altchain.alt_chains import (descend, presentation_from_json,
-                                 presentation_to_json, sorting_sign)
+from altchain.alt_chains import descend, presentation_from_json, presentation_to_json
 from altchain.complex_model import SimplicialComplex
 from altchain.errors import BudgetExceededError
 from altchain.integer_homology import IntegerMatrix, matrix_from_json, matrix_to_json
@@ -16,24 +14,6 @@ from altchain.permutations import act, enumerate_group
 from oracles import descended_boundary_matrices, product_filter_generators, subdivision
 
 DATA = Path(__file__).parent / "data"
-
-
-def brute_sorting_sign(t):
-    # parity oracle: bubble sort and count the swaps
-    seq = list(t)
-    swaps = 0
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1 - i):
-            if seq[j] > seq[j + 1]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                swaps += 1
-    return -1 if swaps % 2 else 1
-
-
-@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6,
-                unique=True))
-def test_sorting_sign_matches_bubble_sort(entries):
-    assert sorting_sign(tuple(entries)) == brute_sorting_sign(entries)
 
 
 def test_canonicalize_examples():

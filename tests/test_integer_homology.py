@@ -217,6 +217,9 @@ def test_matrix_json_roundtrip():
         [0, 1, "-2"], [1, 0, "1"], [1, 1, "5"], [1, 2, "7"]]}
     back = matrix_from_json(data)
     assert back == M
+    T = M.transpose()
+    assert (T.rows, T.cols) == (3, 2) and T == from_dense([[0, 1], [-2, 5], [0, 7]])
+    assert T.transpose() == M
     empty = IntegerMatrix(0, 4, {})
     assert matrix_to_json(empty)["entries"] == []
     assert matrix_from_json(json.loads(json.dumps(matrix_to_json(empty)))) == empty
@@ -546,6 +549,13 @@ def test_matrix_builders_match_face_position_oracle(sphere_index, rp2):
             assert list(coboundary_matrix(index, n).entries.items()) == list(cob.items())
             bd = [((r, c), v) for (c, r), v in cob.items()]
             assert list(ordered_boundary_matrix(index, n + 1).entries.items()) == bd
+            # the alternating coboundary against its per-simplex loop
+            K = index.complex
+            cols = {t: j for j, t in enumerate(K.simplices_of_dim(n))}
+            alt = {(i, cols[face(rho, k)]): (-1) ** k
+                   for i, rho in enumerate(K.simplices_of_dim(n + 1))
+                   for k in range(n + 2)}
+            assert list(alt_coboundary_matrix(index, n).entries.items()) == list(alt.items())
 
 
 def test_empty_complex_costs_linear_in_the_degree_cap():
@@ -584,13 +594,17 @@ def test_face_matrix_matches_the_per_index_sum(columns):
 
 def test_face_work_is_one_face_per_run():
     # the point's only degree-n generator is (0,) * (n + 1): one run, so
-    # one face; one face per entry took over 6 s at this cap
+    # one face; one face per entry took over 6 s at this cap, for the
+    # boundaries and for the coboundaries alike
     from altchain.complex_model import load_complex
 
     index = enumerate_generators(load_complex({"vertices": 1, "facets": [[0]]}), 1000)
     with time_limit(3):
         groups = ordered_homology(index)
+        ranks = cohomology_rational([1] * 1001,
+                                    [coboundary_matrix(index, n) for n in range(1000)])
     assert groups == [AbelianGroup(1)] + [AbelianGroup(0)] * 999
+    assert ranks == [1] + [0] * 999
 
 
 def test_unit_pivots_leave_a_core_of_minors(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from altchain.permutations import (Permutation, act, enumerate_group,
-                                   induced_face_perm, sign)
+                                   induced_face_perm, parity, sign)
 
 
 def brute_sign(images):
@@ -28,6 +28,24 @@ def test_sign_examples():
 @given(perm_strategy)
 def test_sign_matches_inversion_count(images):
     assert Permutation(images).sign == brute_sign(images)
+
+
+def bubble_sort_sign(seq):
+    # parity oracle: bubble sort and count the swaps
+    seq = list(seq)
+    swaps = 0
+    for i in range(len(seq)):
+        for j in range(len(seq) - 1 - i):
+            if seq[j] > seq[j + 1]:
+                seq[j], seq[j + 1] = seq[j + 1], seq[j]
+                swaps += 1
+    return -1 if swaps % 2 else 1
+
+
+@given(st.lists(st.integers(), max_size=7, unique=True))
+def test_parity_matches_bubble_sort(entries):
+    # any distinct entries, not only a permutation of 0..k-1
+    assert parity(tuple(entries)) == bubble_sort_sign(entries)
 
 
 @given(perm_strategy, perm_strategy)

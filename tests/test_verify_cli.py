@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from altchain import alt_chains, cli, enumerate_generators, permutations, verify
 from altchain.cochain_algebra import alternating_cochain, cochain_from_json, cochain_to_json
-from altchain.complex_model import GeneratorIndex, load_complex
+from altchain.complex_model import DEFAULT_GENERATOR_BUDGET, GeneratorIndex, load_complex
 from altchain.corpus import load_corpus_complex
 from altchain.errors import FormatError
 from altchain.integer_homology import IntegerMatrix, homology_presented, matrix_from_json
@@ -45,7 +45,8 @@ def test_run_all_sphere_flags_only_associativity(sphere):
     json.dumps(bad.counterexample)  # serializable
 
 
-def test_run_all_passes_its_budget_to_the_presentation(point, sphere, monkeypatch):
+def record_presentation_budgets(monkeypatch) -> list:
+    """The budget of every later alt_chain_complex call, defaults applied."""
     real = alt_chains.alt_chain_complex
     budgets = []
 
@@ -56,6 +57,11 @@ def test_run_all_passes_its_budget_to_the_presentation(point, sphere, monkeypatc
         return real(*args, **kwargs)
 
     monkeypatch.setattr(alt_chains, "alt_chain_complex", spy)
+    return budgets
+
+
+def test_run_all_passes_its_budget_to_the_presentation(point, sphere, monkeypatch):
+    budgets = record_presentation_budgets(monkeypatch)
     verify.run_all([("point", point), ("sphere_s2", sphere)], seed=0, cases=1,
                    degree_cap=2, budget=12_345)
     assert budgets == [12_345, 12_345]
@@ -268,20 +274,35 @@ def test_cli_parse_error_exit(tmp_path, capsys):
 
 
 def test_cli_budget_exit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ALTCHAIN_MAX_GENERATORS", "10")
-    assert cli.main(["homology", corpus_path("torus_7"),
-                     "--variant", "ordered"]) == 3
-    err = capsys.readouterr().err
-    assert "budget" in err
-    # ASCII digits only, the rule of --max-dim and --cases, though int()
-    # takes the last four and -1 is an integer
-    for bad in ("junk", "", "-1", "1_000", " 7 ", "+5", "\u0663"):
-        monkeypatch.setenv("ALTCHAIN_MAX_GENERATORS", bad)
-        assert cli.main(["homology", corpus_path("torus_7"),
-                         "--variant", "ordered"]) == 2, bad
+    torus = corpus_path("torus_7")
+    for argv in (["homology", torus, "--variant", "ordered"],
+                 ["homology", torus, "--variant", "alternative"],
+                 ["export-presentation", torus, "-o", str(tmp_path / "p.json")]):
+        monkeypatch.setenv("ALTCHAIN_MAX_GENERATORS", "10")
+        assert cli.main(argv) == 3, argv
         err = capsys.readouterr().err
-        assert err == f"error: ALTCHAIN_MAX_GENERATORS: {bad!r} is not a " \
-                      "nonnegative integer\n", bad
+        assert "budget" in err, argv
+        # ASCII digits only, the rule of --max-dim and --cases, though int()
+        # takes the last four and -1 is an integer
+        for bad in ("junk", "", "-1", "1_000", " 7 ", "+5", "\u0663"):
+            monkeypatch.setenv("ALTCHAIN_MAX_GENERATORS", bad)
+            assert cli.main(argv) == 2, (argv, bad)
+            err = capsys.readouterr().err
+            assert err == f"error: ALTCHAIN_MAX_GENERATORS: {bad!r} is not a " \
+                          "nonnegative integer\n", (argv, bad)
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_presentation_commands_default_to_the_one_budget(tmp_path, monkeypatch, capsys):
+    # with the variable unset, a presentation gets the budget of every
+    # other command, not a smaller one of its own; so does a library call
+    monkeypatch.delenv("ALTCHAIN_MAX_GENERATORS", raising=False)
+    budgets = record_presentation_budgets(monkeypatch)
+    point = corpus_path("point")
+    assert cli.main(["homology", point, "--variant", "alternative"]) == 0
+    assert cli.main(["export-presentation", point, "-o", str(tmp_path / "p.json")]) == 0
+    alt_chains.alt_chain_complex(load_corpus_complex("point"), 1)
+    assert budgets == [DEFAULT_GENERATOR_BUDGET] * 3
 
 
 def test_cli_cup_both_orders(tmp_path, capsys):
