@@ -65,10 +65,6 @@ class AltChain:
         self.torsion = {t: c % 2 for t, c in (torsion or {}).items() if c % 2}
 
     @classmethod
-    def zero(cls, degree: int) -> "AltChain":
-        return cls(degree)
-
-    @classmethod
     def from_ordered(cls, degree: int, coefficients) -> "AltChain":
         """Project an ordered chain {tuple: int} into the quotient."""
         free: dict = {}

@@ -128,11 +128,11 @@ def _cmd_homology(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     K = _read_complex(args.complex)
-    index = enumerate_generators(K, args.max_dim, budget=_budget())
     if args.variant == "alternative":
         dims = [len(K.simplices_of_dim(k)) for k in range(args.max_dim + 1)]
-        deltas = [ca.alt_coboundary_matrix(index, k) for k in range(args.max_dim)]
+        deltas = [ca.alt_coboundary_matrix(K, k) for k in range(args.max_dim)]
     else:
+        index = enumerate_generators(K, args.max_dim, budget=_budget())
         dims = [index.count(k) for k in range(args.max_dim + 1)]
         deltas = [ca.coboundary_matrix(index, k) for k in range(args.max_dim)]
     for n, rank in enumerate(ih.cohomology_rational(dims, deltas)):

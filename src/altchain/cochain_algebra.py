@@ -38,7 +38,7 @@ from math import factorial
 from . import permutations
 # face stays importable from here: perfbench's tracer test checks that
 # cochain_algebra.face is restored after a traced replay
-from .complex_model import GeneratorIndex, face  # noqa: F401
+from .complex_model import GeneratorIndex, SimplicialComplex, face  # noqa: F401
 from .errors import DegreeCapError, FormatError, Record
 from .integer_homology import (IntegerMatrix, ordered_boundary_matrix,
                                simplicial_boundary_matrix)
@@ -297,12 +297,10 @@ def coboundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
     return ordered_boundary_matrix(index, n + 1).transpose()
 
 
-def alt_coboundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
+def alt_coboundary_matrix(K: SimplicialComplex, n: int) -> IntegerMatrix:
     """Coboundary on the alternating bases (strictly increasing tuples):
     the transpose of the degree-(n+1) simplicial boundary."""
-    if n + 1 > index.max_degree:
-        raise DegreeCapError(f"need generators of degree {n + 1}")
-    return simplicial_boundary_matrix(index.complex, n + 1).transpose()
+    return simplicial_boundary_matrix(K, n + 1).transpose()
 
 
 def alternative_maker_matrix_scaled(index: GeneratorIndex, n: int) -> IntegerMatrix:

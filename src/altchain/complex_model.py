@@ -18,7 +18,6 @@ from functools import cached_property
 
 from .errors import BudgetExceededError, DegreeCapError, FormatError, Record
 
-DEFAULT_DEGREE_CAP = 4
 DEFAULT_GENERATOR_BUDGET = 1_000_000
 
 COMPLEX_FORMAT_VERSION = 1
@@ -265,7 +264,7 @@ class GeneratorIndex(Record):
                 f"degree {n} outside enumerated range 0..{self.max_degree}")
 
 
-def enumerate_generators(K: SimplicialComplex, max_degree: int = DEFAULT_DEGREE_CAP,
+def enumerate_generators(K: SimplicialComplex, max_degree: int,
                          budget: int = DEFAULT_GENERATOR_BUDGET) -> GeneratorIndex:
     """Index every vertex tuple of length <= max_degree+1 spanning a simplex.
 

@@ -3,12 +3,14 @@
 Everything here is arbitrary-precision.  Integer diagonalization has two
 phases, after Dumas, Saunders & Villard (J. Symb. Comput. 2001): sparse
 elimination removes every pivot it can take on a +-1 entry, which needs
-no division, and the leftover core, if any, goes to a dense Smith normal
-form by classical row/column reduction with minimal-absolute-value
-pivoting.  On top of that sit the homology of free chain complexes and of
-complexes whose torsion generators have order 2.  The latter reads the
-lifted boundary as a free block, handled as a free chain complex, and a
-torsion block, whose rank mod 2 adds the Z/2 summands.
+no division, and the leftover core, if any, goes to a dense phase that
+diagonalizes it by row/column reduction with minimal-absolute-value
+pivoting.  ``canonical_invariant_factors`` turns any such diagonal into
+the divisibility chain of invariant factors.  On top of that sit the
+homology of free chain complexes and of complexes whose torsion
+generators have order 2.  The latter reads the lifted boundary as a free
+block, handled as a free chain complex, and a torsion block, whose rank
+mod 2 adds the Z/2 summands.
 
 Matrix conventions: a boundary matrix for degree n has one column per
 degree-n generator and one row per degree-(n-1) generator; composition
@@ -130,107 +132,82 @@ def _nearest_quotient(a: int, d: int) -> int:
     return q
 
 
+def canonical_invariant_factors(diagonal) -> tuple:
+    """Divisibility chain determined by any unimodular diagonalization.
+
+    Units divide everything, so only the entries above 1 go through the
+    gcd/lcm fix-up; the units lead the chain.
+    """
+    ds = sorted(abs(d) for d in diagonal if d)
+    units = ds.count(1)
+    ds = ds[units:]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                if ds[j] % ds[i]:
+                    g = gcd(ds[i], ds[j])
+                    ds[i], ds[j] = g, ds[i] * ds[j] // g
+                    changed = True
+        if changed:
+            ds.sort()
+    return (1,) * units + tuple(ds)
+
+
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple:
     """Invariant factors d_1 | d_2 | ... (all positive) of a dense integer
     matrix, by elementary row/column operations.
 
-    Pivots are chosen with minimal absolute value and reduced with
-    round-to-nearest quotients, so each clearing pass at least halves the
-    pivot; the divisibility chain is enforced during the sweep and the
-    diagonal comes out canonical.
+    Each step moves an entry of least absolute value in the remaining
+    submatrix to the diagonal and reduces its column and row with
+    round-to-nearest quotients, which leaves every residue at most half the
+    pivot.  While residues remain, the step repeats on an entry no larger
+    than the least of them, so the pivot at least halves and the loop ends.
+    The diagonal this leaves is unimodularly equivalent to the matrix, and
+    ``canonical_invariant_factors`` puts it in canonical form.
     """
     D = [list(map(int, row)) for row in rows]
     m = len(D)
     n = len(D[0]) if m else 0
-
-    def swap_rows(a, b):
-        D[a], D[b] = D[b], D[a]
-
-    def swap_cols(a, b):
-        if a == b:
-            return
-        for row in D:
-            row[a], row[b] = row[b], row[a]
-
-    def row_add(dst, src, k):
-        # D[dst] += k * D[src]
-        Dd, Ds = D[dst], D[src]
-        for j in range(n):
-            if Ds[j]:
-                Dd[j] += k * Ds[j]
-
-    def col_add(dst, src, k):
-        # D[:,dst] += k * D[:,src]
-        for row in D:
-            if row[src]:
-                row[dst] += k * row[src]
-
+    diagonal = []
     t = 0
-    limit = min(m, n)
-    while t < limit:
-        piv = None
-        best = None
+    while t < min(m, n):
+        best = 0
         for i in range(t, m):
             row = D[i]
             for j in range(t, n):
                 v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
+                if v and (not best or abs(v) < best):
+                    best, pi, pj = abs(v), i, j
                     if best == 1:
                         break
             if best == 1:
                 break
-        if piv is None:
+        if not best:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-
-        while True:
-            # one reduction pass: every residue ends at most half the pivot
-            for i in range(t + 1, m):
-                if D[i][t]:
-                    q = _nearest_quotient(D[i][t], D[t][t])
-                    if q:
-                        row_add(i, t, -q)
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    q = _nearest_quotient(D[t][j], D[t][t])
-                    if q:
-                        col_add(j, t, -q)
-            residue = None
-            for i in range(t + 1, m):
-                if D[i][t] and (residue is None or abs(D[i][t]) < residue[0]):
-                    residue = (abs(D[i][t]), "row", i)
-            for j in range(t + 1, n):
-                if D[t][j] and (residue is None or abs(D[t][j]) < residue[0]):
-                    residue = (abs(D[t][j]), "col", j)
-            if residue is None:
-                break
-            if residue[1] == "row":
-                swap_rows(t, residue[2])
-            else:
-                swap_cols(t, residue[2])
-
-        # make the pivot divide the rest of the submatrix before moving on
-        d = D[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            row = D[i]
-            for j in range(t + 1, n):
-                if row[j] % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue
-        if d < 0:
-            D[t] = [-v for v in D[t]]
-        t += 1
-
-    return tuple(D[i][i] for i in range(t))
+        D[t], D[pi] = D[pi], D[t]
+        if pj != t:
+            for row in D[t:]:
+                row[t], row[pj] = row[pj], row[t]
+        prow = D[t]
+        p = prow[t]
+        for row in D[t + 1:]:
+            if row[t]:
+                q = _nearest_quotient(row[t], p)
+                for j in range(t, n):
+                    if prow[j]:
+                        row[j] -= q * prow[j]
+        for j in range(t + 1, n):
+            if prow[j]:
+                q = _nearest_quotient(prow[j], p)
+                for row in D[t:]:
+                    if row[t]:
+                        row[j] -= q * row[t]
+        if not (any(prow[t + 1:]) or any(row[t] for row in D[t + 1:])):
+            diagonal.append(p)
+            t += 1
+    return canonical_invariant_factors(diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +286,6 @@ def sparse_diagonalize(M: IntegerMatrix, cleared=frozenset()) -> tuple:
         core = [[rows[r].get(c, 0) for c in core_cols] for r in sorted(rows)]
         diag.extend(smith_normal_form(core))
     return diag, pivot_rows
-
-
-def canonical_invariant_factors(diagonal) -> tuple:
-    """Divisibility chain determined by any unimodular diagonalization.
-
-    Units divide everything, so only the entries above 1 go through the
-    gcd/lcm fix-up; the units lead the chain.
-    """
-    ds = sorted(abs(d) for d in diagonal if d)
-    units = ds.count(1)
-    ds = ds[units:]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                if ds[j] % ds[i]:
-                    g = gcd(ds[i], ds[j])
-                    ds[i], ds[j] = g, ds[i] * ds[j] // g
-                    changed = True
-        if changed:
-            ds.sort()
-    return (1,) * units + tuple(ds)
 
 
 def integer_rank(M: IntegerMatrix) -> int:
@@ -580,7 +534,7 @@ def verify_cohomology_splitting(index: GeneratorIndex, n: int) -> SplittingRepor
     full = cohomology_rational(dims, deltas)[n]
 
     alt_dims = [len(index.complex.simplices_of_dim(k)) for k in range(n + 2)]
-    alt_deltas = [ca.alt_coboundary_matrix(index, k) for k in range(n + 1)]
+    alt_deltas = [ca.alt_coboundary_matrix(index.complex, k) for k in range(n + 1)]
     alt = cohomology_rational(alt_dims, alt_deltas)[n]
 
     return SplittingReport(degree=n, rank_full=full, rank_alternating=alt,

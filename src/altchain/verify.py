@@ -388,11 +388,12 @@ def _suite_quotient_boundary(ctxs, rng, cases):
                                        "boundary_squared": _jsonable(dd.free)}
         for n in range(1, pres.max_degree + 1):
             for t in pres.torsion_generators[n]:
-                image = alt_chains.boundary(alt_chains.AltChain.from_generator(t))
+                try:
+                    alt_chains.boundary(alt_chains.AltChain.from_generator(t))
+                except ArithmeticError as exc:
+                    return count + 1, {"complex": ctx.name, "tuple": t,
+                                       "reason": str(exc)}
                 count += 1
-                if image.free:
-                    return count, {"complex": ctx.name, "tuple": t,
-                                   "free_part": _jsonable(image.free)}
         # lifted matrices compose to zero modulo the relations 2*e_t on the
         # torsion generators: the product may only be even on torsion rows
         for n in range(1, pres.max_degree):

@@ -251,7 +251,7 @@ def test_alt_cup_associativity_up_to_coboundary(torus):
     index = enumerate_generators(torus, 3)
     edges = torus.simplices_of_dim(1)
     triangles = torus.simplices_of_dim(2)
-    M1 = alt_coboundary_matrix(index, 1)  # alternating degree 1 -> 2
+    M1 = alt_coboundary_matrix(torus, 1)  # alternating degree 1 -> 2
     dense1 = [[0] * M1.cols for _ in range(M1.rows)]
     for (r, col), v in M1.entries.items():
         dense1[r][col] = v

@@ -272,7 +272,7 @@ def test_contiguous_maps_agree_on_alternating_cohomology(torus):
 
     index = enumerate_generators(torus, 2)
     edges = torus.simplices_of_dim(1)
-    M = alt_coboundary_matrix(index, 1)
+    M = alt_coboundary_matrix(torus, 1)
     dense = [[0] * M.cols for _ in range(M.rows)]
     for (i, j), v in M.entries.items():
         dense[i][j] = v

@@ -179,6 +179,30 @@ def test_mutation_in_presentation_boundary_is_caught(point, monkeypatch):
     assert "mod 2" in failed["quotient-homology-agreement"]["reason"]
 
 
+def test_mutation_giving_a_torsion_edge_a_free_boundary_is_caught(point, monkeypatch):
+    # the ordered boundary of (v, v) is (v) - (v) = 0; the mutant leaves it
+    # one free vertex.  At cap 1 no degree-2 generator exists, so only the
+    # check of each torsion generator's own boundary sees it, and it must
+    # report the fault rather than raise
+    real = alt_chains.ordered_boundary
+
+    def broken(coefficients):
+        out = real(coefficients)
+        for g, c in coefficients.items():
+            if len(g) == 2 and g[0] == g[1]:
+                out[g[:1]] = out.get(g[:1], 0) + c
+        return {t: c for t, c in out.items() if c}
+
+    monkeypatch.setattr(alt_chains, "ordered_boundary", broken)
+    report = verify.run_all([("point", point)], seed=0, cases=5, degree_cap=1)
+    failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
+    assert "quotient-boundary" in failed
+    found = json.loads(json.dumps(failed["quotient-boundary"]))
+    assert found["complex"] == "point" and found["tuple"] == [0, 0]
+    assert found["reason"].startswith(
+        "image of torsion class (0, 0) has free terms {(0,): 1}; ")
+
+
 def test_mutation_dropping_a_free_generator_is_caught(sphere, monkeypatch):
     # the last triangle of S^2 goes, with its column of the top boundary;
     # the rest stays a consistent presented complex with the same homology
@@ -291,6 +315,13 @@ def test_cli_budget_exit(tmp_path, capsys, monkeypatch):
             assert err == f"error: ALTCHAIN_MAX_GENERATORS: {bad!r} is not a " \
                           "nonnegative integer\n", (argv, bad)
     assert not (tmp_path / "p.json").exists()
+    # the alternating cohomology reads only the simplices, so it needs no
+    # tuple budget; the full variant still does
+    monkeypatch.setenv("ALTCHAIN_MAX_GENERATORS", "10")
+    assert cli.main(["cohomology", torus, "--variant", "alternative"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "H^1 = Q^2"
+    assert cli.main(["cohomology", torus, "--variant", "full"]) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_presentation_commands_default_to_the_one_budget(tmp_path, monkeypatch, capsys):
