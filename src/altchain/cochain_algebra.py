@@ -19,9 +19,14 @@ for distinct entries, and P(alpha)(g) = 0 when g repeats an entry, since
 the odd swap of two equal entries fixes g.  So the support is grouped by
 its sorted tuple, one signed sum is kept per orbit, and each nonzero sum
 is written out over the (n+1)! reorderings of that orbit, read from one
-signed table per size: O(|supp| + orbits * (n+1)!) in all.  The
+signed table per size: O(|supp| + orbits * (n+1)!) in all.  The table
+holds one ``operator.itemgetter`` per reordering, so a reordered tuple is
+read in one C call, and a signed sum adds or subtracts each value (an odd
+reordering negates) instead of multiplying it by its sign.  The
 coboundary scatters each supported value onto the cofaces it is a face
-of, so its cost is O(|supp| * (n+2) * coface vertices).
+of, so its cost is O(|supp| * (n+2) * coface vertices); like the sum of
+two cochains, it stores the first value to reach a tuple as it is rather
+than adding it to zero.
 
 All arithmetic is exact; equality of cochains is equality of their
 canonical sparse forms, with no tolerances anywhere.
@@ -34,6 +39,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 
 from . import permutations
 # face stays importable from here: perfbench's tracer test checks that
@@ -64,9 +70,10 @@ class Cochain:
         for g, v in (values or {}).items():
             if len(g) != degree + 1:
                 raise ValueError(f"{g} does not have degree {degree}")
-            fv = v if type(v) is Fraction else Fraction(v)
-            if fv:
-                clean[g] = fv
+            if type(v) is not Fraction:
+                v = _exact(v)
+            if v:
+                clean[g] = v
         self.values = clean
 
     @classmethod
@@ -88,7 +95,8 @@ class Cochain:
             raise ValueError("degree mismatch")
         out = dict(self.values)
         for g, v in other.values.items():
-            out[g] = out.get(g, Fraction(0)) + v
+            prior = out.get(g)
+            out[g] = v if prior is None else prior + v
         return Cochain(self.degree, out)
 
     def __neg__(self) -> "Cochain":
@@ -98,7 +106,7 @@ class Cochain:
         return self + (-other)
 
     def scale(self, k) -> "Cochain":
-        k = Fraction(k)
+        k = _exact(k)
         return Cochain(self.degree, {g: k * v for g, v in self.values.items()})
 
     def __eq__(self, other) -> bool:
@@ -113,19 +121,28 @@ class Cochain:
         return f"Cochain(deg {self.degree}, {{{terms}}})"
 
 
+def _exact(v) -> Fraction:
+    """``v`` as a Fraction; a float is refused, since it has no exact
+    meaning here (0.1 is not 1/10)."""
+    if isinstance(v, float):
+        raise TypeError(f"cochain values are exact; got the float {v!r}")
+    return Fraction(v)
+
+
 @lru_cache(maxsize=None)
 def _signed_orders(k: int) -> tuple:
-    """Every ordering of k positions as (order, parity), in lexicographic
-    order of the orders."""
-    return tuple((order, permutations.parity(order))
+    """Every ordering of k positions as (getter, parity), in lexicographic
+    order of the orders; the getter reads a tuple in that order."""
+    if k <= 1:
+        return ((tuple, 1),)
+    return tuple((itemgetter(*order), permutations.parity(order))
                  for order in itertools.permutations(range(k)))
 
 
 def _orbit(key: tuple) -> dict:
     """Each reordering of the strictly increasing tuple ``key``, mapped to
     the parity of the reordering that sorts it back."""
-    return {tuple(key[j] for j in order): sgn
-            for order, sgn in _signed_orders(len(key))}
+    return {get(key): sgn for get, sgn in _signed_orders(len(key))}
 
 
 def coboundary(index: GeneratorIndex, alpha: Cochain) -> Cochain:
@@ -150,7 +167,8 @@ def coboundary(index: GeneratorIndex, alpha: Cochain) -> Cochain:
             signed = -value if i % 2 else value
             for v in vertices:
                 g = head + (v,) + tail
-                out[g] = out.get(g, 0) + signed
+                prior = out.get(g)
+                out[g] = signed if prior is None else prior + signed
     return Cochain(n + 1, out)
 
 
@@ -170,8 +188,9 @@ def is_alternative(alpha: Cochain) -> bool:
         if len(set(key)) != len(key):
             return False
         base = values.get(key, 0)
+        signed = {1: base, -1: -base}
         for g, sgn in _orbit(key).items():
-            if values.get(g, 0) != sgn * base:
+            if values.get(g, 0) != signed[sgn]:
                 return False
     return True
 
@@ -191,13 +210,17 @@ def alternative_maker(alpha: Cochain) -> Cochain:
     for h, v in alpha.values.items():
         if len(set(h)) == len(h):
             groups.setdefault(tuple(sorted(h)), []).append((h, v))
-    scale = Fraction(1, factorial(n + 1))
+    fact = factorial(n + 1)
     out = {}
     for key, members in groups.items():
         orbit = _orbit(key)
-        total = sum(orbit[h] * v for h, v in members)
+        (h, total), *rest = members
+        if orbit[h] < 0:
+            total = -total
+        for h, v in rest:
+            total = total - v if orbit[h] < 0 else total + v
         if total:
-            value = total * scale
+            value = total / fact
             signed = {1: value, -1: -value}
             for g, sgn in orbit.items():
                 out[g] = signed[sgn]
@@ -280,7 +303,7 @@ def alternating_cochain(tau: tuple, value=1) -> Cochain:
     strictly increasing tuple, worth ``value`` on the tuple itself."""
     if list(tau) != sorted(set(tau)):
         raise ValueError(f"{tau} is not strictly increasing")
-    value = Fraction(value)
+    value = _exact(value)
     signed = {1: value, -1: -value}
     return Cochain(len(tau) - 1,
                    {g: signed[sgn] for g, sgn in _orbit(tau).items()})

@@ -66,10 +66,18 @@ class SimplicialComplex(Record):
         return max(len(s) for s in self.simplex_set) - 1
 
     def simplices_of_dim(self, n: int) -> list:
-        """Sorted vertex tuples of the n-simplices, in lexicographic order."""
-        out = [tuple(sorted(s)) for s in self.simplex_set if len(s) == n + 1]
-        out.sort()
-        return out
+        """Sorted vertex tuples of the n-simplices, in lexicographic order,
+        as a fresh list."""
+        return list(self._simplices_by_dim.get(n, ()))
+
+    @cached_property
+    def _simplices_by_dim(self) -> dict:
+        """Dimension -> its simplices as sorted vertex tuples, in
+        lexicographic order; built once."""
+        table: dict = {}
+        for s in sorted(tuple(sorted(s)) for s in self.simplex_set):
+            table.setdefault(len(s) - 1, []).append(s)
+        return {n: tuple(level) for n, level in table.items()}
 
     def has_simplex(self, vertices) -> bool:
         return frozenset(vertices) in self.simplex_set

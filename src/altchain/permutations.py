@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 
 GROUP_SIZE_CAP = 8
 
@@ -28,12 +29,13 @@ def parity(seq) -> int:
 
 
 class Permutation:
-    """A bijection on {0, ..., k-1} with its parity precomputed.
+    """A bijection on {0, ..., k-1} with its parity and its tuple
+    reordering (read by :func:`act`) precomputed.
 
     Immutable; safe to share and to use as a dict key.
     """
 
-    __slots__ = ("images", "sign")
+    __slots__ = ("images", "sign", "_reorder")
 
     def __init__(self, images):
         images = tuple(images)
@@ -41,6 +43,8 @@ class Permutation:
             raise ValueError(f"not a bijection on 0..{len(images) - 1}: {images}")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "sign", parity(images))
+        object.__setattr__(self, "_reorder",
+                           itemgetter(*images) if len(images) > 1 else tuple)
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -59,7 +63,7 @@ class Permutation:
         """Function composition: (self.compose(other))(j) = self(other(j))."""
         if len(self) != len(other):
             raise ValueError("size mismatch in composition")
-        return Permutation(self.images[other.images[j]] for j in range(len(self)))
+        return Permutation(other._reorder(self.images))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         return self.compose(other)
@@ -81,10 +85,9 @@ def sign(s: Permutation) -> int:
 
 def act(s: Permutation, g: tuple) -> tuple:
     """Right action on a vertex tuple: entry j of the result is g[s(j)]."""
-    if len(s) != len(g):
+    if len(s.images) != len(g):
         raise ValueError(f"permutation size {len(s)} does not match tuple length {len(g)}")
-    images = s.images
-    return tuple(g[images[j]] for j in range(len(g)))
+    return s._reorder(g)
 
 
 def induced_face_perm(s: Permutation, i: int) -> Permutation:

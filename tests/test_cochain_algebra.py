@@ -17,7 +17,7 @@ from altchain.cochain_algebra import (alternative_maker_matrix_scaled,
                                       cochain_from_json, cochain_to_json,
                                       coboundary_matrix)
 from altchain.integer_homology import integer_rank
-from altchain.permutations import act, enumerate_group
+from altchain.permutations import act, enumerate_group, parity
 from oracles import fraction_rank, integer_kernel
 
 
@@ -355,6 +355,19 @@ def test_cochain_arithmetic_and_errors():
         Cochain(2, {(0, 1): 1})
 
 
+def test_cochain_values_are_exact():
+    # a float has no exact value here (0.1 would become 3602879701896397/2**55)
+    a = Cochain(1, {(0, 1): 1})
+    for make in (lambda: Cochain(0, {(0,): 0.1}), lambda: Cochain(1, {(0, 1): 2.0}),
+                 lambda: a.scale(0.5), lambda: alternating_cochain((0, 1), 0.5)):
+        with pytest.raises(TypeError):
+            make()
+    assert a.scale(Fraction(1, 2)) == Cochain(1, {(0, 1): Fraction(1, 2)})
+    assert a.scale(-2).values == {(0, 1): -2}
+    assert Cochain(0, {(0,): 3}).values == {(0,): Fraction(3)}
+    assert type(Cochain(0, {(0,): 3}).values[(0,)]) is Fraction
+
+
 def test_serialization_roundtrip(sphere_index):
     alpha = Cochain(1, {(0, 1): Fraction(3, 7), (2, 1): -2})
     data = cochain_to_json(alpha)
@@ -464,18 +477,29 @@ def oracle_columns(oracle_indices):
             for k, index in enumerate(oracle_indices) for n in range(4)}
 
 
+# pairwise coprime past 1, so that sums of values meet many denominators
+DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
+
+
 @st.composite
 def cochains(draw, index, degrees=range(5)):
     """Generators of the index (repeated entries included) together with a
     few reorderings of each, so that an orbit often holds several supported
-    tuples whose signed values may cancel."""
+    tuples.  Some orbits of distinct entries get a last value that makes
+    their signed sum cancel to zero."""
     n = draw(st.sampled_from(list(degrees)))
     values = {}
     for g in draw(st.lists(st.sampled_from(index.generators(n)), max_size=4)):
         orders = draw(st.lists(st.permutations(range(n + 1)), min_size=1, max_size=3))
+        orbit = {}
         for order in orders:
-            values[tuple(g[j] for j in order)] = Fraction(
-                draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+            orbit[tuple(g[j] for j in order)] = Fraction(
+                draw(st.integers(-3, 3)), draw(st.sampled_from(DENOMINATORS)))
+        if len(orbit) > 1 and len(set(g)) == len(g) and draw(st.booleans()):
+            # the parity of a tuple of distinct entries is its sign in the orbit
+            *rest, last = orbit
+            orbit[last] = -parity(last) * sum(parity(h) * orbit[h] for h in rest)
+        values.update(orbit)
     return Cochain(n, values)
 
 
@@ -505,6 +529,26 @@ def test_scatter_coboundary_matches_gather_and_matrix(oracle_indices,
     image = coboundary(index, alpha)
     assert image == oracle_coboundary(index, alpha)
     assert image == matrix_image(oracle_columns[k, alpha.degree], index, alpha)
+
+
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_add_matches_pointwise_sum(oracle_indices, data):
+    index = data.draw(st.sampled_from(oracle_indices))
+    alpha = data.draw(cochains(index))
+    beta = data.draw(cochains(index, [alpha.degree]))
+    # some of alpha's tuples get the opposite value, so their sums cancel
+    cancelled = set()
+    if alpha.values:
+        cancelled = data.draw(st.sets(st.sampled_from(sorted(alpha.values))))
+    beta = Cochain(alpha.degree, {**beta.values,
+                                  **{g: -alpha(g) for g in cancelled}})
+    total = alpha + beta
+    pointwise = {g: alpha(g) + beta(g) for g in {*alpha.values, *beta.values}}
+    assert total.values == {g: v for g, v in pointwise.items() if v}
+    assert not cancelled & total.values.keys()
+    assert all(type(v) is Fraction for v in total.values.values())
+    assert (alpha - alpha).values == {}
 
 
 def test_scaled_projector_matrix_matches_group_sum(sphere_index, oracle_indices):

@@ -44,6 +44,18 @@ def test_rp2_closure_counts(rp2):
     assert rp2.f_vector() == (6, 15, 10)
 
 
+def test_simplices_of_dim_matches_filter_and_sort(corpus):
+    for _, K in corpus:
+        for n in range(-1, K.dimension() + 2):
+            expected = sorted(tuple(sorted(s)) for s in K.simplex_set
+                              if len(s) == n + 1)
+            got = K.simplices_of_dim(n)
+            assert type(got) is list and got == expected
+            # each call returns a fresh list, so a caller may change it
+            got.append(None)
+            assert K.simplices_of_dim(n) == expected
+
+
 def test_generator_counts_sphere(sphere, sphere_index):
     facets = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
     for n in range(4):

@@ -71,6 +71,32 @@ def test_act_examples():
 def test_act_size_mismatch():
     with pytest.raises(ValueError):
         act(Permutation.identity(2), (1, 2, 3))
+    for k, g in ((0, (5,)), (1, ()), (1, (5, 6)), (3, (5, 6))):
+        with pytest.raises(ValueError):
+            act(Permutation.identity(k), g)
+
+
+def test_act_on_sizes_zero_and_one():
+    # the smallest groups still return tuples, whatever sequence they read
+    assert act(Permutation.identity(0), ()) == ()
+    assert act(Permutation.identity(1), (7,)) == (7,)
+    assert act(Permutation.identity(1), [7]) == (7,)
+    assert act(Permutation((1, 0)), [7, 8]) == (8, 7)
+
+
+def test_equal_images_make_equal_permutations():
+    # built from a tuple, a list, a generator and a product: equality, hash
+    # and repr read the images only
+    for images in ((), (0,), (2, 0, 1)):
+        k = len(images)
+        same = (Permutation(images), Permutation(list(images)),
+                Permutation(j for j in images),
+                Permutation(images) * Permutation.identity(k))
+        assert len(set(same)) == 1
+        assert all(s == same[0] and hash(s) == hash(same[0]) for s in same)
+        assert {repr(s) for s in same} == {f"Permutation({list(images)})"}
+    assert Permutation((2, 0, 1)) != Permutation((0, 2, 1))
+    assert Permutation(()) != Permutation((0,))
 
 
 def test_action_composition_convention():
