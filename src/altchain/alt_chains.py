@@ -29,8 +29,7 @@ from . import permutations
 from .complex_model import (DEFAULT_GENERATOR_BUDGET, SimplicialComplex,
                             check_generator_budget, face)
 from .errors import FormatError, Record
-from .integer_homology import (IntegerMatrix, face_matrix, free_torsion_crossing,
-                               matrix_from_json, matrix_to_json)
+from .integer_homology import IntegerMatrix, face_matrix, matrix_from_json, matrix_to_json
 
 PRESENTATION_FORMAT_VERSION = 2
 
@@ -254,11 +253,35 @@ def alt_chain_complex(K: SimplicialComplex, max_degree: int,
         matrices=tuple(matrices))
 
 
+def presented_law_violation(pres: AltComplexPresentation, n: int):
+    """``None``, or ``(reason, entry)`` for the first entry that breaks the
+    law of a presented complex at degree n, 1 <= n <= max_degree: no entry
+    of the lifted boundary d_n, nor of d_{n+1} when n < max_degree, joins
+    a free and a torsion generator, and d_n d_{n+1} is zero on the free
+    rows and even on the torsion rows (zero modulo the relations 2*e_t).
+    ``entry`` is ``{"degree", "row", "col", "value"}``: an entry of
+    d_degree, or of the composite at degree n.
+    """
+    free = [len(f) for f in pres.free_generators]
+    for m in range(n, min(n + 1, pres.max_degree) + 1):
+        for (r, c), v in pres.boundary_matrix(m).entries.items():
+            if (r < free[m - 1]) != (c < free[m]):
+                return (f"boundary {m} joins a free and a torsion generator",
+                        {"degree": m, "row": r, "col": c, "value": v})
+    if n < pres.max_degree:
+        product = pres.boundary_matrix(n).matmul(pres.boundary_matrix(n + 1))
+        for (r, c), v in product.entries.items():
+            if r < free[n - 1] or v % 2:
+                return (f"boundaries {n} and {n + 1} do not compose to zero "
+                        "modulo 2*e_t", {"degree": n, "row": r, "col": c, "value": v})
+    return None
+
+
 def presentation_to_json(pres: AltComplexPresentation) -> dict:
     """Serialize the generator lists and the lifted boundary matrices.
 
-    Matrices are written as dimensions with row-major entries as decimal
-    strings, the shared exact-matrix interchange format.  The relations,
+    Matrices are written in matrix format 2, the nonzero entries as
+    ``[row, col, "value"]`` triples.  The relations,
     2*e_t on each torsion generator t, follow from the torsion lists and
     are not written.
     """
@@ -296,22 +319,21 @@ def _generators(items, n: int, torsion: bool) -> tuple:
 
 
 def presentation_from_json(data: dict) -> AltComplexPresentation:
-    """Rebuild a presentation from its serialized form (complex not kept).
+    """Rebuild a presentation from what :func:`presentation_to_json` writes
+    (format version 2; the complex is not kept).
 
     Degree n lists its free generators (strictly increasing) and torsion
     generators (sorted with a repeat), n+1 integers each.  Boundary n must
-    be g_{n-1} x g_n with no entry joining a free and a torsion generator.
-    Format version 2 is what :func:`presentation_to_json` writes.  Version
-    1 also carries ``relations``, which must be 2*e_t on the torsion
-    generators; they are checked and dropped.
+    be a g_{n-1} x g_n matrix in format 2, and the boundaries must obey the
+    law of a presented complex (:func:`presented_law_violation`), which
+    the homology computation takes for granted.
     """
     if not isinstance(data, dict):
         raise FormatError("presentation must be a JSON object")
     version = data.get("format_version")
-    if type(version) is not int or version not in (1, PRESENTATION_FORMAT_VERSION):
+    if type(version) is not int or version != PRESENTATION_FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {version!r}")
-    fields = _PRESENTATION_FIELDS | ({"relations"} if version == 1 else set())
-    unknown = sorted(set(data) - fields)
+    unknown = sorted(set(data) - _PRESENTATION_FIELDS)
     if unknown:
         raise FormatError(f"unknown presentation fields {unknown}")
     try:
@@ -328,28 +350,22 @@ def presentation_from_json(data: dict) -> AltComplexPresentation:
                                   f"degree (= {n}), free and torsion")
         free_gens = [_generators(d["free"], n, False) for n, d in enumerate(degrees)]
         torsion_gens = [_generators(d["torsion"], n, True) for n, d in enumerate(degrees)]
-        free = [len(f) for f in free_gens]
         counts = [len(f) + len(t) for f, t in zip(free_gens, torsion_gens)]
-        if version == 1:
-            for n in range(max_degree + 1):
-                rel = matrix_from_json(data["relations"][str(n)])
-                t = len(torsion_gens[n])
-                if (rel.rows, rel.cols) != (counts[n], t) or \
-                        rel.entries != {(free[n] + j, j): 2 for j in range(t)}:
-                    raise FormatError(f"relations {n} are not 2*e_t on the "
-                                      "torsion generators")
         matrices = [IntegerMatrix(0, counts[0], {})]
         for n in range(1, max_degree + 1):
             M = matrix_from_json(data["boundaries"][str(n)])
             if (M.rows, M.cols) != (counts[n - 1], counts[n]):
                 raise FormatError(f"boundary {n} is {M.rows}x{M.cols}, "
                                   f"expected {counts[n - 1]}x{counts[n]}")
-            if free_torsion_crossing(M.entries, free[n - 1], free[n]) is not None:
-                raise FormatError(f"boundary {n} joins a free and a torsion generator")
             matrices.append(M)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed presentation: {exc}") from exc
-    return AltComplexPresentation(
+    pres = AltComplexPresentation(
         complex=None, max_degree=max_degree,
         free_generators=tuple(free_gens), torsion_generators=tuple(torsion_gens),
         matrices=tuple(matrices))
+    for n in range(1, max_degree + 1):
+        violation = presented_law_violation(pres, n)
+        if violation:
+            raise FormatError("%s: %s" % violation)
+    return pres

@@ -103,6 +103,10 @@ def _json_chunks(payload):
     return itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
 
 
+def _rational(rank: int) -> str:
+    return "0" if rank == 0 else ("Q" if rank == 1 else f"Q^{rank}")
+
+
 def _cmd_homology(args) -> int:
     K = _read_complex(args.complex)
     if args.variant == "simplicial":
@@ -117,12 +121,7 @@ def _cmd_homology(args) -> int:
         groups = ih.homology_presented(pres)
         degrees = range(args.max_dim)
     for n, group in zip(degrees, groups):
-        if args.coeff == "Z":
-            print(f"H_{n} = {group}")
-        else:
-            rank = group.free_rank
-            label = "0" if rank == 0 else ("Q" if rank == 1 else f"Q^{rank}")
-            print(f"H_{n} = {label}")
+        print(f"H_{n} = {group if args.coeff == 'Z' else _rational(group.free_rank)}")
     return EXIT_OK
 
 
@@ -136,8 +135,7 @@ def _cmd_cohomology(args) -> int:
         dims = [index.count(k) for k in range(args.max_dim + 1)]
         deltas = [ca.coboundary_matrix(index, k) for k in range(args.max_dim)]
     for n, rank in enumerate(ih.cohomology_rational(dims, deltas)):
-        label = "0" if rank == 0 else ("Q" if rank == 1 else f"Q^{rank}")
-        print(f"H^{n} = {label}")
+        print(f"H^{n} = {_rational(rank)}")
     return EXIT_OK
 
 

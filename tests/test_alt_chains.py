@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import pytest
 
@@ -9,11 +8,9 @@ from altchain import (AltChain, alt_chain_complex, boundary, canonicalize,
 from altchain.alt_chains import descend, presentation_from_json, presentation_to_json
 from altchain.complex_model import SimplicialComplex
 from altchain.errors import BudgetExceededError
-from altchain.integer_homology import IntegerMatrix, matrix_from_json, matrix_to_json
+from altchain.integer_homology import IntegerMatrix, matrix_to_json
 from altchain.permutations import act, enumerate_group
 from oracles import descended_boundary_matrices, product_filter_generators, subdivision
-
-DATA = Path(__file__).parent / "data"
 
 
 def test_canonicalize_examples():
@@ -205,28 +202,6 @@ def test_presentation_roundtrip(rp2):
     assert homology_presented(back) == homology_presented(pres)
 
 
-def test_presentation_version_1_still_loads(sphere):
-    # written by export-presentation of sphere_s2 at --max-dim 2 while the
-    # format still carried the relation matrices (format_version 1)
-    v1 = json.loads((DATA / "presentation_sphere_s2_D2_v1.json").read_text())
-    v2 = json.loads(json.dumps(presentation_to_json(alt_chain_complex(sphere, 2))))
-    assert v1["format_version"] == 1 and "relations" in v1
-    # the same generators; the matrices differ in format and compare loaded
-    assert v1["max_degree"] == v2["max_degree"] and v1["degrees"] == v2["degrees"]
-    assert v1["boundaries"].keys() == v2["boundaries"].keys()
-    old, new = presentation_from_json(v1), presentation_from_json(v2)
-    assert old.max_degree == new.max_degree == 2
-    assert old.free_generators == new.free_generators
-    assert old.torsion_generators == new.torsion_generators
-    assert old.matrices == new.matrices
-    assert homology_presented(old) == homology_presented(new)
-
-
-def _matrix(rows, cols, dense):
-    return {"format_version": 1, "rows": rows, "cols": cols,
-            "entries": [str(v) for row in dense for v in row]}
-
-
 def test_presentation_from_json_rejects_inconsistent_input(rp2):
     from altchain.errors import FormatError
     good = presentation_to_json(alt_chain_complex(rp2, 3))
@@ -243,16 +218,21 @@ def test_presentation_from_json_rejects_inconsistent_input(rp2):
         return data
 
     # boundary 2 of the wrong shape: 1x1, and one extra zero column
-    with pytest.raises(FormatError):
-        presentation_from_json(mutated(boundaries=(2, _matrix(1, 1, [[0]]))))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="expected"):
+        presentation_from_json(mutated(boundaries=(2, matrix_to_json(IntegerMatrix(1, 1, {})))))
+    with pytest.raises(FormatError, match="expected"):
         presentation_from_json(mutated(boundaries=(
             2, matrix_to_json(IntegerMatrix(d2.rows, d2.cols + 1, d2.entries)))))
+    # a boundary in matrix format 1, every entry row-major
+    dense = {"format_version": 1, "rows": d1.rows, "cols": d1.cols,
+             "entries": [str(v) for row in d1.to_dense() for v in row]}
+    with pytest.raises(FormatError, match="format_version 1"):
+        presentation_from_json(mutated(boundaries=(1, dense)))
     # a free vertex row hit by a torsion edge column
     joined = IntegerMatrix(d1.rows, d1.cols, {**d1.entries, (0, f1): 1})
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="joins a free and a torsion"):
         presentation_from_json(mutated(boundaries=(1, matrix_to_json(joined))))
-    # an unknown top-level field; version 2 has no relations
+    # an unknown top-level field; the relations of version 1 are not read
     with pytest.raises(FormatError):
         presentation_from_json(dict(good, comment="hand edited"))
     with pytest.raises(FormatError, match="relations"):
@@ -261,10 +241,44 @@ def test_presentation_from_json_rejects_inconsistent_input(rp2):
     for bad in (3.0, 3.7, "3", True):
         with pytest.raises(FormatError):
             presentation_from_json(dict(good, max_degree=bad))
-    for bad in (0, 3, 1.0, True, "2", None):
+    for bad in (0, 1, 3, 1.0, True, "2", None):
         with pytest.raises(FormatError, match="format_version"):
             presentation_from_json(dict(good, format_version=bad))
     assert presentation_from_json(good).max_degree == 3
+
+
+def test_presentation_from_json_checks_the_chain_complex_law(point):
+    # the reader is the one way a presentation enters from outside, so it
+    # refuses what homology_presented takes for granted
+    from altchain.errors import FormatError
+
+    def presentation(degrees, boundaries):
+        return {"format_version": 2, "max_degree": len(degrees) - 1,
+                "degrees": [{"degree": n, "free": f, "torsion": t}
+                            for n, (f, t) in enumerate(degrees)],
+                "boundaries": {str(n): matrix_to_json(M) for n, M in boundaries.items()}}
+
+    one = IntegerMatrix(1, 1, {(0, 0): 1})
+    # one free generator per degree, each boundary the identity: the
+    # composite is 1 on a free row
+    chain = [([list(range(n + 1))], []) for n in range(3)]
+    with pytest.raises(FormatError, match="boundaries 1 and 2 do not compose"):
+        presentation_from_json(presentation(chain, {1: one, 2: one}))
+    # a torsion edge whose boundary is the free vertex
+    with pytest.raises(FormatError, match="boundary 1 joins a free and a torsion"):
+        presentation_from_json(presentation([([[0]], []), ([], [[0, 0]])], {1: one}))
+    # on the point the torsion generators of degrees 2 and 3 get boundary 1
+    # each: the composite is odd on a torsion row; an even one is 0 mod 2e_t
+    data = presentation_to_json(alt_chain_complex(point, 3))
+    assert data["boundaries"]["2"] == matrix_to_json(one)
+    for value, ok in ((1, False), (2, True)):
+        data["boundaries"]["3"] = matrix_to_json(IntegerMatrix(1, 1, {(0, 0): value}))
+        if ok:
+            assert [str(g) for g in homology_presented(presentation_from_json(data))] == \
+                ["Z", "0", "0"]
+        else:
+            with pytest.raises(FormatError, match="boundaries 2 and 3 do not compose"):
+                presentation_from_json(data)
 
 
 def test_presentation_from_json_rejects_bad_generators(rp2):
@@ -311,30 +325,6 @@ def test_presentation_from_json_rejects_bad_generators(rp2):
     for data in rows:
         with pytest.raises(FormatError):
             presentation_from_json(data)
-
-
-def test_presentation_version_1_relations_are_checked():
-    from altchain.errors import FormatError
-    v1 = json.loads((DATA / "presentation_sphere_s2_D2_v1.json").read_text())
-    presentation_from_json(v1)
-    rel1 = matrix_from_json(v1["relations"]["1"]).to_dense()
-
-    def with_relations(relations):
-        return dict(v1, relations=dict(v1["relations"], **relations))
-
-    # relations other than 2*e_t on the torsion generators
-    doubled = [[2 * v for v in row] for row in rel1]
-    with pytest.raises(FormatError):
-        presentation_from_json(with_relations(
-            {"1": _matrix(len(rel1), len(rel1[0]), doubled)}))
-    with pytest.raises(FormatError):
-        presentation_from_json(with_relations({"1": _matrix(0, 0, [])}))
-    # version 1 still needs them
-    with pytest.raises(FormatError, match="relations"):
-        presentation_from_json({k: v for k, v in v1.items() if k != "relations"})
-    partial = dict(v1, relations={"0": v1["relations"]["0"]})
-    with pytest.raises(FormatError):
-        presentation_from_json(partial)
 
 
 def test_dual_dimension_invariant(corpus):

@@ -114,12 +114,10 @@ def test_homology_free_golden(sphere, point, rp2):
 
 
 def test_homology_free_rejects_bad_complex():
-    # two matrices whose composition is not zero
+    # a 2 x 2 boundary where the ranks ask for 2 x 3; the composition law
+    # is the callers' to keep (the matrices come from a complex)
     d1 = from_dense([[1, 0], [0, 1]])
-    d2 = from_dense([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        homology_free([2, 2, 2], [None, d1, d2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="wrong shape"):
         homology_free([2, 3], [None, d1])
 
 
@@ -151,7 +149,7 @@ def test_presented_agrees_with_free_and_simplicial(corpus):
 def test_simplicial_boundary_matrices_compose_to_zero(torus):
     d1 = simplicial_boundary_matrix(torus, 1)
     d2 = simplicial_boundary_matrix(torus, 2)
-    assert d1.matmul(d2).is_zero()
+    assert d1.matmul(d2) == IntegerMatrix(d1.rows, d2.cols, {})
 
 
 def test_ordered_boundary_matrix_against_coboundary_transpose(sphere_index):
@@ -196,7 +194,7 @@ def test_splitting_report_golden(sphere, klein):
     sindex = enumerate_generators(sphere, 3)
     r2 = verify_cohomology_splitting(sindex, 2)
     assert (r2.rank_full, r2.rank_alternating, r2.kernel_rank) == (1, 1, 0)
-    assert r2.commutes_on_basis and r2.induced_isomorphism
+    assert r2.induced_isomorphism
     r0 = verify_cohomology_splitting(sindex, 0)
     assert (r0.rank_full, r0.rank_alternating, r0.kernel_rank) == (1, 1, 0)
 
@@ -230,29 +228,24 @@ def test_matrix_json_roundtrip():
     assert matrix_to_json(empty)["entries"] == []
     assert matrix_from_json(json.loads(json.dumps(matrix_to_json(empty)))) == empty
     from altchain.errors import FormatError
-    # format 1, every entry row-major, is still read
-    assert matrix_from_json({"format_version": 1, "rows": 2, "cols": 3, "entries": [
-        "0", "-2", "0", "1", "5", "7"]}) == M
-    with pytest.raises(FormatError):
-        matrix_from_json({"format_version": 1, "rows": 1, "cols": 2,
-                          "entries": ["1"]})
-    with pytest.raises(FormatError):
-        matrix_from_json({"format_version": 1, "rows": 1, "cols": 1,
-                          "entries": ["x"]})
+    # format 1, every entry row-major, is no longer read
+    with pytest.raises(FormatError, match="format_version 1"):
+        matrix_from_json({"format_version": 1, "rows": 2, "cols": 3, "entries": [
+            "0", "-2", "0", "1", "5", "7"]})
     # JSON integers are read as they are; floats, booleans, nulls and
     # strings that are not plain decimals are rejected, not truncated
-    assert matrix_from_json({"format_version": 1, "rows": 1, "cols": 3,
-                             "entries": [4, "-12", 0]}).entries == \
+    assert matrix_from_json({"format_version": 2, "rows": 1, "cols": 3,
+                             "entries": [[0, 0, 4], [0, 1, "-12"]]}).entries == \
         {(0, 0): 4, (0, 1): -12}
-    for bad in (1.5, 2.0, True, False, None, " 3", "+3", "1_000", "1.0", "٣", [1]):
+    for bad in (1.5, 2.0, True, False, None, " 3", "+3", "1_000", "1.0", "٣", [1], "x"):
         with pytest.raises(FormatError):
-            matrix_from_json({"format_version": 1, "rows": 1, "cols": 2,
-                              "entries": ["1", bad]})
+            matrix_from_json({"format_version": 2, "rows": 1, "cols": 2,
+                              "entries": [[0, 0, "1"], [0, 1, bad]]})
     # the version is a JSON integer, not a value equal to one
     for version in (True, 1.0, 2.0):
         with pytest.raises(FormatError):
             matrix_from_json({"format_version": version, "rows": 1, "cols": 1,
-                              "entries": ["3"]})
+                              "entries": [[0, 0, "3"]]})
     # format 2 rejects, per rule: an index that is not a JSON integer, an
     # index out of range, a repeated cell, a zero, a value that is not
     # -?[0-9]+, and anything that is not a triple
@@ -279,12 +272,12 @@ def test_matrix_from_json_rejects_bad_version_and_dimensions():
         matrix_from_json({"format_version": 3, "rows": 1, "cols": 1,
                           "entries": [[0, 0, "5"]]})
     with pytest.raises(FormatError):
-        matrix_from_json({"rows": 1, "cols": 1, "entries": ["5"]})
-    with pytest.raises(FormatError):
-        matrix_from_json({"format_version": 1, "rows": -1, "cols": -1,
-                          "entries": ["5"]})
-    with pytest.raises(FormatError):
-        matrix_from_json({"format_version": 1, "rows": 0, "cols": -3,
+        matrix_from_json({"rows": 1, "cols": 1, "entries": [[0, 0, "5"]]})
+    with pytest.raises(FormatError, match="dimension"):
+        matrix_from_json({"format_version": 2, "rows": -1, "cols": -1,
+                          "entries": [[0, 0, "5"]]})
+    with pytest.raises(FormatError, match="dimension"):
+        matrix_from_json({"format_version": 2, "rows": 0, "cols": -3,
                           "entries": []})
 
 
@@ -296,31 +289,6 @@ def test_big_entry_exactness():
     assert factors[0] == 2
     det = abs(fraction_det([[big, big + 2], [2, 4]]))
     assert factors[0] * factors[1] == det
-
-
-def test_homology_presented_rejects_non_cycle_boundary():
-    class Bogus:
-        # one free generator per degree, "boundary" the identity: the
-        # degree-1 generator's image is not a cycle in any sense compatible
-        # with a degree-0 relation-free group of rank 1 quotiented by
-        # nothing, once degree 0 demands cycles of the (absent) degree -1
-        max_degree = 2
-        free = ([0], [0], [0])
-
-        def generator_count(self, n):
-            return 1
-
-        def boundary_matrix(self, n):
-            return IntegerMatrix(1, 1, {(0, 0): 1})
-
-        @property
-        def torsion_generators(self):
-            return ((), (), ())
-
-    with pytest.raises(ValueError):
-        # degree-1 cycles are 0 here, but the degree-2 boundary column (1)
-        # is not inside that cycle lattice
-        homology_presented(Bogus())
 
 
 class BlockPresentation:
@@ -364,18 +332,9 @@ def test_homology_presented_torsion_term(rp2):
     assert [str(g) for g in homology_presented(mixed)] == ["Z", "Z/2 + Z/2", "0"]
 
 
-def test_homology_presented_rejects_non_block_and_bad_torsion_square():
-    # a free edge whose boundary hits the torsion vertex
-    non_block = BlockPresentation([0, 1, 0], [1, 0, 0], {})
-    non_block.boundary_matrix = lambda n: (IntegerMatrix(1, 1, {(0, 0): 1}) if n == 1
-                                           else IntegerMatrix(1, 0, {}))
-    with pytest.raises(ValueError, match="joins a free and a torsion"):
-        homology_presented(non_block)
-    odd_square = BlockPresentation([0, 0, 0, 0], [1, 1, 1, 0],
-                                   {1: [[1]], 2: [[1]]})
-    with pytest.raises(ValueError, match="mod 2"):
-        homology_presented(odd_square)
-    # a boundary that is not g_{n-1} x g_n
+def test_homology_presented_rejects_wrong_shape():
+    # a boundary that is not g_{n-1} x g_n; the law of a presented complex
+    # is checked where a presentation is built or read in (test_alt_chains)
     wrong_shape = BlockPresentation([0, 0, 0], [1, 1, 0], {})
     wrong_shape.boundary_matrix = lambda n: IntegerMatrix(1, 2, {})
     with pytest.raises(ValueError, match="wrong shape"):

@@ -51,11 +51,9 @@ CASES = [
      ("entries", {(0, 1): 4}), "IntegerMatrix(rows=1, cols=2)"),
     (AbelianGroup, dict(free_rank=1, torsion=(2,)),
      ("torsion", (2, 2)), "AbelianGroup(free_rank=1, torsion=(2,))"),
-    (SplittingReport, dict(degree=1, rank_full=2, rank_alternating=1,
-                           commutes_on_basis=True, kernel_rank=1),
-     ("commutes_on_basis", False),
-     "SplittingReport(degree=1, rank_full=2, rank_alternating=1, "
-     "commutes_on_basis=True, kernel_rank=1)"),
+    (SplittingReport, dict(degree=1, rank_full=2, rank_alternating=1, kernel_rank=1),
+     ("kernel_rank", 0),
+     "SplittingReport(degree=1, rank_full=2, rank_alternating=1, kernel_rank=1)"),
     (ComplexContext, dict(name="point", complex=P, index=None, presentation=None),
      ("index", GeneratorIndex(P, 0, (1,))),
      f"ComplexContext(name='point', complex={P_REPR}, index=None, presentation=None)"),

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altchain import alt_chains, cli, enumerate_generators, permutations, verify
+from altchain import integer_homology as ih
 from altchain.cochain_algebra import alternating_cochain, cochain_from_json, cochain_to_json
 from altchain.complex_model import DEFAULT_GENERATOR_BUDGET, GeneratorIndex, load_complex
-from altchain.corpus import load_corpus_complex
+from altchain.corpus import CORPUS_NAMES, load_corpus_complex
 from altchain.errors import FormatError
 from altchain.integer_homology import IntegerMatrix, homology_presented, matrix_from_json
 from altchain.permutations import Permutation
+from oracles import subdivision
 
 
 def test_registry_ids_unique_and_described():
@@ -172,11 +174,58 @@ def test_mutation_in_presentation_boundary_is_caught(point, monkeypatch):
     monkeypatch.setattr(alt_chains, "alt_chain_complex", broken)
     report = verify.run_all([("point", point)], seed=0, cases=5)
     failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
-    # the homology of the presented complex cannot be computed either
+    # homology_presented takes the law for granted, and gets the groups wrong
     assert set(failed) == {"quotient-boundary", "quotient-homology-agreement"}
     assert failed["quotient-boundary"] == {"complex": "point", "degree": 2,
                                            "row": 0, "col": 0, "value": 1}
-    assert "mod 2" in failed["quotient-homology-agreement"]["reason"]
+    assert failed["quotient-homology-agreement"] == {
+        "complex": "point", "degree": 1, "quotient": "Z/2", "simplicial": "0"}
+
+
+def test_mutation_joining_free_and_torsion_is_caught(sphere, monkeypatch):
+    # one entry of d_1 joins the free vertex 0 to the torsion edge (0, 0);
+    # the boundary of each generator is still right, so only the shared
+    # law of a presented complex sees the lifted matrix
+    real = alt_chains.alt_chain_complex
+
+    def broken(K, max_degree, **kwargs):
+        pres = real(K, max_degree, **kwargs)
+        matrices = list(pres.matrices)
+        d1, f1 = matrices[1], len(pres.free_generators[1])
+        assert pres.torsion_generators[1][0] == (0, 0)
+        matrices[1] = IntegerMatrix(d1.rows, d1.cols, {**d1.entries, (0, f1): 1})
+        return alt_chains.AltComplexPresentation(
+            pres.complex, pres.max_degree, pres.free_generators,
+            pres.torsion_generators, tuple(matrices))
+
+    monkeypatch.setattr(alt_chains, "alt_chain_complex", broken)
+    report = verify.run_all([("sphere_s2", sphere)], seed=0, cases=5)
+    failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
+    assert failed["quotient-boundary"] == {"complex": "sphere_s2", "degree": 1,
+                                           "row": 0, "col": 6, "value": 1}
+
+
+def test_mutation_in_ordered_boundary_matrix_is_caught(sphere, monkeypatch):
+    # one face sign of the triangle (0, 1, 2) flipped in d_2: the ranks, and
+    # so the groups, stay those of S^2, and only the composition check of
+    # ordered-homology-agreement sees that d_1 d_2 is no longer zero
+    real = ih.ordered_boundary_matrix
+
+    def broken(index, n):
+        M = real(index, n)
+        if n != 2:
+            return M
+        key = min(k for k in M.entries if k[1] == index.position((0, 1, 2)))
+        return IntegerMatrix(M.rows, M.cols, {**M.entries, key: -M.entries[key]})
+
+    monkeypatch.setattr(ih, "ordered_boundary_matrix", broken)
+    assert ih.ordered_homology(enumerate_generators(sphere, 3)) == \
+        ih.simplicial_homology(sphere)
+    report = verify.run_all([("sphere_s2", sphere)], seed=0, cases=5)
+    failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
+    assert set(failed) == {"ordered-homology-agreement", "projected-cup-associativity"}
+    assert failed["ordered-homology-agreement"] == {"complex": "sphere_s2", "degree": 1,
+                                                    "row": 1, "col": 6, "value": -2}
 
 
 def test_mutation_giving_a_torsion_edge_a_free_boundary_is_caught(point, monkeypatch):
@@ -440,7 +489,7 @@ def test_cli_cup_and_residual_reject_bad_cochain_files(tmp_path, capsys):
 # unknown-field checks and reach the checks on values
 PARSER_KEYS = ("format_version", "name", "provenance", "vertices", "facets",
                "degree", "values", "rows", "cols", "entries", "max_degree",
-               "degrees", "free", "torsion", "boundaries", "relations",
+               "degrees", "free", "torsion", "boundaries",
                "0", "1")
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 3) | st.text(max_size=3)
@@ -461,12 +510,13 @@ PARSERS = (  # each parser with the keys it reads
     (load_complex, ("format_version", "name", "provenance", "vertices", "facets")),
     (cochain_from_json, ("format_version", "degree", "values")),
     (lambda d: cochain_from_json(d, POINT_INDEX), ("format_version", "degree", "values")),
-    (matrix_from_json, ("format_version", "rows", "cols", "entries")),
-    (lambda d: matrix_from_json(  # drawn format 2 triples
+    (lambda d: matrix_from_json(  # drawn dimensions and triples
+        dict(d, format_version=2) if isinstance(d, dict) else d), ("rows", "cols", "entries")),
+    (lambda d: matrix_from_json(
         dict(d, format_version=2, rows=2, cols=2) if isinstance(d, dict) else d),
      ("entries",)),
     (alt_chains.presentation_from_json,
-     ("format_version", "max_degree", "degrees", "boundaries", "relations")),
+     ("format_version", "max_degree", "degrees", "boundaries")),
 )
 
 
@@ -585,6 +635,24 @@ def test_cli_export_presentation(tmp_path, capsys):
     assert data["format_version"] == 2 and "relations" not in data
     pres = alt_chains.presentation_from_json(data)
     assert [str(g) for g in homology_presented(pres)] == ["Z", "Z/2", "0"]
+    # the reader checks the law of a presented complex, so it must accept
+    # every export, among them those the benchmark reads back (klein_8 at
+    # cap 4, sd(torus_7) at cap 3)
+    cases = [(name, load_corpus_complex(name), 3) for name in CORPUS_NAMES]
+    cases += [("klein_8", load_corpus_complex("klein_8"), 4),
+              ("sd_torus_7", subdivision(load_corpus_complex("torus_7")), 3)]
+    for name, K, cap in cases:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"vertices": K.vertex_count,
+                                    "facets": [list(f) for f in K.facets]}))
+        assert cli.main(["export-presentation", str(path), "--max-dim", str(cap),
+                         "-o", str(out)]) == 0
+        back = alt_chains.presentation_from_json(json.loads(out.read_text()))
+        built = alt_chains.alt_chain_complex(K, cap)
+        assert (back.free_generators, back.torsion_generators, back.matrices) == \
+            (built.free_generators, built.torsion_generators, built.matrices), name
+        reference = ih.simplicial_homology(K) + [ih.AbelianGroup(0)] * cap
+        assert homology_presented(back) == reference[:cap], name
 
 
 def test_cli_verify_corpus_text_output(capsys):
@@ -716,3 +784,37 @@ def test_presentation_commands_build_no_dense_matrix(tmp_path, monkeypatch, caps
     # exit 1: only the known-red projected-cup-associativity fails
     assert cli.main(["verify", "--corpus", "--cases", "2", "--max-dim", "2"]) == 1
     assert capsys.readouterr().out.count("[FAIL]") == 1
+
+
+def test_commands_read_no_matrix_file_and_compose_no_matrices(tmp_path, monkeypatch, capsys):
+    # no subcommand reads a presentation or a matrix file, and no subcommand
+    # but verify multiplies matrices: the chain-complex law is checked where
+    # a presentation is read in and by the registry, not on the way to a group
+    def refuse(*args):
+        raise AssertionError("refused call")
+    monkeypatch.setattr(alt_chains, "presentation_from_json", refuse)
+    monkeypatch.setattr(alt_chains, "matrix_from_json", refuse)
+    monkeypatch.setattr(ih, "matrix_from_json", refuse)
+    klein, sphere = corpus_path("klein_8"), corpus_path("sphere_s2")
+    a = write_json(tmp_path / "a.json", EDGE_01)
+    b = write_json(tmp_path / "b.json", EDGE_12)
+    alpha = write_json(tmp_path / "alpha.json", NOT_CLOSED)
+    out = str(tmp_path / "out.json")
+    with monkeypatch.context() as patched:
+        patched.setattr(IntegerMatrix, "matmul", refuse)
+        for argv in (["homology", klein, "--variant", "alternative"],
+                     ["homology", klein, "--variant", "ordered"],
+                     ["homology", klein, "--variant", "simplicial"],
+                     ["homology", klein, "--coeff", "Q"],
+                     ["cohomology", klein],
+                     ["cohomology", klein, "--variant", "alternative"]):
+            assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out.splitlines() == [
+            "H_0 = Z", "H_1 = Z + Z/2", "H_2 = 0"] * 3 + [
+            "H_0 = Q", "H_1 = Q", "H_2 = 0"] + ["H^0 = Q", "H^1 = Q", "H^2 = 0"] * 2
+        for argv in (["cup", sphere, a, b, "-o", out],
+                     ["cup", sphere, a, b, "--alternative", "-o", out],
+                     ["residual", sphere, alpha, "-o", out],
+                     ["export-presentation", klein, "-o", out]):
+            assert cli.main(argv) == 0, argv
+    assert cli.main(["verify", corpus_path("point"), "--cases", "2"]) == 0
