@@ -128,13 +128,11 @@ def _cmd_homology(args) -> int:
 def _cmd_cohomology(args) -> int:
     K = _read_complex(args.complex)
     if args.variant == "alternative":
-        dims = [len(K.simplices_of_dim(k)) for k in range(args.max_dim + 1)]
-        deltas = [ca.alt_coboundary_matrix(K, k) for k in range(args.max_dim)]
+        levels = [K.simplices_of_dim(k) for k in range(args.max_dim + 1)]
     else:
         index = enumerate_generators(K, args.max_dim, budget=_budget())
-        dims = [index.count(k) for k in range(args.max_dim + 1)]
-        deltas = [ca.coboundary_matrix(index, k) for k in range(args.max_dim)]
-    for n, rank in enumerate(ih.cohomology_rational(dims, deltas)):
+        levels = [index.generators(k) for k in range(args.max_dim + 1)]
+    for n, rank in enumerate(ih.cohomology_rational(levels)):
         print(f"H^{n} = {_rational(rank)}")
     return EXIT_OK
 

@@ -44,10 +44,9 @@ from operator import itemgetter
 from . import permutations
 # face stays importable from here: perfbench's tracer test checks that
 # cochain_algebra.face is restored after a traced replay
-from .complex_model import GeneratorIndex, SimplicialComplex, face  # noqa: F401
+from .complex_model import GeneratorIndex, face  # noqa: F401
 from .errors import DegreeCapError, FormatError, Record
-from .integer_homology import (IntegerMatrix, ordered_boundary_matrix,
-                               simplicial_boundary_matrix)
+from .integer_homology import IntegerMatrix
 
 COCHAIN_FORMAT_VERSION = 1
 _COCHAIN_FIELDS = {"format_version", "degree", "values"}
@@ -311,20 +310,6 @@ def alternating_cochain(tau: tuple, value=1) -> Cochain:
 
 # ---------------------------------------------------------------------------
 # matrices
-
-def coboundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
-    """Matrix of the coboundary from degree n to degree n+1 on the
-    generator bases: the transpose of the degree-(n+1) ordered boundary."""
-    if n + 1 > index.max_degree:
-        raise DegreeCapError(f"need generators of degree {n + 1}")
-    return ordered_boundary_matrix(index, n + 1).transpose()
-
-
-def alt_coboundary_matrix(K: SimplicialComplex, n: int) -> IntegerMatrix:
-    """Coboundary on the alternating bases (strictly increasing tuples):
-    the transpose of the degree-(n+1) simplicial boundary."""
-    return simplicial_boundary_matrix(K, n + 1).transpose()
-
 
 def alternative_maker_matrix_scaled(index: GeneratorIndex, n: int) -> IntegerMatrix:
     """The projector matrix on the degree-n basis times (n+1)!, which is

@@ -12,7 +12,10 @@ generators have order 2.  The latter reads the lifted boundary as a free
 block, handled as a free chain complex, and a torsion block, whose rank
 mod 2 adds the Z/2 summands.  Neither checks the chain-complex law: the
 callers build their matrices from a complex, and the presentation reader
-checks what it reads.
+checks what it reads.  Rational cohomology builds no matrix: row r of the
+coboundary delta_n is the face list of tuple r one degree up, and those
+rows go to the sparse elimination as they are built, in the order of the
+transposed boundary, so its pivots are those of that matrix.
 
 Matrix conventions: a boundary matrix for degree n has one column per
 degree-n generator and one row per degree-(n-1) generator; composition
@@ -22,6 +25,7 @@ degree-n generator and one row per degree-(n-1) generator; composition
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Sequence
@@ -63,10 +67,6 @@ class IntegerMatrix(Record):
                 acc[key] = acc.get(key, 0) + v * w
         return IntegerMatrix(self.rows, other.cols,
                              {k: v for k, v in acc.items() if v})
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.cols, self.rows,
-                             {(c, r): v for (r, c), v in self.entries.items()})
 
 
 def matrix_to_json(M: IntegerMatrix) -> dict:
@@ -239,6 +239,12 @@ def sparse_diagonalize(M: IntegerMatrix, cleared=frozenset()) -> tuple:
         if c not in cleared:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
+    return _eliminate(rows, cols)
+
+
+def _eliminate(rows: dict, cols: dict) -> tuple:
+    # the elimination of sparse_diagonalize on its layout: rows[r] is
+    # {col: nonzero}, cols[c] the set of rows with an entry in column c
     heap = [(len(rs), c) for c, rs in cols.items()]
     heapify(heap)
     diag = []
@@ -390,42 +396,62 @@ def homology_presented(pres) -> list:
     return groups
 
 
-def cohomology_rational(dims: Sequence[int], deltas: Sequence[IntegerMatrix]) -> list:
-    """Betti numbers of a cochain complex given by coboundary matrices.
+def cohomology_rational(levels: Sequence[Sequence[tuple]]) -> list:
+    """Betti numbers of the cochain complex of a face-closed tuple complex.
 
-    ``deltas[n]`` maps degree n to degree n+1, for n = 0..D-1.  Ranks are
-    returned for degrees 0..D-1.  The deltas are eliminated bottom-up with
-    clearing across degrees, which is exact only when delta delta = 0.
-    That is not checked here: the callers build the deltas from a complex.
+    ``levels[n]`` lists the degree-n tuples for n = 0..D, and every face
+    of a tuple in ``levels[n + 1]`` is in ``levels[n]``.  Ranks are
+    returned for degrees 0..D-1.  Row r of delta_n is the face list of
+    tuple r of ``levels[n + 1]`` (the transposed boundary), so the rows go
+    to the elimination of ``sparse_diagonalize`` as they are built, in the
+    same order, with no matrix in between.  The deltas are eliminated
+    bottom-up with clearing across degrees, as in ``_cleared_diagonals``:
+    the columns of the previous delta's unit-pivot rows are never built.
+    That is exact only when delta delta = 0, which faces of faces give.
     """
-    D = len(dims) - 1
-    for n in range(D):
-        M = deltas[n]
-        if M.rows != dims[n + 1] or M.cols != dims[n]:
-            raise ValueError(f"coboundary matrix {n} has wrong shape")
-    ranks = [0] + [len(diag) for diag in _cleared_diagonals(deltas[:D])]
-    return [dims[n] - ranks[n + 1] - ranks[n] for n in range(D)]
+    ranks, cleared = [0], frozenset()
+    for n in range(len(levels) - 1):
+        # every face in a cleared column lands in column -1, which is dropped
+        col_of = {g: -1 if j in cleared else j for j, g in enumerate(levels[n])}
+        rows: dict = {}
+        cols = defaultdict(set)
+        for r, g in enumerate(levels[n + 1]):
+            row = _face_row(g, col_of)
+            row.pop(-1, None)
+            if row:
+                rows[r] = row
+                for c in row:
+                    cols[c].add(r)
+        diag, cleared = _eliminate(rows, cols)
+        ranks.append(len(diag))
+    return [len(levels[n]) - ranks[n] - ranks[n + 1] for n in range(len(levels) - 1)]
 
 
 # ---------------------------------------------------------------------------
 # matrices of the standard complexes
 
+def _face_row(g: tuple, row_of: dict) -> dict:
+    """Ordered boundary of the tuple g, sum_i (-1)^i (g without entry i),
+    as {row of the face: sign}, in the order of i.  All entries of a run
+    of equal entries give one face, so a run starting at index i adds
+    (-1)^i if its length is odd."""
+    row, n, i = {}, len(g), 0
+    while i < n:
+        k = i + 1
+        while k < n and g[k] == g[i]:
+            k += 1
+        if (k - i) % 2:
+            row[row_of[g[:i] + g[i + 1:]]] = -1 if i % 2 else 1
+        i = k
+    return row
+
+
 def face_matrix(columns: Sequence[tuple], row_of: dict) -> IntegerMatrix:
-    """Ordered boundary of each column tuple g, sum_i (-1)^i (g without
-    entry i), as a len(row_of) x len(columns) matrix; ``row_of`` gives the
-    row of every face.  All entries of a run of equal entries give one
-    face, so a run starting at index i adds (-1)^i if its length is odd."""
-    entries: dict = {}
-    for j, g in enumerate(columns):
-        n, i = len(g), 0
-        while i < n:
-            k = i + 1
-            while k < n and g[k] == g[i]:
-                k += 1
-            if (k - i) % 2:
-                entries[(row_of[g[:i] + g[i + 1:]], j)] = -1 if i % 2 else 1
-            i = k
-    return IntegerMatrix(len(row_of), len(columns), entries)
+    """The ordered boundary (:func:`_face_row`) of each column tuple, as a
+    len(row_of) x len(columns) matrix; ``row_of`` gives the row of every
+    face."""
+    return IntegerMatrix(len(row_of), len(columns), {
+        (r, j): v for j, g in enumerate(columns) for r, v in _face_row(g, row_of).items()})
 
 
 def ordered_boundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
@@ -483,18 +509,10 @@ def verify_cohomology_splitting(index: GeneratorIndex, n: int) -> SplittingRepor
     induced map on cohomology is onto the alternating part, so its kernel
     rank is the difference of the two Betti numbers.
     """
-    from . import cochain_algebra as ca
-
     if n + 1 > index.max_degree:
         raise ValueError(f"need generators of degree {n + 1}")
-
-    dims = [index.count(k) for k in range(n + 2)]
-    deltas = [ca.coboundary_matrix(index, k) for k in range(n + 1)]
-    full = cohomology_rational(dims, deltas)[n]
-
-    alt_dims = [len(index.complex.simplices_of_dim(k)) for k in range(n + 2)]
-    alt_deltas = [ca.alt_coboundary_matrix(index.complex, k) for k in range(n + 1)]
-    alt = cohomology_rational(alt_dims, alt_deltas)[n]
-
+    full = cohomology_rational([index.generators(k) for k in range(n + 2)])[n]
+    K = index.complex
+    alt = cohomology_rational([K.simplices_of_dim(k) for k in range(n + 2)])[n]
     return SplittingReport(degree=n, rank_full=full, rank_alternating=alt,
                            kernel_rank=full - alt)

@@ -393,8 +393,10 @@ def _suite_quotient_boundary(ctxs, rng, cases):
                     return count + 1, {"complex": ctx.name, "tuple": t,
                                        "reason": str(exc)}
                 count += 1
-        for n in range(1, pres.max_degree):
-            if not (pres.generator_count(n) and pres.generator_count(n + 1)):
+        # degree n checks d_n and d_{n+1}; at cap 1 there is d_1 alone
+        D = pres.max_degree
+        for n in range(1, D if D > 1 else D + 1):
+            if not (pres.generator_count(n) and (n == D or pres.generator_count(n + 1))):
                 continue
             count += 1
             violation = alt_chains.presented_law_violation(pres, n)

@@ -1,8 +1,9 @@
 """Independent references for the tests: one reduced row echelon form over
 Fraction, sharing no code with altchain's integer elimination, dense to
-sparse conversion and transposition of test matrices, the tuple
-generators enumerated by brute force, and the quotient boundary built by
-descending each generator's boundary through ``AltChain``."""
+sparse conversion and transposition of test matrices, the coboundary
+matrices as transposed boundary matrices, the tuple generators enumerated
+by brute force, and the quotient boundary built by descending each
+generator's boundary through ``AltChain``."""
 
 import itertools
 from fractions import Fraction
@@ -10,7 +11,8 @@ from math import lcm
 
 from altchain import SimplicialComplex
 from altchain.alt_chains import AltChain, boundary
-from altchain.integer_homology import IntegerMatrix
+from altchain.integer_homology import (IntegerMatrix, ordered_boundary_matrix,
+                                       simplicial_boundary_matrix)
 
 
 def from_dense(dense) -> IntegerMatrix:
@@ -24,6 +26,18 @@ def from_dense(dense) -> IntegerMatrix:
 
 def transpose(M) -> IntegerMatrix:
     return IntegerMatrix(M.cols, M.rows, {(c, r): v for (r, c), v in M.entries.items()})
+
+
+def coboundary_matrix(index, n: int) -> IntegerMatrix:
+    """delta_n of the full tuple complex on the generator bases, degree n to
+    n+1: the transpose of the degree-(n+1) ordered boundary matrix."""
+    return transpose(ordered_boundary_matrix(index, n + 1))
+
+
+def alt_coboundary_matrix(K, n: int) -> IntegerMatrix:
+    """delta_n on the alternating bases (the sorted simplices): the
+    transpose of the degree-(n+1) simplicial boundary matrix."""
+    return transpose(simplicial_boundary_matrix(K, n + 1))
 
 
 def _rref(rows):

@@ -24,13 +24,12 @@ from altchain import (AltChain, Cochain, CombinatorialHomotopy, SimplicialMap,
                       push_forward, push_forward_alt, simplicial_homology,
                       verify_cohomology_splitting)
 from altchain import alt_chains, permutations, verify
-from altchain.cochain_algebra import (alt_basis, alt_coboundary_matrix,
-                                      alternative_maker_matrix_scaled)
+from altchain.cochain_algebra import alt_basis, alternative_maker_matrix_scaled
 from altchain.complex_model import SimplicialComplex
 from altchain.integer_homology import integer_rank
 from altchain.permutations import (Permutation, act, enumerate_group,
                                    induced_face_perm)
-from oracles import integer_kernel
+from oracles import alt_coboundary_matrix, integer_kernel
 
 
 @pytest.fixture(scope="module")

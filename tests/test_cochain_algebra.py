@@ -14,11 +14,11 @@ from altchain import (Cochain, DegreeCapError, FormatError, SimplicialComplex,
                       enumerate_generators, is_alternative,
                       nonlinear_residual, split)
 from altchain.cochain_algebra import (alternative_maker_matrix_scaled,
-                                      cochain_from_json, cochain_to_json,
-                                      coboundary_matrix)
+                                      cochain_from_json, cochain_to_json)
 from altchain.integer_homology import integer_rank
 from altchain.permutations import act, enumerate_group, parity
-from oracles import fraction_rank, integer_kernel
+from oracles import (alt_coboundary_matrix, coboundary_matrix, fraction_rank,
+                     integer_kernel)
 
 
 def random_cochain(index, n, rng, terms=3):
@@ -246,8 +246,6 @@ def test_alt_cup_associativity_up_to_coboundary(torus):
     # difference is the coboundary of an alternating cochain.  Uses honest
     # degree-1 cocycles of the torus (kernel of the alternating coboundary),
     # which span nontrivial cohomology classes.
-    from altchain.cochain_algebra import alt_coboundary_matrix
-
     index = enumerate_generators(torus, 3)
     edges = torus.simplices_of_dim(1)
     triangles = torus.simplices_of_dim(2)

@@ -13,7 +13,7 @@ from altchain.alt_chains import canonicalize
 from altchain.complex_model import SimplicialComplex, face
 from altchain.homotopy_prism import prism_generator
 from altchain.permutations import act, enumerate_group
-from oracles import integer_kernel
+from oracles import alt_coboundary_matrix, integer_kernel
 
 
 def chain_sub(a, b):
@@ -267,7 +267,6 @@ def test_contiguous_maps_agree_on_alternating_cohomology(torus):
     # dual statement: pulling back a closed alternating cochain along the
     # two maps gives cohomologous results, with the explicit alternating
     # primitive A(omega o P)
-    from altchain.cochain_algebra import alt_coboundary_matrix
     from altchain.complex_model import SimplicialComplex
 
     index = enumerate_generators(torus, 2)

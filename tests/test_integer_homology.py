@@ -12,15 +12,16 @@ from altchain import (AbelianGroup, IntegerMatrix, alt_chain_complex,
                       homology_free, homology_presented, ordered_homology,
                       simplicial_homology, smith_normal_form,
                       verify_cohomology_splitting)
-from altchain.cochain_algebra import alt_coboundary_matrix, coboundary_matrix
+from altchain import integer_homology as ih
 from altchain.complex_model import SimplicialComplex
 from altchain.integer_homology import (canonical_invariant_factors,
                                        face_matrix, integer_rank, matrix_from_json,
                                        matrix_to_json, ordered_boundary_matrix,
                                        simplicial_boundary_matrix,
                                        sparse_diagonalize)
-from oracles import (face_matrix_per_index, fraction_det, fraction_rank,
-                     from_dense, transpose)
+from oracles import (alt_coboundary_matrix, coboundary_matrix,
+                     face_matrix_per_index, fraction_det, fraction_rank,
+                     from_dense)
 from test_complex_model import small_complexes
 
 
@@ -152,42 +153,25 @@ def test_simplicial_boundary_matrices_compose_to_zero(torus):
     assert d1.matmul(d2) == IntegerMatrix(d1.rows, d2.cols, {})
 
 
-def test_ordered_boundary_matrix_against_coboundary_transpose(sphere_index):
-    # the coboundary matrix is the transpose of the boundary matrix one
-    # degree up; two independently built routes
-    for n in (0, 1, 2):
-        delta = coboundary_matrix(sphere_index, n)
-        partial = ordered_boundary_matrix(sphere_index, n + 1)
-        assert delta.entries == transpose(partial).entries
+def full_levels(index) -> list:
+    return [index.generators(n) for n in range(index.max_degree + 1)]
+
+
+def alt_levels(K, cap: int) -> list:
+    return [K.simplices_of_dim(n) for n in range(cap + 1)]
 
 
 def test_cohomology_rational_golden(sphere, torus):
-    index = enumerate_generators(sphere, 3)
-    dims = [index.count(k) for k in range(4)]
-    deltas = [coboundary_matrix(index, k) for k in range(3)]
-    assert cohomology_rational(dims, deltas) == [1, 0, 1]
-
-    alt_dims = [len(sphere.simplices_of_dim(k)) for k in range(4)]
-    alt_deltas = [alt_coboundary_matrix(sphere, k) for k in range(3)]
-    assert cohomology_rational(alt_dims, alt_deltas) == [1, 0, 1]
-
-    tindex = enumerate_generators(torus, 3)
-    tdims = [tindex.count(k) for k in range(4)]
-    tdeltas = [coboundary_matrix(tindex, k) for k in range(3)]
-    assert cohomology_rational(tdims, tdeltas) == [1, 2, 1]
+    assert cohomology_rational(full_levels(enumerate_generators(sphere, 3))) == [1, 0, 1]
+    assert cohomology_rational(alt_levels(sphere, 3)) == [1, 0, 1]
+    assert cohomology_rational(full_levels(enumerate_generators(torus, 3))) == [1, 2, 1]
 
 
 def test_cohomology_degree_zero_counts_components():
     # two disjoint edges: two connected components
     K = SimplicialComplex.from_facets(4, [[0, 1], [2, 3]])
-    index = enumerate_generators(K, 2)
-    dims = [index.count(k) for k in range(3)]
-    deltas = [coboundary_matrix(index, k) for k in range(2)]
-    ranks = cohomology_rational(dims, deltas)
-    assert ranks[0] == 2
-    alt_dims = [len(K.simplices_of_dim(k)) for k in range(3)]
-    alt_deltas = [alt_coboundary_matrix(K, k) for k in range(2)]
-    assert cohomology_rational(alt_dims, alt_deltas)[0] == 2
+    assert cohomology_rational(full_levels(enumerate_generators(K, 2)))[0] == 2
+    assert cohomology_rational(alt_levels(K, 2))[0] == 2
 
 
 def test_splitting_report_golden(sphere, klein):
@@ -221,9 +205,6 @@ def test_matrix_json_roundtrip():
         [0, 1, "-2"], [1, 0, "1"], [1, 1, "5"], [1, 2, "7"]]}
     back = matrix_from_json(data)
     assert back == M
-    T = M.transpose()
-    assert (T.rows, T.cols) == (3, 2) and T == from_dense([[0, 1], [-2, 5], [0, 7]])
-    assert T.transpose() == M
     empty = IntegerMatrix(0, 4, {})
     assert matrix_to_json(empty)["entries"] == []
     assert matrix_from_json(json.loads(json.dumps(matrix_to_json(empty)))) == empty
@@ -345,12 +326,8 @@ def test_rational_cochain_ranks_match_free_quotient_ranks(corpus):
     # universal-coefficients check at this scale: the alternating
     # cohomology Betti numbers equal the free ranks of the quotient
     # homology groups in every degree
-    from altchain.cochain_algebra import alt_coboundary_matrix
-
     for name, K in corpus:
-        dims = [len(K.simplices_of_dim(k)) for k in range(4)]
-        deltas = [alt_coboundary_matrix(K, k) for k in range(3)]
-        ranks = cohomology_rational(dims, deltas)
+        ranks = cohomology_rational(alt_levels(K, 3))
         groups = homology_presented(alt_chain_complex(K, 3))
         for n in range(3):
             assert ranks[n] == groups[n].free_rank, (name, n)
@@ -510,16 +487,18 @@ def test_matrix_builders_match_face_position_oracle(sphere_index, rp2):
                     if not cob[key]:
                         del cob[key]
             # same entries in the same order: the order fixes the pivots' ties
-            assert list(coboundary_matrix(index, n).entries.items()) == list(cob.items())
+            # (the coboundary rows are checked against this boundary in
+            # test_coboundary_rows_and_pivots_match_the_transposed_boundary)
             bd = [((r, c), v) for (c, r), v in cob.items()]
             assert list(ordered_boundary_matrix(index, n + 1).entries.items()) == bd
-            # the alternating coboundary against its per-simplex loop
+            # the simplicial boundary against its per-simplex loop
             K = index.complex
             cols = {t: j for j, t in enumerate(K.simplices_of_dim(n))}
             alt = {(i, cols[face(rho, k)]): (-1) ** k
                    for i, rho in enumerate(K.simplices_of_dim(n + 1))
                    for k in range(n + 2)}
-            assert list(alt_coboundary_matrix(K, n).entries.items()) == list(alt.items())
+            assert list(simplicial_boundary_matrix(K, n + 1).entries.items()) == \
+                [((c, r), v) for (r, c), v in alt.items()]
 
 
 def test_empty_complex_costs_linear_in_the_degree_cap():
@@ -538,8 +517,7 @@ def test_empty_complex_costs_linear_in_the_degree_cap():
         groups = ordered_homology(index)
     assert groups == [AbelianGroup(0)] * cap
     with time_limit(5):
-        ranks = cohomology_rational([0] * (cap + 1),
-                                    [coboundary_matrix(index, n) for n in range(cap)])
+        ranks = cohomology_rational(full_levels(index))
     assert ranks == [0] * cap
 
 
@@ -565,8 +543,7 @@ def test_face_work_is_one_face_per_run():
     index = enumerate_generators(load_complex({"vertices": 1, "facets": [[0]]}), 1000)
     with time_limit(3):
         groups = ordered_homology(index)
-        ranks = cohomology_rational([1] * 1001,
-                                    [coboundary_matrix(index, n) for n in range(1000)])
+        ranks = cohomology_rational(full_levels(index))
     assert groups == [AbelianGroup(1)] + [AbelianGroup(0)] * 999
     assert ranks == [1] + [0] * 999
 
@@ -647,10 +624,10 @@ def assert_clearing_keeps_answers(K, cap):
     pres = alt_chain_complex(K, cap)
     assert homology_presented(pres) == uncleared_presented(pres), K.name
     deltas = [coboundary_matrix(index, n) for n in range(cap)]
-    assert cohomology_rational(dims, deltas) == uncleared_betti(dims, deltas), K.name
+    assert cohomology_rational(full_levels(index)) == uncleared_betti(dims, deltas), K.name
     alt_dims = [len(K.simplices_of_dim(n)) for n in range(cap + 1)]
     alt_deltas = [alt_coboundary_matrix(K, n) for n in range(cap)]
-    assert cohomology_rational(alt_dims, alt_deltas) == \
+    assert cohomology_rational(alt_levels(K, cap)) == \
         uncleared_betti(alt_dims, alt_deltas), K.name
     assert_simplicial_clearing_keeps_answers(K)
 
@@ -682,23 +659,85 @@ def test_clearing_keeps_the_answers_on_drawn_complexes(K, cap):
     assert_clearing_keeps_answers(K, cap)
 
 
-def test_clearing_drops_the_columns_of_the_previous_unit_pivots(monkeypatch):
+def test_clearing_drops_the_columns_of_the_previous_unit_pivots():
     # delta_3 of the boundary of the 6-simplex at cap 4 is 16,807 x 2,401;
     # the 300 unit-pivot rows of delta_2 index columns that could only
     # reduce to zero, so 2,101 columns enter its elimination
-    import altchain.integer_homology as ih
-
     K = SimplicialComplex.from_facets(
         7, list(itertools.combinations(range(7), 6)), name="bd_simplex_6")
     index = enumerate_generators(K, 4)
-    deltas = [coboundary_matrix(index, n) for n in range(4)]
-    real = ih.sparse_diagonalize
-    entering = []
-
-    def spy(M, cleared=frozenset()):
-        entering.append((M.rows, M.cols, len({c for _, c in M.entries} - set(cleared))))
-        return real(M, cleared)
-
-    monkeypatch.setattr(ih, "sparse_diagonalize", spy)
-    assert cohomology_rational([index.count(n) for n in range(5)], deltas) == [1, 0, 0, 0]
+    betti, seen = spied_cohomology(full_levels(index))
+    assert betti == [1, 0, 0, 0]
+    entering = [(index.count(n + 1), index.count(n), len(layout[1]))
+                for n, (layout, _) in enumerate(seen)]
     assert entering == [(49, 7, 7), (343, 49, 43), (2401, 343, 300), (16807, 2401, 2101)]
+
+
+# ---------------------------------------------------------------------------
+# coboundary rows built from the levels against the transposed boundary
+
+def spied_cohomology(levels):
+    """``cohomology_rational(levels)``, and per degree the layout of delta_n
+    as it entered ``_eliminate``, with what ``_eliminate`` returned.  The
+    layout is the rows in order, each as its (col, value) list in order,
+    and the columns in order, each with its sorted rows."""
+    real, seen = ih._eliminate, []
+
+    def spy(rows, cols):
+        layout = ([(r, list(row.items())) for r, row in rows.items()],
+                  [(c, sorted(rs)) for c, rs in cols.items()])
+        out = real(rows, cols)
+        seen.append((layout, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(ih, "_eliminate", spy)
+        betti = cohomology_rational(levels)
+    return betti, seen
+
+
+def oracle_layout(delta, cleared):
+    """The layout that ``sparse_diagonalize`` reads off the matrix delta
+    without the columns in ``cleared``."""
+    rows: dict = {}
+    cols: dict = {}
+    for (r, c), v in delta.entries.items():
+        if c not in cleared:
+            rows.setdefault(r, []).append((c, v))
+            cols.setdefault(c, []).append(r)
+    return list(rows.items()), [(c, sorted(rs)) for c, rs in cols.items()]
+
+
+def assert_rows_and_pivots_match(levels, deltas):
+    # entry for entry and in the same order, so the pivots and their ties
+    # are those of sparse_diagonalize on the transposed boundary
+    betti, seen = spied_cohomology(levels)
+    assert len(seen) == len(deltas)
+    cleared = frozenset()
+    for n, (delta, (layout, (diag, pivot_rows))) in enumerate(zip(deltas, seen)):
+        assert layout == oracle_layout(delta, cleared), n
+        assert (diag, pivot_rows) == sparse_diagonalize(delta, cleared), n
+        cleared = pivot_rows
+    dims = [len(level) for level in levels]
+    assert betti == uncleared_betti(dims, deltas)
+
+
+def test_coboundary_rows_and_pivots_match_the_transposed_boundary(corpus):
+    boundary_4simplex = SimplicialComplex.from_facets(
+        5, list(itertools.combinations(range(5), 4)), name="bd_simplex_4")
+    for K in [K for _, K in corpus] + [boundary_4simplex]:
+        index = enumerate_generators(K, 4)
+        assert_rows_and_pivots_match(full_levels(index),
+                                     [coboundary_matrix(index, n) for n in range(4)])
+        assert_rows_and_pivots_match(alt_levels(K, 4),
+                                     [alt_coboundary_matrix(K, n) for n in range(4)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(), st.integers(0, 3))
+def test_coboundary_rows_and_pivots_match_on_drawn_complexes(K, cap):
+    index = enumerate_generators(K, cap)
+    assert_rows_and_pivots_match(full_levels(index),
+                                 [coboundary_matrix(index, n) for n in range(cap)])
+    assert_rows_and_pivots_match(alt_levels(K, cap),
+                                 [alt_coboundary_matrix(K, n) for n in range(cap)])

@@ -205,6 +205,32 @@ def test_mutation_joining_free_and_torsion_is_caught(sphere, monkeypatch):
                                            "row": 0, "col": 6, "value": 1}
 
 
+def test_mutation_joining_free_and_torsion_is_caught_at_cap_1(point, sphere, monkeypatch):
+    # at cap 1 there is no d_2 to compose with, and d_1 alone must still be
+    # checked: the same entry (0, f_1) = 1 joins a free vertex and the
+    # first torsion edge, on the point and on S^2
+    real = alt_chains.alt_chain_complex
+
+    def broken(K, max_degree, **kwargs):
+        pres = real(K, max_degree, **kwargs)
+        matrices = list(pres.matrices)
+        d1, f1 = matrices[1], len(pres.free_generators[1])
+        matrices[1] = IntegerMatrix(d1.rows, d1.cols, {**d1.entries, (0, f1): 1})
+        return alt_chains.AltComplexPresentation(
+            pres.complex, pres.max_degree, pres.free_generators,
+            pres.torsion_generators, tuple(matrices))
+
+    healthy = {r.suite_id: r for r in verify.run_all(
+        [("point", point), ("sphere_s2", sphere)], seed=0, cases=5, degree_cap=1).results}
+    assert healthy["quotient-boundary"].passed
+    monkeypatch.setattr(alt_chains, "alt_chain_complex", broken)
+    for name, K, col in (("point", point, 0), ("sphere_s2", sphere, 6)):
+        report = verify.run_all([(name, K)], seed=0, cases=5, degree_cap=1)
+        failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
+        assert failed["quotient-boundary"] == {"complex": name, "degree": 1,
+                                               "row": 0, "col": col, "value": 1}
+
+
 def test_mutation_in_ordered_boundary_matrix_is_caught(sphere, monkeypatch):
     # one face sign of the triangle (0, 1, 2) flipped in d_2: the ranks, and
     # so the groups, stay those of S^2, and only the composition check of
@@ -784,6 +810,20 @@ def test_presentation_commands_build_no_dense_matrix(tmp_path, monkeypatch, caps
     # exit 1: only the known-red projected-cup-associativity fails
     assert cli.main(["verify", "--corpus", "--cases", "2", "--max-dim", "2"]) == 1
     assert capsys.readouterr().out.count("[FAIL]") == 1
+
+
+def test_cohomology_commands_build_no_matrix(monkeypatch, capsys):
+    # the rows of each coboundary go from the face loop straight into the
+    # elimination: no IntegerMatrix, so no transposed boundary, on the way
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("IntegerMatrix built")
+    monkeypatch.setattr(IntegerMatrix, "__init__", refuse)
+    torus = corpus_path("torus_7")
+    for variant in ("full", "alternative"):
+        assert cli.main(["cohomology", torus, "--variant", variant, "--max-dim", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["H^0 = Q", "H^1 = Q^2", "H^2 = Q"] * 2
+    with pytest.raises(AssertionError, match="IntegerMatrix built"):
+        ih.ordered_boundary_matrix(enumerate_generators(load_corpus_complex("torus_7"), 2), 1)
 
 
 def test_commands_read_no_matrix_file_and_compose_no_matrices(tmp_path, monkeypatch, capsys):
