@@ -27,7 +27,7 @@ from math import comb
 
 from . import permutations
 from .complex_model import (DEFAULT_GENERATOR_BUDGET, SimplicialComplex,
-                            check_generator_budget, face)
+                            check_generator_budget)
 from .errors import FormatError, Record
 from .integer_homology import IntegerMatrix, face_matrix, matrix_from_json, matrix_to_json
 
@@ -122,9 +122,12 @@ def ordered_boundary(coefficients: dict) -> dict:
     """Boundary of an ordered chain {tuple: int}: alternating sum of faces."""
     out: dict = {}
     for g, c in coefficients.items():
+        if len(g) < 2:
+            raise ValueError("degree 0 generators have no faces")
+        signed = (c, -c)
         for i in range(len(g)):
-            f = face(g, i)
-            out[f] = out.get(f, 0) + ((-1) ** i) * c
+            f = g[:i] + g[i + 1:]
+            out[f] = out.get(f, 0) + signed[i & 1]
     return {t: c for t, c in out.items() if c}
 
 
@@ -157,17 +160,17 @@ def boundary(chain: AltChain) -> AltChain:
     return descend(ordered_boundary, chain, chain.degree - 1)
 
 
-def face_class_compat(g: tuple, s: "permutations.Permutation", i: int) -> bool:
+def face_class_compat(f: tuple, s: "permutations.Permutation") -> bool:
     """Does reordering a face keep its class, up to the permutation's sign?
 
-    Checks [act(s, face(g, i))] == sign(s) * [face(g, i)] as canonical
-    classes, the condition that makes restriction to faces well defined on
-    the quotient.
+    Checks [act(s, f)] == sign(s) * [f] on the canonical forms: the same
+    sorted tuple and torsion flag, and sign(act(s, f)) = sign(s) * sign(f)
+    for a free class; this makes restriction to faces well defined on the
+    quotient.
     """
-    f = face(g, i)
-    lhs = AltChain.from_generator(permutations.act(s, f))
-    rhs = AltChain.from_generator(f, s.sign)
-    return lhs == rhs
+    t, torsion, sign = canonicalize(permutations.act(s, f))
+    u, f_torsion, f_sign = canonicalize(f)
+    return t == u and torsion == f_torsion and (torsion or sign == s.sign * f_sign)
 
 
 class AltComplexPresentation(Record):

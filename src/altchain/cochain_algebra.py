@@ -26,7 +26,8 @@ reordering negates) instead of multiplying it by its sign.  The
 coboundary scatters each supported value onto the cofaces it is a face
 of, so its cost is O(|supp| * (n+2) * coface vertices); like the sum of
 two cochains, it stores the first value to reach a tuple as it is rather
-than adding it to zero.
+than adding it to zero, and drops the sums that cancel.  Results computed
+here are built without the constructor's per-entry checks.
 
 All arithmetic is exact; equality of cochains is equality of their
 canonical sparse forms, with no tolerances anywhere.
@@ -76,6 +77,13 @@ class Cochain:
         self.values = clean
 
     @classmethod
+    def _trusted(cls, degree: int, values: dict) -> "Cochain":
+        """Values computed here, nonzero Fractions on tuples of the degree."""
+        self = object.__new__(cls)
+        self.degree, self.values = degree, values
+        return self
+
+    @classmethod
     def zero(cls, degree: int) -> "Cochain":
         return cls(degree)
 
@@ -96,10 +104,10 @@ class Cochain:
         for g, v in other.values.items():
             prior = out.get(g)
             out[g] = v if prior is None else prior + v
-        return Cochain(self.degree, out)
+        return Cochain._trusted(self.degree, {g: v for g, v in out.items() if v})
 
     def __neg__(self) -> "Cochain":
-        return Cochain(self.degree, {g: -v for g, v in self.values.items()})
+        return Cochain._trusted(self.degree, {g: -v for g, v in self.values.items()})
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
@@ -168,7 +176,7 @@ def coboundary(index: GeneratorIndex, alpha: Cochain) -> Cochain:
                 g = head + (v,) + tail
                 prior = out.get(g)
                 out[g] = signed if prior is None else prior + signed
-    return Cochain(n + 1, out)
+    return Cochain._trusted(n + 1, {g: v for g, v in out.items() if v})
 
 
 def is_alternative(alpha: Cochain) -> bool:
@@ -223,7 +231,7 @@ def alternative_maker(alpha: Cochain) -> Cochain:
             signed = {1: value, -1: -value}
             for g, sgn in orbit.items():
                 out[g] = signed[sgn]
-    return Cochain(n, out)
+    return Cochain._trusted(n, out)
 
 
 def split(alpha: Cochain) -> tuple:
@@ -248,7 +256,7 @@ def cup(index: GeneratorIndex, alpha: Cochain, beta: Cochain) -> Cochain:
             t = a + b[1:]
             if index.is_generator(t):
                 out[t] = va * vb  # front/back split of t is unique
-    return Cochain(p + q, out)
+    return Cochain._trusted(p + q, out)
 
 
 def alt_cup(index: GeneratorIndex, alpha: Cochain, beta: Cochain) -> Cochain:
@@ -304,8 +312,8 @@ def alternating_cochain(tau: tuple, value=1) -> Cochain:
         raise ValueError(f"{tau} is not strictly increasing")
     value = _exact(value)
     signed = {1: value, -1: -value}
-    return Cochain(len(tau) - 1,
-                   {g: signed[sgn] for g, sgn in _orbit(tau).items()})
+    orbit = _orbit(tau) if value else {}
+    return Cochain._trusted(len(tau) - 1, {g: signed[sgn] for g, sgn in orbit.items()})
 
 
 # ---------------------------------------------------------------------------

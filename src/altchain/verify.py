@@ -165,11 +165,12 @@ def _suite_boundary_of_reordered(ctxs, rng, cases):
                           for i in range(n + 1)])
                      for s in permutations.enumerate_group(n + 1)]
             for g in ctx.index.generators(n):
+                g_faces = [face(g, i) for i in range(n + 1)]
                 for s, face_terms in faces:
                     lhs = alt_chains.ordered_boundary({permutations.act(s, g): 1})
                     rhs: dict = {}
                     for si, s_of_i, sgn in face_terms:
-                        t = permutations.act(si, face(g, s_of_i))
+                        t = permutations.act(si, g_faces[s_of_i])
                         rhs[t] = rhs.get(t, 0) + sgn
                     rhs = {t: c for t, c in rhs.items() if c}
                     count += 1
@@ -230,12 +231,13 @@ def _suite_cup_commutativity(ctxs, rng, cases):
     count = 0
     for ctx in ctxs:
         cap = ctx.index.max_degree
-        # exhaustive on the alternating bases in low degrees
+        # exhaustive on the alternating bases in low degrees, built once
+        basis = {p: [(tau, ca.alternating_cochain(tau))
+                     for tau in ctx.complex.simplices_of_dim(p)]
+                 for p in (0, 1) if p <= cap}
         for p, q in _cup_degree_pairs(cap):
-            for tau in ctx.complex.simplices_of_dim(p):
-                for rho in ctx.complex.simplices_of_dim(q):
-                    a = ca.alternating_cochain(tau)
-                    b = ca.alternating_cochain(rho)
+            for tau, a in basis[p]:
+                for rho, b in basis[q]:
                     lhs = ca.alt_cup(ctx.index, b, a)
                     rhs = ca.alt_cup(ctx.index, a, b).scale((-1) ** (p * q))
                     count += 1
@@ -440,9 +442,10 @@ def _suite_face_class_compat(ctxs, rng, cases):
             group = permutations.enumerate_group(n)
             for g in ctx.index.generators(n):
                 for i in range(n + 1):
+                    f = face(g, i)
                     for s in group:
                         count += 1
-                        if not alt_chains.face_class_compat(g, s, i):
+                        if not alt_chains.face_class_compat(f, s):
                             return count, {"complex": ctx.name, "generator": g,
                                            "i": i, "images": list(s.images)}
     return count, None

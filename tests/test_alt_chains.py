@@ -44,6 +44,9 @@ def test_ordered_boundary_basic():
     assert ordered_boundary({(0, 1): 1}) == {(1,): 1, (0,): -1}
     assert ordered_boundary({(0, 0): 1}) == {}
     assert ordered_boundary({(0, 1, 2): 1}) == {(1, 2): 1, (0, 2): -1, (0, 1): 1}
+    assert ordered_boundary({(0, 1): 3, (1, 0): 2}) == {(1,): 1, (0,): -1}
+    with pytest.raises(ValueError):
+        ordered_boundary({(3,): 1})
 
 
 def test_boundary_examples():
@@ -112,11 +115,31 @@ def test_descend_checks_each_torsion_image():
                                                torsion={(1, 1): 1, (2, 2): 1})
 
 
-def test_face_class_compat_examples():
+def test_face_class_compat_examples(monkeypatch):
+    import altchain.alt_chains as alt_chains
     from altchain.permutations import Permutation
-    assert face_class_compat((0, 1, 2), Permutation.identity(2), 1)
-    assert face_class_compat((0, 1, 2), Permutation((1, 0)), 1)
-    assert face_class_compat((0, 0, 1), Permutation((1, 0)), 2)
+    swap = Permutation((1, 0))
+    assert face_class_compat((0, 2), Permutation.identity(2))
+    # odd reorderings of free faces: the class flips with the sign
+    assert face_class_compat((0, 2), swap)
+    assert face_class_compat((2, 0, 1), Permutation((0, 2, 1)))
+    # torsion faces: the swap of the equal entries fixes the tuple, and a
+    # reordering that moves it keeps the class, which has no sign
+    assert face_class_compat((0, 0), swap)
+    assert face_class_compat((1, 0, 1), Permutation((1, 0, 2)))
+    # a canonical form with the wrong sign fails on an odd reordering of a
+    # free face, and only there
+    real = alt_chains.canonicalize
+
+    def unsigned(g):
+        t, is_torsion, sign = real(g)
+        return t, is_torsion, 1
+
+    monkeypatch.setattr(alt_chains, "canonicalize", unsigned)
+    assert not face_class_compat((0, 2), swap)
+    assert not face_class_compat((2, 0, 1), Permutation((0, 2, 1)))
+    assert face_class_compat((2, 0, 1), Permutation((1, 2, 0)))
+    assert face_class_compat((1, 0, 1), Permutation((1, 0, 2)))
 
 
 def test_presentation_point(point):

@@ -549,6 +549,42 @@ def test_add_matches_pointwise_sum(oracle_indices, data):
     assert (alpha - alpha).values == {}
 
 
+def assert_clean(result):
+    """Built without checks, a result still holds only nonzero Fractions
+    on tuples of its degree: the checking constructor keeps it as it is."""
+    assert result == Cochain(result.degree, result.values)
+    assert all(type(v) is Fraction and v for v in result.values.values())
+
+
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_computed_cochains_need_no_checks(oracle_indices, data):
+    index = data.draw(st.sampled_from(oracle_indices))
+    alpha = data.draw(cochains(index, range(3)))
+    n = alpha.degree
+    same = data.draw(cochains(index, [n]))
+    beta = data.draw(cochains(index, range(3 - n)))
+    d_alpha = coboundary(index, alpha)
+    results = [alpha + same, alpha - same, -alpha, d_alpha,
+               cup(index, alpha, beta), alternative_maker(alpha)]
+    # forced cancellations: every sum, and the coboundary of a coboundary,
+    # is zero
+    cancelled = [alpha + (-alpha), alpha - alpha, coboundary(index, d_alpha)]
+    simplices = index.complex.simplices_of_dim(n)
+    if simplices:
+        tau = data.draw(st.sampled_from(simplices))
+        value = Fraction(data.draw(st.integers(-3, 3)),
+                         data.draw(st.sampled_from(DENOMINATORS)))
+        chi = alternating_cochain(tau, value)
+        results += [chi, chi + alpha]
+        cancelled += [alternating_cochain(tau, 0), chi - chi]
+    for result in results + cancelled:
+        assert_clean(result)
+    assert all(r.is_zero() for r in cancelled)
+    assert [r.degree for r in cancelled[:3]] == [n, n, n + 2]
+    assert all(r.degree == n for r in cancelled[3:])
+
+
 def test_scaled_projector_matrix_matches_group_sum(sphere_index, oracle_indices):
     solid = oracle_indices[-1]
     for index, top in ((sphere_index, 3), (solid, 2)):

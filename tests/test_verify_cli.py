@@ -5,7 +5,9 @@ import itertools
 import json
 import os
 import tempfile
+from math import factorial
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,10 +110,27 @@ def test_mutation_in_canonicalize_is_caught(sphere, monkeypatch):
 
     monkeypatch.setattr(alt_chains, "canonicalize", broken)
     report = verify.run_all([("sphere_s2", sphere)], seed=0, cases=5)
-    failed = {r.suite_id for r in report.results if not r.passed}
-    assert failed & {"quotient-boundary", "face-class-compatibility",
-                     "quotient-homology-agreement",
-                     "torsion-boundary-cancellation"}
+    failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
+    # face(0, 0, 1; 0) = (0, 1) is free, and the swap is odd
+    assert failed["face-class-compatibility"] == {
+        "complex": "sphere_s2", "generator": [0, 0, 1], "i": 0, "images": [1, 0]}
+
+
+def test_mutation_in_ordered_boundary_is_caught(point, monkeypatch):
+    def broken(coefficients):
+        out: dict = {}
+        for g, c in coefficients.items():
+            for i in range(len(g) - 1):  # the last face is dropped
+                f = g[:i] + g[i + 1:]
+                out[f] = out.get(f, 0) + (-1) ** i * c
+        return {t: c for t, c in out.items() if c}
+
+    monkeypatch.setattr(alt_chains, "ordered_boundary", broken)
+    report = verify.run_all([("point", point)], seed=0, cases=5)
+    failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
+    assert failed["boundary-of-reordered-generator"] == {
+        "complex": "point", "generator": [0, 0], "images": [0, 1],
+        "lhs": {"(0,)": 1}, "rhs": {}}
 
 
 def test_mutation_in_torsion_boundary_is_caught(point, monkeypatch):
@@ -305,6 +324,58 @@ def test_mutation_dropping_a_free_generator_is_caught(sphere, monkeypatch):
     assert failed["dual-dimension-match"] == {"complex": "sphere_s2", "degree": 2,
                                               "alternating_dim": 4,
                                               "free_generators": 3}
+
+
+def contexts(complexes, cap):
+    return [verify.ComplexContext(name=name, complex=K,
+                                  index=enumerate_generators(K, cap),
+                                  presentation=None)
+            for name, K in complexes]
+
+
+def test_cup_commutativity_builds_each_basis_cochain_once(sphere, monkeypatch):
+    from altchain import cochain_algebra as ca
+
+    real = ca.alternating_cochain
+    built = []
+
+    def spy(tau, value=1):
+        built.append(tau)
+        return real(tau, value)
+
+    monkeypatch.setattr(ca, "alternating_cochain", spy)
+    count, bad = verify._suite_cup_commutativity(
+        contexts([("sphere_s2", sphere)], 2), Random(0), 0)
+    vertices, edges = sphere.simplices_of_dim(0), sphere.simplices_of_dim(1)
+    assert bad is None
+    assert count == (len(vertices) + len(edges)) ** 2  # every (p, q) with p + q <= 2
+    assert sorted(built) == sorted(vertices + edges)
+
+
+def test_boundary_of_reordered_takes_each_face_once(sphere, monkeypatch):
+    real = verify.face
+    faces_by_degree: dict = {}
+
+    def spy(g, i):
+        faces_by_degree[len(g) - 1] = faces_by_degree.get(len(g) - 1, 0) + 1
+        return real(g, i)
+
+    monkeypatch.setattr(verify, "face", spy)
+    (ctx,) = contexts([("sphere_s2", sphere)], 3)
+    count, bad = verify._suite_boundary_of_reordered([ctx], Random(0), 0)
+    assert bad is None
+    assert faces_by_degree == {n: (n + 1) * ctx.index.count(n) for n in (1, 2, 3)}
+    assert count == sum(factorial(n + 1) * ctx.index.count(n) for n in (1, 2, 3))
+
+
+def test_exhaustive_permutation_suites_run_every_case(corpus):
+    ctxs = contexts(corpus, 3)
+    expected = sum(factorial(n + 1) * ctx.index.count(n)
+                   for ctx in ctxs for n in (1, 2, 3))
+    assert expected == 65_248
+    for suite in (verify._suite_boundary_of_reordered,
+                  verify._suite_face_class_compat):
+        assert suite(ctxs, Random(0), 0) == (expected, None)
 
 
 # ---------------------------------------------------------------------------
