@@ -38,7 +38,6 @@ from .integer_homology import (
     IntegerMatrix,
     AbelianGroup,
     smith_normal_form,
-    homology_free,
     homology_presented,
     cohomology_rational,
     verify_cohomology_splitting,

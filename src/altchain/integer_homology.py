@@ -6,16 +6,21 @@ elimination removes every pivot it can take on a +-1 entry, which needs
 no division, and the leftover core, if any, goes to a dense phase that
 diagonalizes it by row/column reduction with minimal-absolute-value
 pivoting.  ``canonical_invariant_factors`` turns any such diagonal into
-the divisibility chain of invariant factors.  On top of that sit the
-homology of free chain complexes and of complexes whose torsion
-generators have order 2.  The latter reads the lifted boundary as a free
-block, handled as a free chain complex, and a torsion block, whose rank
-mod 2 adds the Z/2 summands.  Neither checks the chain-complex law: the
-callers build their matrices from a complex, and the presentation reader
-checks what it reads.  Rational cohomology builds no matrix: row r of the
-coboundary delta_n is the face list of tuple r one degree up, and those
-rows go to the sparse elimination as they are built, in the order of the
-transposed boundary, so its pivots are those of that matrix.
+the divisibility chain of invariant factors.
+
+Homology and rational cohomology share one driver.  The coboundary
+delta_n is the transposed boundary d_{n+1}, with the same invariant
+factors, so every group comes from eliminating delta_0, delta_1, ...
+bottom-up, each without the columns that the unit pivots of the one
+before it account for.  For a tuple complex (ordered tuples or sorted
+simplices) row r of delta_n is the face list of tuple r one degree up,
+and the rows go to the elimination as they are built, with no matrix in
+between.  A complex whose torsion generators have order 2 is read as a
+free block, a free chain complex, and a torsion block whose rank mod 2
+adds the Z/2 summands; each block of its boundary matrices is read
+transposed.  Nothing here checks the chain-complex law: the tuple
+complexes are face-closed, and the presentation reader checks what it
+reads.
 
 Matrix conventions: a boundary matrix for degree n has one column per
 degree-n generator and one row per degree-(n-1) generator; composition
@@ -208,11 +213,10 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple:
 # ---------------------------------------------------------------------------
 # sparse diagonalization (unit pivots, then the dense core)
 
-def sparse_diagonalize(M: IntegerMatrix, cleared=frozenset()) -> tuple:
-    """(diagonal, unit-pivot rows) of a diagonalization of M without the
-    columns in ``cleared``: the unit pivots of the sparse phase in pivot
-    order, then the invariant factors of the core; and the rows of the
-    unit pivots, never a row of the core.
+def sparse_diagonalize(M: IntegerMatrix) -> tuple:
+    """(diagonal, unit-pivot rows) of a diagonalization of M: the unit
+    pivots of the sparse phase in pivot order, then the invariant factors
+    of the core; and the rows of the unit pivots, never a row of the core.
 
     Elementary integer row and column operations only, so the multiset of
     entries determines the invariant factors (``canonical_invariant_factors``).
@@ -234,17 +238,18 @@ def sparse_diagonalize(M: IntegerMatrix, cleared=frozenset()) -> tuple:
     complexes usually leave none.
     """
     rows: dict = {}
-    cols: dict = {}
     for (r, c), v in M.entries.items():
-        if c not in cleared:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
-    return _eliminate(rows, cols)
+        rows.setdefault(r, {})[c] = v
+    return _eliminate(rows)
 
 
-def _eliminate(rows: dict, cols: dict) -> tuple:
-    # the elimination of sparse_diagonalize on its layout: rows[r] is
-    # {col: nonzero}, cols[c] the set of rows with an entry in column c
+def _eliminate(rows: dict) -> tuple:
+    # the elimination of sparse_diagonalize on rows[r] = {col: nonzero};
+    # cols[c] is the set of rows with an entry in column c
+    cols = defaultdict(set)
+    for r, row in rows.items():
+        for c in row:
+            cols[c].add(r)
     heap = [(len(rs), c) for c, rs in cols.items()]
     heapify(heap)
     diag = []
@@ -318,41 +323,53 @@ class AbelianGroup(Record):
         return " + ".join(parts) if parts else "0"
 
 
-def _cleared_diagonals(matrices) -> list:
-    """Diagonals of a chain complex's matrices, eliminated in the order
-    given with clearing across degrees: each matrix's columns are the rows
-    of the one before it, and it is eliminated without the columns that
-    are that one's unit-pivot rows P.  The earlier matrix M's pivot block
-    M[P, Q] has determinant +-1, so the M e_q (q in Q) and the e_i (i not
-    in P) form a basis, over Z and mod 2.  The next matrix kills the M e_q,
-    since the two compose to zero, so it keeps its invariant factors (and
-    F2 rank) on the rest.
+def _coboundary_diagonals(degrees: int, rows_of) -> list:
+    """Diagonals of delta_0, ..., delta_{degrees-1} of a cochain complex,
+    eliminated bottom-up with clearing across degrees.
+
+    ``rows_of(n, cleared)`` returns delta_n as ``{row: {col: nonzero}}``
+    without the columns in ``cleared``, which are the unit-pivot rows of
+    delta_{n-1}.  That pivot block, rows P and columns Q of delta_{n-1},
+    has determinant +-1, so the delta_{n-1} e_q (q in Q) and the e_i (i
+    not in P) form a basis of delta_n's domain, over Z and mod 2.  delta_n
+    kills the delta_{n-1} e_q, since the two compose to zero, so it keeps
+    its invariant factors (and F2 rank) on the rest.  That law is taken
+    for granted, not checked.
     """
     diags, cleared = [], frozenset()
-    for M in matrices:
-        diag, cleared = sparse_diagonalize(M, cleared)
+    for n in range(degrees):
+        diag, cleared = _eliminate(rows_of(n, cleared))
         diags.append(diag)
     return diags
 
 
-def homology_free(dims: Sequence[int], boundaries: Sequence[IntegerMatrix]) -> list:
-    """Homology of a free chain complex given as boundary matrices.
+def _groups(dims: Sequence[int], diags: list) -> list:
+    # H_n of the chain complex with d_{n+1} = delta_n transposed, for
+    # n = 0..len(diags)-1: free rank dims_n - r(delta_{n-1}) - r(delta_n),
+    # torsion the invariant factors of delta_n
+    ranks = [0] + [len(diag) for diag in diags]
+    return [AbelianGroup.canonical(dims[n] - ranks[n] - ranks[n + 1], diags[n])
+            for n in range(len(diags))]
 
-    ``dims[n]`` is the rank of the degree-n chain group for n = 0..D and
-    ``boundaries[n]`` (for n = 1..D) maps degree n to degree n-1.  Groups
-    are returned for degrees 0..D-1; the top degree would need the absent
-    degree-(D+1) matrix.  The matrices are eliminated top-down with clearing
-    across degrees (``_cleared_diagonals``), which takes the unchecked law
-    d_n d_{n+1} = 0 for granted.
-    """
-    D = len(dims) - 1
-    for n in range(1, D + 1):
-        M = boundaries[n]
-        if M.rows != dims[n - 1] or M.cols != dims[n]:
-            raise ValueError(f"boundary matrix {n} has wrong shape")
-    diags = [[]] + _cleared_diagonals(boundaries[D:0:-1])[::-1]
-    return [AbelianGroup.canonical(dims[n] - len(diags[n]) - len(diags[n + 1]),
-                                   diags[n + 1]) for n in range(D)]
+
+def _tuple_homology(levels: Sequence[Sequence[tuple]]) -> list:
+    """Homology of degrees 0..D-1 of a face-closed tuple complex:
+    ``levels[n]`` lists the degree-n tuples for n = 0..D, and every face
+    of a tuple in ``levels[n + 1]`` is in ``levels[n]``.  Row r of delta_n
+    is the face row (:func:`_face_row`) of tuple r of ``levels[n + 1]``,
+    built straight into the elimination with no matrix in between."""
+    def rows_of(n, cleared):
+        # every face in a cleared column lands in column -1, which is dropped
+        col_of = {g: -1 if j in cleared else j for j, g in enumerate(levels[n])}
+        rows: dict = {}
+        for r, g in enumerate(levels[n + 1]):
+            row = _face_row(g, col_of)
+            row.pop(-1, None)
+            if row:
+                rows[r] = row
+        return rows
+    return _groups([len(level) for level in levels],
+                   _coboundary_diagonals(len(levels) - 1, rows_of))
 
 
 def homology_presented(pres) -> list:
@@ -361,70 +378,47 @@ def homology_presented(pres) -> list:
     ``pres`` provides ``max_degree``, ``generator_count(n)``,
     ``torsion_generators`` (one sequence per degree) and
     ``boundary_matrix(n)``, an :class:`IntegerMatrix` (degree n -> n-1,
-    free generators first).
-    The free block is a free chain complex; the torsion block is read mod 2
-    and adds t_n - r_n - r_{n+1} summands Z/2 in degree n (t_n torsion
-    generators, r_n the F2 rank of the degree-n block); the torsion blocks
-    are eliminated top-down with clearing across degrees.  The boundaries
-    must obey the law of ``alt_chains.presented_law_violation``, which is
-    not checked here.  Raises ``ValueError`` on a wrong shape.
+    free generators first).  Each of the two blocks of d_{n+1} is read
+    transposed, column c as row c of delta_n, and goes through the sweep
+    of ``_coboundary_diagonals``.  The free block is a free chain complex.
+    The torsion block is read mod 2, each odd entry as 1, and adds
+    t_n - r_n - r_{n+1} summands Z/2 in degree n (t_n torsion generators,
+    r_n the F2 rank of the degree-n block).  The boundaries must obey the
+    law of ``alt_chains.presented_law_violation``, which is not checked
+    here.  Raises ``ValueError`` on a wrong shape.
     """
     D = pres.max_degree
     gens = [pres.generator_count(n) for n in range(D + 1)]
     tors = [len(pres.torsion_generators[n]) for n in range(D + 1)]
     free = [g - t for g, t in zip(gens, tors)]
-    free_blocks: list = [None]
-    tors_blocks: list = [None]
+    matrices = [None]
     for n in range(1, D + 1):
         M = pres.boundary_matrix(n)
         if (M.rows, M.cols) != (gens[n - 1], gens[n]):
             raise ValueError(f"boundary matrix {n} has wrong shape")
-        f_rows, f_cols = free[n - 1], free[n]
-        free_blocks.append(IntegerMatrix(f_rows, f_cols, {
-            (r, c): v for (r, c), v in M.entries.items() if r < f_rows}))
-        tors_blocks.append(IntegerMatrix(tors[n - 1], tors[n], {
-            (r - f_rows, c - f_cols): 1 for (r, c), v in M.entries.items()
-            if r >= f_rows and v % 2}))
+        matrices.append(M)
+
+    def block(torsion):
+        def rows_of(n, cleared):
+            rows: dict = {}
+            for (r, c), v in matrices[n + 1].entries.items():
+                v = v % 2 if torsion else v
+                if v and (r >= free[n]) == torsion and r not in cleared:
+                    rows.setdefault(c, {})[r] = v
+            return rows
+        return _coboundary_diagonals(D, rows_of)
     # unimodular integer operations stay invertible mod 2, so the odd
     # diagonal entries count the F2 rank
-    ranks = [0] + [sum(d % 2 for d in diag)
-                   for diag in _cleared_diagonals(tors_blocks[:0:-1])][::-1]
-    groups = []
-    for n, g in enumerate(homology_free(free, free_blocks)):
-        extra = tors[n] - ranks[n] - ranks[n + 1]
-        groups.append(AbelianGroup.canonical(g.free_rank, g.torsion + (2,) * extra))
-    return groups
+    f2 = [0] + [sum(d % 2 for d in diag) for diag in block(True)]
+    return [AbelianGroup.canonical(g.free_rank, g.torsion + (2,) * (tors[n] - f2[n] - f2[n + 1]))
+            for n, g in enumerate(_groups(free, block(False)))]
 
 
 def cohomology_rational(levels: Sequence[Sequence[tuple]]) -> list:
-    """Betti numbers of the cochain complex of a face-closed tuple complex.
-
-    ``levels[n]`` lists the degree-n tuples for n = 0..D, and every face
-    of a tuple in ``levels[n + 1]`` is in ``levels[n]``.  Ranks are
-    returned for degrees 0..D-1.  Row r of delta_n is the face list of
-    tuple r of ``levels[n + 1]`` (the transposed boundary), so the rows go
-    to the elimination of ``sparse_diagonalize`` as they are built, in the
-    same order, with no matrix in between.  The deltas are eliminated
-    bottom-up with clearing across degrees, as in ``_cleared_diagonals``:
-    the columns of the previous delta's unit-pivot rows are never built.
-    That is exact only when delta delta = 0, which faces of faces give.
-    """
-    ranks, cleared = [0], frozenset()
-    for n in range(len(levels) - 1):
-        # every face in a cleared column lands in column -1, which is dropped
-        col_of = {g: -1 if j in cleared else j for j, g in enumerate(levels[n])}
-        rows: dict = {}
-        cols = defaultdict(set)
-        for r, g in enumerate(levels[n + 1]):
-            row = _face_row(g, col_of)
-            row.pop(-1, None)
-            if row:
-                rows[r] = row
-                for c in row:
-                    cols[c].add(r)
-        diag, cleared = _eliminate(rows, cols)
-        ranks.append(len(diag))
-    return [len(levels[n]) - ranks[n] - ranks[n + 1] for n in range(len(levels) - 1)]
+    """Betti numbers of the cochain complex of a face-closed tuple complex,
+    ``levels`` as in ``_tuple_homology``, for degrees 0..D-1: over Q they
+    are the free ranks of its homology."""
+    return [g.free_rank for g in _tuple_homology(levels)]
 
 
 # ---------------------------------------------------------------------------
@@ -461,27 +455,14 @@ def ordered_boundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
     return face_matrix(index.generators(n), index.positions(n - 1))
 
 
-def simplicial_boundary_matrix(K: SimplicialComplex, n: int) -> IntegerMatrix:
-    """Classical simplicial boundary matrix on sorted simplices."""
-    if n < 1:
-        raise ValueError("boundary matrices start at degree 1")
-    rows = K.simplices_of_dim(n - 1)
-    return face_matrix(K.simplices_of_dim(n), {s: i for i, s in enumerate(rows)})
-
-
 def simplicial_homology(K: SimplicialComplex) -> list:
     """Simplicial homology of the complex in all degrees 0..dim."""
-    top = K.dimension()
-    dims = [len(K.simplices_of_dim(n)) for n in range(top + 2)]
-    boundaries = [None] + [simplicial_boundary_matrix(K, n) for n in range(1, top + 2)]
-    return homology_free(dims, boundaries)
+    return _tuple_homology([K.simplices_of_dim(n) for n in range(K.dimension() + 2)])
 
 
 def ordered_homology(index: GeneratorIndex) -> list:
     """Homology of the full tuple complex for degrees 0..max_degree-1."""
-    D = index.max_degree
-    return homology_free([index.count(n) for n in range(D + 1)],
-                         [None] + [ordered_boundary_matrix(index, n) for n in range(1, D + 1)])
+    return _tuple_homology([index.generators(n) for n in range(index.max_degree + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Independent references for the tests: one reduced row echelon form over
 Fraction, sharing no code with altchain's integer elimination, dense to
-sparse conversion and transposition of test matrices, the coboundary
-matrices as transposed boundary matrices, the tuple generators enumerated
-by brute force, and the quotient boundary built by descending each
-generator's boundary through ``AltChain``."""
+sparse conversion and transposition of test matrices, the simplicial
+boundary matrices, the coboundary matrices as transposed boundary
+matrices, the tuple generators enumerated by brute force, and the
+quotient boundary built by descending each generator's boundary through
+``AltChain``."""
 
 import itertools
 from fractions import Fraction
@@ -11,8 +12,7 @@ from math import lcm
 
 from altchain import SimplicialComplex
 from altchain.alt_chains import AltChain, boundary
-from altchain.integer_homology import (IntegerMatrix, ordered_boundary_matrix,
-                                       simplicial_boundary_matrix)
+from altchain.integer_homology import IntegerMatrix, face_matrix, ordered_boundary_matrix
 
 
 def from_dense(dense) -> IntegerMatrix:
@@ -26,6 +26,12 @@ def from_dense(dense) -> IntegerMatrix:
 
 def transpose(M) -> IntegerMatrix:
     return IntegerMatrix(M.cols, M.rows, {(c, r): v for (r, c), v in M.entries.items()})
+
+
+def simplicial_boundary_matrix(K, n: int) -> IntegerMatrix:
+    """The classical simplicial boundary, degree n to n-1, on sorted simplices."""
+    rows = K.simplices_of_dim(n - 1)
+    return face_matrix(K.simplices_of_dim(n), {s: i for i, s in enumerate(rows)})
 
 
 def coboundary_matrix(index, n: int) -> IntegerMatrix:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from altchain import (AbelianGroup, IntegerMatrix, alt_chain_complex,
                       cohomology_rational, enumerate_generators,
-                      homology_free, homology_presented, ordered_homology,
+                      homology_presented, ordered_homology,
                       simplicial_homology, smith_normal_form,
                       verify_cohomology_splitting)
 from altchain import integer_homology as ih
@@ -17,11 +17,10 @@ from altchain.complex_model import SimplicialComplex
 from altchain.integer_homology import (canonical_invariant_factors,
                                        face_matrix, integer_rank, matrix_from_json,
                                        matrix_to_json, ordered_boundary_matrix,
-                                       simplicial_boundary_matrix,
                                        sparse_diagonalize)
 from oracles import (alt_coboundary_matrix, coboundary_matrix,
                      face_matrix_per_index, fraction_det, fraction_rank,
-                     from_dense)
+                     from_dense, simplicial_boundary_matrix)
 from test_complex_model import small_complexes
 
 
@@ -106,20 +105,12 @@ def test_abelian_group_canonical_and_str():
     assert AbelianGroup.canonical(0, (1, 1)) == AbelianGroup(0)
 
 
-def test_homology_free_golden(sphere, point, rp2):
+def test_ordered_homology_golden(sphere, point, rp2):
     for K, expected in ((sphere, ["Z", "0", "Z"]),
                         (point, ["Z", "0", "0"]),
                         (rp2, ["Z", "Z/2", "0"])):
         index = enumerate_generators(K, 3)
         assert [str(g) for g in ordered_homology(index)] == expected
-
-
-def test_homology_free_rejects_bad_complex():
-    # a 2 x 2 boundary where the ranks ask for 2 x 3; the composition law
-    # is the callers' to keep (the matrices come from a complex)
-    d1 = from_dense([[1, 0], [0, 1]])
-    with pytest.raises(ValueError, match="wrong shape"):
-        homology_free([2, 3], [None, d1])
 
 
 def test_homology_presented_golden(corpus):
@@ -320,6 +311,26 @@ def test_homology_presented_rejects_wrong_shape():
     wrong_shape.boundary_matrix = lambda n: IntegerMatrix(1, 2, {})
     with pytest.raises(ValueError, match="wrong shape"):
         homology_presented(wrong_shape)
+
+
+def test_presented_torsion_blocks_leave_no_dense_core(monkeypatch):
+    # the torsion blocks are read mod 2, each odd entry as 1, so every
+    # pivot is a unit; over Z, eliminated top-down, their even entries
+    # left a 504 x 1,680 dense core on the boundary of the 6-simplex at D=7
+    K = SimplicialComplex.from_facets(
+        7, list(itertools.combinations(range(7), 6)), name="bd_simplex_6")
+    pres = alt_chain_complex(K, 7)
+    cores = []
+
+    def spy(core):
+        cores.append(core)
+        return smith_normal_form(core)
+
+    monkeypatch.setattr(ih, "smith_normal_form", spy)
+    with time_limit(10):
+        groups = homology_presented(pres)
+    assert [str(g) for g in groups] == ["Z", "0", "0", "0", "0", "Z", "0"]
+    assert cores == []
 
 
 def test_rational_cochain_ranks_match_free_quotient_ranks(corpus):
@@ -620,7 +631,6 @@ def assert_clearing_keeps_answers(K, cap):
     dims = [index.count(n) for n in range(cap + 1)]
     ordered = [None] + [ordered_boundary_matrix(index, n) for n in range(1, cap + 1)]
     assert ordered_homology(index) == uncleared_free(dims, ordered), K.name
-    assert homology_free(dims, ordered) == uncleared_free(dims, ordered), K.name
     pres = alt_chain_complex(K, cap)
     assert homology_presented(pres) == uncleared_presented(pres), K.name
     deltas = [coboundary_matrix(index, n) for n in range(cap)]
@@ -668,7 +678,8 @@ def test_clearing_drops_the_columns_of_the_previous_unit_pivots():
     index = enumerate_generators(K, 4)
     betti, seen = spied_cohomology(full_levels(index))
     assert betti == [1, 0, 0, 0]
-    entering = [(index.count(n + 1), index.count(n), len(layout[1]))
+    entering = [(index.count(n + 1), index.count(n),
+                 len({c for _, row in layout for c, _ in row}))
                 for n, (layout, _) in enumerate(seen)]
     assert entering == [(49, 7, 7), (343, 49, 43), (2401, 343, 300), (16807, 2401, 2101)]
 
@@ -679,14 +690,12 @@ def test_clearing_drops_the_columns_of_the_previous_unit_pivots():
 def spied_cohomology(levels):
     """``cohomology_rational(levels)``, and per degree the layout of delta_n
     as it entered ``_eliminate``, with what ``_eliminate`` returned.  The
-    layout is the rows in order, each as its (col, value) list in order,
-    and the columns in order, each with its sorted rows."""
+    layout is the rows in order, each as its (col, value) list in order."""
     real, seen = ih._eliminate, []
 
-    def spy(rows, cols):
-        layout = ([(r, list(row.items())) for r, row in rows.items()],
-                  [(c, sorted(rs)) for c, rs in cols.items()])
-        out = real(rows, cols)
+    def spy(rows):
+        layout = [(r, list(row.items())) for r, row in rows.items()]
+        out = real(rows)
         seen.append((layout, out))
         return out
 
@@ -696,16 +705,12 @@ def spied_cohomology(levels):
     return betti, seen
 
 
-def oracle_layout(delta, cleared):
-    """The layout that ``sparse_diagonalize`` reads off the matrix delta
-    without the columns in ``cleared``."""
+def oracle_layout(delta):
+    """The layout that ``sparse_diagonalize`` reads off the matrix delta."""
     rows: dict = {}
-    cols: dict = {}
     for (r, c), v in delta.entries.items():
-        if c not in cleared:
-            rows.setdefault(r, []).append((c, v))
-            cols.setdefault(c, []).append(r)
-    return list(rows.items()), [(c, sorted(rs)) for c, rs in cols.items()]
+        rows.setdefault(r, []).append((c, v))
+    return list(rows.items())
 
 
 def assert_rows_and_pivots_match(levels, deltas):
@@ -715,8 +720,10 @@ def assert_rows_and_pivots_match(levels, deltas):
     assert len(seen) == len(deltas)
     cleared = frozenset()
     for n, (delta, (layout, (diag, pivot_rows))) in enumerate(zip(deltas, seen)):
-        assert layout == oracle_layout(delta, cleared), n
-        assert (diag, pivot_rows) == sparse_diagonalize(delta, cleared), n
+        kept = IntegerMatrix(delta.rows, delta.cols, {
+            (r, c): v for (r, c), v in delta.entries.items() if c not in cleared})
+        assert layout == oracle_layout(kept), n
+        assert (diag, pivot_rows) == sparse_diagonalize(kept), n
         cleared = pivot_rows
     dims = [len(level) for level in levels]
     assert betti == uncleared_betti(dims, deltas)
