@@ -37,8 +37,8 @@ print()
 print("Dimension bookkeeping in degree 1 on the 2-sphere:")
 matrix = alternative_maker_matrix_scaled(index, 1)
 rank = integer_rank(matrix)
-print(f"  dim C^1 = {matrix.rows}, projector rank = {rank} "
-      f"(= number of edges), kernel = {matrix.rows - rank}")
+print(f"  dim C^1 = {index.count(1)}, projector rank = {rank} "
+      f"(= number of edges), kernel = {index.count(1) - rank}")
 
 print()
 print("Graded commutativity of the projected cup product (degrees 1 and 1):")

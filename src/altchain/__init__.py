@@ -11,10 +11,9 @@ from .complex_model import (
     enumerate_generators,
     face,
 )
-from .permutations import Permutation, sign, act, induced_face_perm, enumerate_group
+from .permutations import Permutation, act, induced_face_perm, enumerate_group
 from .cochain_algebra import (
     Cochain,
-    AltBasis,
     coboundary,
     is_alternative,
     alternative_maker,
@@ -22,7 +21,6 @@ from .cochain_algebra import (
     cup,
     alt_cup,
     nonlinear_residual,
-    alt_basis,
     alternating_cochain,
 )
 from .alt_chains import (
@@ -35,7 +33,6 @@ from .alt_chains import (
     ordered_boundary,
 )
 from .integer_homology import (
-    IntegerMatrix,
     AbelianGroup,
     smith_normal_form,
     homology_presented,

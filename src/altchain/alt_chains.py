@@ -11,7 +11,8 @@ everything else works with those classes.
 Sorted tuples form a subcomplex of the tuple complex: every face of a
 sorted tuple is sorted, hence already canonical.  So the lifted boundary
 of the presentation (:func:`alt_chain_complex`) is the ordered boundary
-on sorted tuples, with the torsion rows read mod 2.
+on sorted tuples, kept as one face column per generator, with the
+torsion rows read mod 2.
 
 A chain map on ordered chains that commutes with reordering descends to
 the quotient (:func:`descend`): apply it to the canonical representatives
@@ -23,15 +24,18 @@ descended this way from their ordered forms.
 
 from __future__ import annotations
 
+import re
 from math import comb
 
 from . import permutations
 from .complex_model import (DEFAULT_GENERATOR_BUDGET, SimplicialComplex,
                             check_generator_budget)
 from .errors import FormatError, Record
-from .integer_homology import IntegerMatrix, face_matrix, matrix_from_json, matrix_to_json
+from .integer_homology import _face_row, product_entries
 
 PRESENTATION_FORMAT_VERSION = 2
+_MATRIX_FORMAT_VERSION = 2
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def canonicalize(g: tuple) -> tuple:
@@ -176,11 +180,12 @@ def face_class_compat(f: tuple, s: "permutations.Permutation") -> bool:
 class AltComplexPresentation(Record):
     """Finite presentation of the quotient complex up to a degree cap.
 
-    Per degree: the free generators (strictly increasing tuples), the
+    Per degree n: the free generators (strictly increasing tuples), the
     torsion generators (sorted tuples with a repeat) and the lifted
-    boundary matrix on the combined generator list (free block first),
-    one sparse :class:`IntegerMatrix` per degree; degree 0 maps to the
-    zero group, 0 x g_0.  The relations are 2*e_t for each torsion
+    boundary d_n as its face columns, one ``{row: nonzero}`` per
+    generator of the combined list (free block first), the rows numbered
+    the same way one degree down; degree 0 maps to the zero group, so its
+    columns are empty.  The relations are 2*e_t for each torsion
     generator t, so the torsion lists determine them and they are not
     stored.
     """
@@ -189,15 +194,11 @@ class AltComplexPresentation(Record):
     max_degree: int
     free_generators: tuple
     torsion_generators: tuple
-    matrices: tuple
-    _unshown = ("matrices",)
+    columns: tuple
+    _unshown = ("columns",)
 
     def generator_count(self, n: int) -> int:
         return len(self.free_generators[n]) + len(self.torsion_generators[n])
-
-    def boundary_matrix(self, n: int) -> IntegerMatrix:
-        """The lifted boundary C_n -> C_{n-1}."""
-        return self.matrices[n]
 
     @property
     def boundaries(self) -> tuple:
@@ -206,7 +207,14 @@ class AltComplexPresentation(Record):
         Read-only and rebuilt on every read; only the benchmark harness
         under ``perfbench/`` reads presentations this way.
         """
-        return tuple(M.to_dense() for M in self.matrices)
+        dense = [[]]
+        for n in range(1, self.max_degree + 1):
+            rows = [[0] * self.generator_count(n) for _ in range(self.generator_count(n - 1))]
+            for c, column in enumerate(self.columns[n]):
+                for r, v in column.items():
+                    rows[r][c] = v
+            dense.append(rows)
+        return tuple(dense)
 
 
 def alt_chain_complex(K: SimplicialComplex, max_degree: int,
@@ -219,10 +227,11 @@ def alt_chain_complex(K: SimplicialComplex, max_degree: int,
     tuples of degree n extend those of degree n-1 by each coface vertex
     not below their last entry, in lexicographic order; the strictly
     increasing ones are the free generators, the rest the torsion ones.
-    Every face of a sorted tuple is a sorted tuple, so the lifted boundary
-    is the ordered face sum (:func:`face_matrix`) with each torsion row
-    entry read mod 2.  The two faces that drop one copy of a repeated
-    entry cancel there, so no entry joins a free and a torsion generator.
+    Every face of a sorted tuple is a sorted tuple, so the face column of
+    a generator is its ordered face sum as it comes from the face loop,
+    with each torsion entry read mod 2, as 1.  The two faces that drop one
+    copy of a repeated entry cancel there, so no entry joins a free and a
+    torsion generator.
     """
     f = K.f_vector()
     check_generator_budget(
@@ -230,30 +239,26 @@ def alt_chain_complex(K: SimplicialComplex, max_degree: int,
          for n in range(max_degree + 1)), budget)
     free_gens = []
     torsion_gens = []
-    matrices = []
+    columns = []
     level = K.simplices_of_dim(0)
     for n in range(max_degree + 1):
         if n:
             level = [g + (v,) for g in level
                      for v in K.coface_vertices[frozenset(g)] if v >= g[-1]]
         free = tuple(t for t in level if len(set(t)) == n + 1)
-        columns = free + tuple(t for t in level if len(set(t)) <= n)
+        torsion = tuple(t for t in level if len(set(t)) <= n)
         if n:
-            M = face_matrix(columns, row_of)
-            free_rows = len(free_gens[-1])
-            M = IntegerMatrix(M.rows, M.cols, {
-                (r, c): v if r < free_rows else 1
-                for (r, c), v in M.entries.items() if r < free_rows or v % 2})
+            columns.append([_face_row(t, row_of) for t in free]
+                           + [dict.fromkeys(_face_row(t, row_of), 1) for t in torsion])
         else:
-            M = IntegerMatrix(0, len(columns), {})
-        row_of = {t: i for i, t in enumerate(columns)}
+            columns.append([{} for _ in free])
+        row_of = {t: i for i, t in enumerate(free + torsion)}
         free_gens.append(free)
-        torsion_gens.append(columns[len(free):])
-        matrices.append(M)
+        torsion_gens.append(torsion)
     return AltComplexPresentation(
         complex=K, max_degree=max_degree,
         free_generators=tuple(free_gens), torsion_generators=tuple(torsion_gens),
-        matrices=tuple(matrices))
+        columns=tuple(columns))
 
 
 def presented_law_violation(pres: AltComplexPresentation, n: int):
@@ -267,13 +272,13 @@ def presented_law_violation(pres: AltComplexPresentation, n: int):
     """
     free = [len(f) for f in pres.free_generators]
     for m in range(n, min(n + 1, pres.max_degree) + 1):
-        for (r, c), v in pres.boundary_matrix(m).entries.items():
-            if (r < free[m - 1]) != (c < free[m]):
-                return (f"boundary {m} joins a free and a torsion generator",
-                        {"degree": m, "row": r, "col": c, "value": v})
+        for c, column in enumerate(pres.columns[m]):
+            for r, v in column.items():
+                if (r < free[m - 1]) != (c < free[m]):
+                    return (f"boundary {m} joins a free and a torsion generator",
+                            {"degree": m, "row": r, "col": c, "value": v})
     if n < pres.max_degree:
-        product = pres.boundary_matrix(n).matmul(pres.boundary_matrix(n + 1))
-        for (r, c), v in product.entries.items():
+        for r, c, v in product_entries(pres.columns[n], pres.columns[n + 1]):
             if r < free[n - 1] or v % 2:
                 return (f"boundaries {n} and {n + 1} do not compose to zero "
                         "modulo 2*e_t", {"degree": n, "row": r, "col": c, "value": v})
@@ -281,12 +286,12 @@ def presented_law_violation(pres: AltComplexPresentation, n: int):
 
 
 def presentation_to_json(pres: AltComplexPresentation) -> dict:
-    """Serialize the generator lists and the lifted boundary matrices.
+    """Serialize the generator lists and the lifted boundaries.
 
-    Matrices are written in matrix format 2, the nonzero entries as
-    ``[row, col, "value"]`` triples.  The relations,
-    2*e_t on each torsion generator t, follow from the torsion lists and
-    are not written.
+    Each boundary is written in matrix format 2: its dimensions and its
+    nonzero entries as ``[row, col, "value"]`` triples in row-major order.
+    The relations, 2*e_t on each torsion generator t, follow from the
+    torsion lists and are not written.
     """
     return {
         "format_version": PRESENTATION_FORMAT_VERSION,
@@ -295,8 +300,14 @@ def presentation_to_json(pres: AltComplexPresentation) -> dict:
                      "free": [list(t) for t in pres.free_generators[n]],
                      "torsion": [list(t) for t in pres.torsion_generators[n]]}
                     for n in range(pres.max_degree + 1)],
-        "boundaries": {str(n): matrix_to_json(pres.boundary_matrix(n))
-                       for n in range(1, pres.max_degree + 1)},
+        "boundaries": {str(n): {
+            "format_version": _MATRIX_FORMAT_VERSION,
+            "rows": pres.generator_count(n - 1),
+            "cols": pres.generator_count(n),
+            "entries": [[r, c, str(v)] for r, c, v in sorted(
+                (r, c, v) for c, column in enumerate(pres.columns[n])
+                for r, v in column.items())],
+        } for n in range(1, pres.max_degree + 1)},
     }
 
 
@@ -319,6 +330,43 @@ def _generators(items, n: int, torsion: bool) -> tuple:
             kind = "sorted with a repeat" if torsion else "strictly increasing"
             raise FormatError(f"degree {n} generator {g} is not {kind}")
     return tuple(tuple(g) for g in items)
+
+
+def _columns_from_json(data, n: int, shape: tuple) -> list:
+    """Boundary n read from matrix format 2, which must be a
+    ``shape[0] x shape[1]`` matrix with its nonzero entries as
+    ``[row, col, "value"]`` triples, no cell twice; as face columns."""
+    if not isinstance(data, dict):
+        raise FormatError(f"boundary {n} must be a JSON object")
+    version = data.get("format_version")
+    if type(version) is not int or version != _MATRIX_FORMAT_VERSION:
+        raise FormatError(f"unsupported matrix format_version {version!r}")
+    for key in ("rows", "cols", "entries"):
+        if key not in data:
+            raise FormatError(f"matrix object missing '{key}'")
+    rows, cols = data["rows"], data["cols"]
+    for dim in (rows, cols):
+        if type(dim) is not int or dim < 0:
+            raise FormatError(f"matrix dimension {dim!r} is not a nonnegative integer")
+    if (rows, cols) != shape:
+        raise FormatError(f"boundary {n} is {rows}x{cols}, expected {shape[0]}x{shape[1]}")
+    triples = data["entries"]
+    if not isinstance(triples, list):
+        raise FormatError("matrix entries are not a list")
+    columns = [{} for _ in range(cols)]
+    for t in triples:
+        if not (isinstance(t, list) and len(t) == 3
+                and type(t[0]) is int and 0 <= t[0] < rows
+                and type(t[1]) is int and 0 <= t[1] < cols):
+            raise FormatError(f"bad matrix triple {t!r}")
+        r, c, s = t
+        if not (type(s) is int or isinstance(s, str) and _DECIMAL.fullmatch(s)):
+            raise FormatError(f"bad matrix entry {s!r}")
+        v = int(s)
+        if r in columns[c] or not v:
+            raise FormatError(f"matrix triple {t!r} is zero or repeats a cell")
+        columns[c][r] = v
+    return columns
 
 
 def presentation_from_json(data: dict) -> AltComplexPresentation:
@@ -354,19 +402,16 @@ def presentation_from_json(data: dict) -> AltComplexPresentation:
         free_gens = [_generators(d["free"], n, False) for n, d in enumerate(degrees)]
         torsion_gens = [_generators(d["torsion"], n, True) for n, d in enumerate(degrees)]
         counts = [len(f) + len(t) for f, t in zip(free_gens, torsion_gens)]
-        matrices = [IntegerMatrix(0, counts[0], {})]
+        columns = [[{} for _ in range(counts[0])]]
         for n in range(1, max_degree + 1):
-            M = matrix_from_json(data["boundaries"][str(n)])
-            if (M.rows, M.cols) != (counts[n - 1], counts[n]):
-                raise FormatError(f"boundary {n} is {M.rows}x{M.cols}, "
-                                  f"expected {counts[n - 1]}x{counts[n]}")
-            matrices.append(M)
+            columns.append(_columns_from_json(data["boundaries"][str(n)], n,
+                                              (counts[n - 1], counts[n])))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed presentation: {exc}") from exc
     pres = AltComplexPresentation(
         complex=None, max_degree=max_degree,
         free_generators=tuple(free_gens), torsion_generators=tuple(torsion_gens),
-        matrices=tuple(matrices))
+        columns=tuple(columns))
     for n in range(1, max_degree + 1):
         violation = presented_law_violation(pres, n)
         if violation:

@@ -46,8 +46,7 @@ from . import permutations
 # face stays importable from here: perfbench's tracer test checks that
 # cochain_algebra.face is restored after a traced replay
 from .complex_model import GeneratorIndex, face  # noqa: F401
-from .errors import DegreeCapError, FormatError, Record
-from .integer_homology import IntegerMatrix
+from .errors import DegreeCapError, FormatError
 
 COCHAIN_FORMAT_VERSION = 1
 _COCHAIN_FIELDS = {"format_version", "degree", "values"}
@@ -281,30 +280,6 @@ def nonlinear_residual(index: GeneratorIndex, alpha: Cochain) -> Cochain:
 # ---------------------------------------------------------------------------
 # the alternating basis
 
-class AltBasis(Record):
-    """Basis data for the alternating cochains of one degree.
-
-    The alternating cochains are spanned by one basis element per
-    strictly increasing tuple (per n-simplex); the projector kernel is a
-    complement, so its dimension is the generator count minus the number
-    of simplices.
-    """
-
-    degree: int
-    free_tuples: tuple
-    complement_dim: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.free_tuples)
-
-
-def alt_basis(index: GeneratorIndex, n: int) -> AltBasis:
-    simplices = index.complex.simplices_of_dim(n)
-    return AltBasis(degree=n, free_tuples=tuple(simplices),
-                    complement_dim=index.count(n) - len(simplices))
-
-
 def alternating_cochain(tau: tuple, value=1) -> Cochain:
     """The alternating cochain supported on the reorderings of a
     strictly increasing tuple, worth ``value`` on the tuple itself."""
@@ -319,18 +294,18 @@ def alternating_cochain(tau: tuple, value=1) -> Cochain:
 # ---------------------------------------------------------------------------
 # matrices
 
-def alternative_maker_matrix_scaled(index: GeneratorIndex, n: int) -> IntegerMatrix:
+def alternative_maker_matrix_scaled(index: GeneratorIndex, n: int) -> dict:
     """The projector matrix on the degree-n basis times (n+1)!, which is
-    integer (every entry is 0 or +-1); it has the projector's rank."""
+    integer (every entry is 0 or +-1); it has the projector's rank.  The
+    matrix is symmetric, so its nonzero rows ``{row: {col: nonzero}}``
+    are the images of the basis cochains: row j that of the j-th one."""
     fact = factorial(n + 1)
-    entries: dict = {}
+    rows: dict = {}
     for j, g in enumerate(index.generators(n)):
-        image = alternative_maker(Cochain.indicator(g))
-        for h, v in image.values.items():
-            iv = v * fact
-            entries[(index.position(h), j)] = int(iv)
-    m = index.count(n)
-    return IntegerMatrix(m, m, entries)
+        image = alternative_maker(Cochain.indicator(g)).values
+        if image:
+            rows[j] = {index.position(h): int(v * fact) for h, v in image.items()}
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -17,106 +17,27 @@ simplices) row r of delta_n is the face list of tuple r one degree up,
 and the rows go to the elimination as they are built, with no matrix in
 between.  A complex whose torsion generators have order 2 is read as a
 free block, a free chain complex, and a torsion block whose rank mod 2
-adds the Z/2 summands; each block of its boundary matrices is read
-transposed.  Nothing here checks the chain-complex law: the tuple
-complexes are face-closed, and the presentation reader checks what it
-reads.
+adds the Z/2 summands.  Nothing here checks the chain-complex law: the
+tuple complexes are face-closed, and the presentation reader checks what
+it reads.
 
-Matrix conventions: a boundary matrix for degree n has one column per
-degree-n generator and one row per degree-(n-1) generator; composition
-"later degree after earlier" is the matrix product of the two.
+Matrix conventions: one sparse form, a dict ``{index: nonzero}`` per row
+or column.  The elimination takes rows ``{row: {col: nonzero}}``.  A
+boundary for degree n is stored as its columns, one ``{row: nonzero}``
+per degree-n generator with a row per degree-(n-1) generator, so column
+c of d_{n+1} is row c of delta_n as it stands.  Composition "later
+degree after earlier" is the product of the two (:func:`product_entries`).
 """
 
 from __future__ import annotations
 
-import re
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Sequence
 
 from .complex_model import GeneratorIndex, SimplicialComplex
-from .errors import FormatError, Record
-
-MATRIX_FORMAT_VERSION = 2
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
-# ---------------------------------------------------------------------------
-# matrices
-
-class IntegerMatrix(Record):
-    """Sparse exact integer matrix: only nonzero entries are stored."""
-
-    rows: int
-    cols: int
-    entries: dict  # (row, col) -> nonzero int
-    _unshown = ("entries",)
-
-    def to_dense(self) -> list:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-    def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        by_row: dict = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc: dict = {}
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                key = (r, c)
-                acc[key] = acc.get(key, 0) + v * w
-        return IntegerMatrix(self.rows, other.cols,
-                             {k: v for k, v in acc.items() if v})
-
-
-def matrix_to_json(M: IntegerMatrix) -> dict:
-    """Serialize as dimensions plus the nonzero entries as
-    ``[row, col, "value"]`` triples in row-major order (format 2)."""
-    return {
-        "format_version": MATRIX_FORMAT_VERSION,
-        "rows": M.rows,
-        "cols": M.cols,
-        "entries": [[r, c, str(v)] for (r, c), v in sorted(M.entries.items())],
-    }
-
-
-def matrix_from_json(data: dict) -> IntegerMatrix:
-    """Read format 2, the nonzero entries as ``[row, col, "value"]``
-    triples with no cell twice."""
-    if not isinstance(data, dict):
-        raise FormatError("matrix must be a JSON object")
-    version = data.get("format_version")
-    if type(version) is not int or version != MATRIX_FORMAT_VERSION:
-        raise FormatError(f"unsupported matrix format_version {version!r}")
-    for key in ("rows", "cols", "entries"):
-        if key not in data:
-            raise FormatError(f"matrix object missing '{key}'")
-    rows, cols = data["rows"], data["cols"]
-    for dim in (rows, cols):
-        if type(dim) is not int or dim < 0:
-            raise FormatError(f"matrix dimension {dim!r} is not a nonnegative integer")
-    triples = data["entries"]
-    if not isinstance(triples, list):
-        raise FormatError("matrix entries are not a list")
-    entries = {}
-    for t in triples:
-        if not (isinstance(t, list) and len(t) == 3
-                and type(t[0]) is int and 0 <= t[0] < rows
-                and type(t[1]) is int and 0 <= t[1] < cols):
-            raise FormatError(f"bad matrix triple {t!r}")
-        r, c, s = t
-        if not (type(s) is int or isinstance(s, str) and _DECIMAL.fullmatch(s)):
-            raise FormatError(f"bad matrix entry {s!r}")
-        v = int(s)
-        if (r, c) in entries or not v:
-            raise FormatError(f"matrix triple {t!r} is zero or repeats a cell")
-        entries[(r, c)] = v
-    return IntegerMatrix(rows, cols, entries)
+from .errors import Record
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +134,12 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple:
 # ---------------------------------------------------------------------------
 # sparse diagonalization (unit pivots, then the dense core)
 
-def sparse_diagonalize(M: IntegerMatrix) -> tuple:
-    """(diagonal, unit-pivot rows) of a diagonalization of M: the unit
-    pivots of the sparse phase in pivot order, then the invariant factors
-    of the core; and the rows of the unit pivots, never a row of the core.
+def _eliminate(rows: dict) -> tuple:
+    """(diagonal, unit-pivot rows) of a diagonalization of the matrix with
+    rows ``rows[r] = {col: nonzero}`` (empty rows allowed), which it
+    consumes: the unit pivots of the sparse phase in pivot order, then the
+    invariant factors of the core; and the rows of the unit pivots, never
+    a row of the core.
 
     Elementary integer row and column operations only, so the multiset of
     entries determines the invariant factors (``canonical_invariant_factors``).
@@ -224,7 +147,7 @@ def sparse_diagonalize(M: IntegerMatrix) -> tuple:
     exact (q = a * pivot), and with the column cleared the pivot row's other
     entries could be swept by column operations that touch nothing else;
     the pivot row and column are simply dropped.  Each entry left over is a
-    minor of M, since the pivot block has determinant +-1.
+    minor of the matrix, since the pivot block has determinant +-1.
 
     Pivot rule: the live column with the fewest entries, ties to the lowest
     index; in it, the +-1 row with the fewest entries, ties to the lowest
@@ -237,14 +160,6 @@ def sparse_diagonalize(M: IntegerMatrix) -> tuple:
     ``smith_normal_form``; boundary and coboundary matrices of tuple
     complexes usually leave none.
     """
-    rows: dict = {}
-    for (r, c), v in M.entries.items():
-        rows.setdefault(r, {})[c] = v
-    return _eliminate(rows)
-
-
-def _eliminate(rows: dict) -> tuple:
-    # the elimination of sparse_diagonalize on rows[r] = {col: nonzero};
     # cols[c] is the set of rows with an entry in column c
     cols = defaultdict(set)
     for r, row in rows.items():
@@ -287,16 +202,33 @@ def _eliminate(rows: dict) -> tuple:
                 del cols[c]
         diag.append(pv)
         pivot_rows.add(pr)
-    if rows:
+    if cols:
         core_cols = sorted(cols)
-        core = [[rows[r].get(c, 0) for c in core_cols] for r in sorted(rows)]
+        core = [[row.get(c, 0) for c in core_cols] for _, row in sorted(rows.items()) if row]
         diag.extend(smith_normal_form(core))
     return diag, pivot_rows
 
 
-def integer_rank(M: IntegerMatrix) -> int:
-    """Rank over Q (equivalently over Z) of an exact integer matrix."""
-    return len(sparse_diagonalize(M)[0])
+def integer_rank(rows: dict) -> int:
+    """Rank over Q (equivalently over Z) of an exact integer matrix given
+    as rows ``{row: {col: nonzero}}``, which are left as they are."""
+    return len(_eliminate({r: dict(row) for r, row in rows.items()})[0])
+
+
+def product_entries(outer, inner) -> list:
+    """The nonzero entries ``(row, col, value)`` of the product of two
+    matrices stored as columns ``{row: nonzero}``, column by column:
+    column c of the product is the sum over k of inner[c][k] * outer[k].
+    With outer the boundary of degree n and inner that of degree n+1 it
+    is d_n d_{n+1}."""
+    out = []
+    for c, column in enumerate(inner):
+        acc: dict = {}
+        for k, v in column.items():
+            for r, w in outer[k].items():
+                acc[r] = acc.get(r, 0) + v * w
+        out.extend((r, c, x) for r, x in acc.items() if x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,43 +307,39 @@ def _tuple_homology(levels: Sequence[Sequence[tuple]]) -> list:
 def homology_presented(pres) -> list:
     """Homology of a complex whose torsion generators have order 2.
 
-    ``pres`` provides ``max_degree``, ``generator_count(n)``,
-    ``torsion_generators`` (one sequence per degree) and
-    ``boundary_matrix(n)``, an :class:`IntegerMatrix` (degree n -> n-1,
-    free generators first).  Each of the two blocks of d_{n+1} is read
-    transposed, column c as row c of delta_n, and goes through the sweep
-    of ``_coboundary_diagonals``.  The free block is a free chain complex.
+    ``pres`` provides ``max_degree``, ``free_generators`` and
+    ``torsion_generators`` (one sequence per degree), and ``columns``:
+    per degree n, the boundary d_n as one column ``{row: nonzero}`` per
+    degree-n generator, free generators first and rows numbered the same
+    way one degree down.  Column c of d_{n+1} is row c of delta_n, so each
+    of the two blocks goes as it is stored through the sweep of
+    ``_coboundary_diagonals``.  The free block is a free chain complex.
     The torsion block is read mod 2, each odd entry as 1, and adds
     t_n - r_n - r_{n+1} summands Z/2 in degree n (t_n torsion generators,
     r_n the F2 rank of the degree-n block).  The boundaries must obey the
     law of ``alt_chains.presented_law_violation``, which is not checked
-    here.  Raises ``ValueError`` on a wrong shape.
+    here.  Raises ``ValueError`` when a degree has not one column per
+    generator.
     """
-    D = pres.max_degree
-    gens = [pres.generator_count(n) for n in range(D + 1)]
+    D, columns = pres.max_degree, pres.columns
+    free = [len(pres.free_generators[n]) for n in range(D + 1)]
     tors = [len(pres.torsion_generators[n]) for n in range(D + 1)]
-    free = [g - t for g, t in zip(gens, tors)]
-    matrices = [None]
-    for n in range(1, D + 1):
-        M = pres.boundary_matrix(n)
-        if (M.rows, M.cols) != (gens[n - 1], gens[n]):
-            raise ValueError(f"boundary matrix {n} has wrong shape")
-        matrices.append(M)
+    for n in range(D + 1):
+        if len(columns[n]) != free[n] + tors[n]:
+            raise ValueError(f"boundary {n} has wrong shape")
 
-    def block(torsion):
-        def rows_of(n, cleared):
-            rows: dict = {}
-            for (r, c), v in matrices[n + 1].entries.items():
-                v = v % 2 if torsion else v
-                if v and (r >= free[n]) == torsion and r not in cleared:
-                    rows.setdefault(c, {})[r] = v
-            return rows
-        return _coboundary_diagonals(D, rows_of)
+    def free_rows(n, cleared):
+        return {c: {r: v for r, v in column.items() if r not in cleared}
+                for c, column in enumerate(columns[n + 1][:free[n + 1]])}
+
+    def torsion_rows(n, cleared):
+        return {c: {r: 1 for r, v in column.items() if v % 2 and r not in cleared}
+                for c, column in enumerate(columns[n + 1][free[n + 1]:], free[n + 1])}
     # unimodular integer operations stay invertible mod 2, so the odd
     # diagonal entries count the F2 rank
-    f2 = [0] + [sum(d % 2 for d in diag) for diag in block(True)]
+    f2 = [0] + [sum(d % 2 for d in diag) for diag in _coboundary_diagonals(D, torsion_rows)]
     return [AbelianGroup.canonical(g.free_rank, g.torsion + (2,) * (tors[n] - f2[n] - f2[n + 1]))
-            for n, g in enumerate(_groups(free, block(False)))]
+            for n, g in enumerate(_groups(free, _coboundary_diagonals(D, free_rows)))]
 
 
 def cohomology_rational(levels: Sequence[Sequence[tuple]]) -> list:
@@ -422,7 +350,7 @@ def cohomology_rational(levels: Sequence[Sequence[tuple]]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# matrices of the standard complexes
+# the standard tuple complexes
 
 def _face_row(g: tuple, row_of: dict) -> dict:
     """Ordered boundary of the tuple g, sum_i (-1)^i (g without entry i),
@@ -438,21 +366,6 @@ def _face_row(g: tuple, row_of: dict) -> dict:
             row[row_of[g[:i] + g[i + 1:]]] = -1 if i % 2 else 1
         i = k
     return row
-
-
-def face_matrix(columns: Sequence[tuple], row_of: dict) -> IntegerMatrix:
-    """The ordered boundary (:func:`_face_row`) of each column tuple, as a
-    len(row_of) x len(columns) matrix; ``row_of`` gives the row of every
-    face."""
-    return IntegerMatrix(len(row_of), len(columns), {
-        (r, j): v for j, g in enumerate(columns) for r, v in _face_row(g, row_of).items()})
-
-
-def ordered_boundary_matrix(index: GeneratorIndex, n: int) -> IntegerMatrix:
-    """Boundary matrix of the full tuple complex, degree n -> n-1."""
-    if n < 1:
-        raise ValueError("boundary matrices start at degree 1")
-    return face_matrix(index.generators(n), index.positions(n - 1))
 
 
 def simplicial_homology(K: SimplicialComplex) -> list:

@@ -1,8 +1,8 @@
 """Symmetric group machinery used throughout the chain/cochain algebra.
 
 Permutations act on vertex tuples from the right: ``act(s, g)[j] = g[s(j)]``.
-With composition ``(s2 * s1)(j) = s2(s1(j))`` this makes the action satisfy
-``act(s2 * s1, g) == act(s1, act(s2, g))``, the convention under which
+For the composite ``t(j) = s2(s1(j))`` the action satisfies
+``act(t, g) == act(s1, act(s2, g))``, the convention under which
 pulling a permutation through a face map produces the induced face
 permutation computed by :func:`induced_face_perm`.
 """
@@ -49,24 +49,11 @@ class Permutation:
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
-    @classmethod
-    def identity(cls, k: int) -> "Permutation":
-        return cls(range(k))
-
     def __len__(self) -> int:
         return len(self.images)
 
     def __call__(self, j: int) -> int:
         return self.images[j]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Function composition: (self.compose(other))(j) = self(other(j))."""
-        if len(self) != len(other):
-            raise ValueError("size mismatch in composition")
-        return Permutation(other._reorder(self.images))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return self.compose(other)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -76,11 +63,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"
-
-
-def sign(s: Permutation) -> int:
-    """Parity of ``s``: (-1) to the number of inversions."""
-    return s.sign
 
 
 def act(s: Permutation, g: tuple) -> tuple:
@@ -94,7 +76,7 @@ def induced_face_perm(s: Permutation, i: int) -> Permutation:
     """Restriction of ``s`` after deleting ``i`` from its domain and s(i) from its range.
 
     Both deleted points are renumbered away, so the result acts on one fewer
-    point.  Satisfies sign(s) == (-1)**(i - s(i)) * sign(induced_face_perm(s, i)).
+    point.  Satisfies s.sign == (-1)**(i - s(i)) * induced_face_perm(s, i).sign.
     """
     n = len(s) - 1
     if not 0 <= i <= n:

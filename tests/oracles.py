@@ -1,10 +1,10 @@
 """Independent references for the tests: one reduced row echelon form over
-Fraction, sharing no code with altchain's integer elimination, dense to
-sparse conversion and transposition of test matrices, the simplicial
-boundary matrices, the coboundary matrices as transposed boundary
-matrices, the tuple generators enumerated by brute force, and the
-quotient boundary built by descending each generator's boundary through
-``AltChain``."""
+Fraction, sharing no code with altchain's integer elimination, the
+boundary matrices of tuple complexes summed one face per entry, the
+coboundary matrices as transposed boundary matrices, the tuple generators
+enumerated by brute force, and the quotient boundary built by descending
+each generator's boundary through ``AltChain``.  Matrices are dense lists
+of rows; :func:`sparse_rows` gives the rows the elimination reads."""
 
 import itertools
 from fractions import Fraction
@@ -12,35 +12,47 @@ from math import lcm
 
 from altchain import SimplicialComplex
 from altchain.alt_chains import AltChain, boundary
-from altchain.integer_homology import IntegerMatrix, face_matrix, ordered_boundary_matrix
 
 
-def from_dense(dense) -> IntegerMatrix:
-    """The sparse matrix of a list of equal-length rows."""
-    cols = len(dense[0]) if dense else 0
-    if any(len(row) != cols for row in dense):
-        raise ValueError("ragged matrix")
-    return IntegerMatrix(len(dense), cols, {
-        (r, c): int(v) for r, row in enumerate(dense) for c, v in enumerate(row) if v})
+def sparse_rows(dense) -> dict:
+    """The nonzero rows ``{row: {col: nonzero}}`` of a list of rows."""
+    return {r: {c: int(v) for c, v in enumerate(row) if v}
+            for r, row in enumerate(dense) if any(row)}
 
 
-def transpose(M) -> IntegerMatrix:
-    return IntegerMatrix(M.cols, M.rows, {(c, r): v for (r, c), v in M.entries.items()})
+def transpose(dense) -> list:
+    return [list(col) for col in zip(*dense)]
 
 
-def simplicial_boundary_matrix(K, n: int) -> IntegerMatrix:
+def face_sum_matrix(columns, row_of) -> list:
+    """The ordered boundary sum_i (-1)^i (g without entry i) of each column
+    tuple, one face per entry with the coefficients accumulated, as a
+    len(row_of) x len(columns) matrix."""
+    dense = [[0] * len(columns) for _ in range(len(row_of))]
+    for j, g in enumerate(columns):
+        for i in range(len(g)):
+            dense[row_of[g[:i] + g[i + 1:]]][j] += (-1) ** i
+    return dense
+
+
+def ordered_boundary_matrix(index, n: int) -> list:
+    """The boundary of the full tuple complex, degree n to n-1."""
+    return face_sum_matrix(index.generators(n), index.positions(n - 1))
+
+
+def simplicial_boundary_matrix(K, n: int) -> list:
     """The classical simplicial boundary, degree n to n-1, on sorted simplices."""
     rows = K.simplices_of_dim(n - 1)
-    return face_matrix(K.simplices_of_dim(n), {s: i for i, s in enumerate(rows)})
+    return face_sum_matrix(K.simplices_of_dim(n), {s: i for i, s in enumerate(rows)})
 
 
-def coboundary_matrix(index, n: int) -> IntegerMatrix:
+def coboundary_matrix(index, n: int) -> list:
     """delta_n of the full tuple complex on the generator bases, degree n to
     n+1: the transpose of the degree-(n+1) ordered boundary matrix."""
     return transpose(ordered_boundary_matrix(index, n + 1))
 
 
-def alt_coboundary_matrix(K, n: int) -> IntegerMatrix:
+def alt_coboundary_matrix(K, n: int) -> list:
     """delta_n on the alternating bases (the sorted simplices): the
     transpose of the degree-(n+1) simplicial boundary matrix."""
     return transpose(simplicial_boundary_matrix(K, n + 1))
@@ -124,10 +136,10 @@ def product_filter_generators(K, max_degree: int) -> list:
 
 def descended_boundary_matrices(free_generators, torsion_generators) -> list:
     """The lifted boundary of a sign-quotient presentation, degree n -> n-1
-    for n = 1..D (index 0 is None): each generator's quotient boundary,
+    for n = 1..D (index 0 is ``[]``): each generator's quotient boundary,
     :func:`altchain.alt_chains.boundary`, written into the column of the
     combined generator list, free generators first."""
-    out = [None]
+    out = [[]]
     for n in range(1, len(free_generators)):
         rows = free_generators[n - 1] + torsion_generators[n - 1]
         row_of = {t: i for i, t in enumerate(rows)}
@@ -137,26 +149,8 @@ def descended_boundary_matrices(free_generators, torsion_generators) -> list:
             image = boundary(AltChain.from_generator(g))
             for t, c in list(image.free.items()) + list(image.torsion.items()):
                 dense[row_of[t]][j] += c
-        out.append(IntegerMatrix(len(rows), len(columns), {
-            (r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}))
+        out.append(dense)
     return out
-
-
-def face_matrix_per_index(columns, row_of) -> IntegerMatrix:
-    """The ordered boundary sum_i (-1)^i (g without entry i) of each column
-    tuple, one face per entry with the coefficients accumulated."""
-    entries: dict = {}
-    for j, g in enumerate(columns):
-        sign = 1
-        for i in range(len(g)):
-            key = (row_of[g[:i] + g[i + 1:]], j)
-            v = entries.get(key, 0) + sign
-            if v:
-                entries[key] = v
-            else:
-                entries.pop(key, None)
-            sign = -sign
-    return IntegerMatrix(len(row_of), len(columns), entries)
 
 
 def subdivision(K):

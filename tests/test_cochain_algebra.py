@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from altchain import (Cochain, DegreeCapError, FormatError, SimplicialComplex,
-                      alt_basis, alt_cup, alternating_cochain,
+                      alt_cup, alternating_cochain,
                       alternative_maker, coboundary, cup,
                       enumerate_generators, is_alternative,
                       nonlinear_residual, split)
@@ -18,7 +18,7 @@ from altchain.cochain_algebra import (alternative_maker_matrix_scaled,
 from altchain.integer_homology import integer_rank
 from altchain.permutations import act, enumerate_group, parity
 from oracles import (alt_coboundary_matrix, coboundary_matrix, fraction_rank,
-                     integer_kernel)
+                     integer_kernel, transpose)
 
 
 def random_cochain(index, n, rng, terms=3):
@@ -65,15 +65,12 @@ def test_coboundary_matches_matrix(sphere_index):
     # sparse cochain route against the assembled matrix route
     rng = Random(3)
     for n in (0, 1, 2):
-        M = coboundary_matrix(sphere_index, n)
+        dense = coboundary_matrix(sphere_index, n)
         alpha = random_cochain(sphere_index, n, rng)
         vec = [alpha(g) for g in sphere_index.generators(n)]
         image = coboundary(sphere_index, alpha)
-        dense = [[0] * M.cols for _ in range(M.rows)]
-        for (r, c), v in M.entries.items():
-            dense[r][c] = v
         for i, g in enumerate(sphere_index.generators(n + 1)):
-            assert image(g) == sum(dense[i][j] * vec[j] for j in range(M.cols))
+            assert image(g) == sum(a * b for a, b in zip(dense[i], vec))
 
 
 def test_is_alternative_examples():
@@ -123,22 +120,31 @@ def test_split_examples(sphere, sphere_index):
     assert alternative_maker(ker).is_zero()
 
 
+def scaled_projector_dense(index, n):
+    rows = alternative_maker_matrix_scaled(index, n)
+    m = index.count(n)
+    return [[rows.get(r, {}).get(c, 0) for c in range(m)] for r in range(m)]
+
+
 def test_splitting_dimensions_sphere_degree_one(sphere_index):
     # 16 = 6 + 10: rank of the projector plus its nullity, via two
     # independent rank computations on the same matrix
     scaled = alternative_maker_matrix_scaled(sphere_index, 1)
-    assert scaled.rows == scaled.cols == 16
-    assert fraction_rank(scaled.to_dense()) == 6
+    dense = scaled_projector_dense(sphere_index, 1)
+    assert len(dense) == sphere_index.count(1) == 16
+    assert fraction_rank(dense) == 6
     assert integer_rank(scaled) == 6
-    basis = alt_basis(sphere_index, 1)
-    assert basis.dim == 6 and basis.complement_dim == 10
+    assert len(integer_kernel(dense)) == 10
+    assert dense == transpose(dense)  # symmetric, so its rows are its columns
 
 
 def test_alt_basis_counts(sphere_index):
-    assert alt_basis(sphere_index, 0).dim == 4
-    assert alt_basis(sphere_index, 2).dim == 4
-    assert alt_basis(sphere_index, 3).dim == 0
-    assert alt_basis(sphere_index, 3).complement_dim == 232
+    # the alternating cochains have one basis cochain per simplex: the
+    # projector's rank, with the rest of each degree its kernel
+    ranks = [integer_rank(alternative_maker_matrix_scaled(sphere_index, n)) for n in range(4)]
+    assert ranks == [len(sphere_index.complex.simplices_of_dim(n)) for n in range(4)]
+    assert ranks == [4, 6, 4, 0]
+    assert sphere_index.count(3) - ranks[3] == 232
 
 
 def test_alternating_cochain_rejects_repeats():
@@ -249,10 +255,7 @@ def test_alt_cup_associativity_up_to_coboundary(torus):
     index = enumerate_generators(torus, 3)
     edges = torus.simplices_of_dim(1)
     triangles = torus.simplices_of_dim(2)
-    M1 = alt_coboundary_matrix(torus, 1)  # alternating degree 1 -> 2
-    dense1 = [[0] * M1.cols for _ in range(M1.rows)]
-    for (r, col), v in M1.entries.items():
-        dense1[r][col] = v
+    dense1 = alt_coboundary_matrix(torus, 1)  # alternating degree 1 -> 2
     kernel = integer_kernel(dense1)
     assert len(kernel) == len(edges) - fraction_rank(dense1)
 
@@ -443,10 +446,12 @@ def oracle_coboundary(index, alpha):
     return Cochain(n + 1, out)
 
 
-def matrix_columns(M):
+def matrix_columns(dense):
     columns: dict = {}
-    for (r, c), v in M.entries.items():
-        columns.setdefault(c, []).append((r, v))
+    for r, row in enumerate(dense):
+        for c, v in enumerate(row):
+            if v:
+                columns.setdefault(c, []).append((r, v))
     return columns
 
 
@@ -589,10 +594,9 @@ def test_scaled_projector_matrix_matches_group_sum(sphere_index, oracle_indices)
     solid = oracle_indices[-1]
     for index, top in ((sphere_index, 3), (solid, 2)):
         for n in range(top + 1):
-            M = alternative_maker_matrix_scaled(index, n)
+            M = scaled_projector_dense(index, n)
             for j, g in enumerate(index.generators(n)):
-                column = {index.generators(n)[r]: v
-                          for (r, c), v in M.entries.items() if c == j}
+                column = {index.generators(n)[r]: row[j] for r, row in enumerate(M) if row[j]}
                 expected = oracle_alternative_maker(Cochain.indicator(g))
                 assert Cochain(n, column) == expected.scale(factorial(n + 1))
 
