@@ -2,11 +2,11 @@
 
 Everything here is arbitrary-precision.  Integer diagonalization has two
 phases, after Dumas, Saunders & Villard (J. Symb. Comput. 2001): sparse
-elimination removes every pivot it can take on a +-1 entry, which needs
-no division, and the leftover core, if any, goes to a dense phase that
-diagonalizes it by row/column reduction with minimal-absolute-value
-pivoting.  ``canonical_invariant_factors`` turns any such diagonal into
-the divisibility chain of invariant factors.
+elimination reads the rows in order and pivots each on a +-1 entry where
+it can, which needs no division, and the leftover core, if any, goes to a
+dense phase that diagonalizes it by row/column reduction with
+minimal-absolute-value pivoting.  ``canonical_invariant_factors`` turns
+any such diagonal into the divisibility chain of invariant factors.
 
 Homology and rational cohomology share one driver.  The coboundary
 delta_n is the transposed boundary d_{n+1}, with the same invariant
@@ -14,15 +14,17 @@ factors, so every group comes from eliminating delta_0, delta_1, ...
 bottom-up, each without the columns that the unit pivots of the one
 before it account for.  For a tuple complex (ordered tuples or sorted
 simplices) row r of delta_n is the face list of tuple r one degree up,
-and the rows go to the elimination as they are built, with no matrix in
-between.  A complex whose torsion generators have order 2 is read as a
-free block, a free chain complex, and a torsion block whose rank mod 2
-adds the Z/2 summands.  Nothing here checks the chain-complex law: the
-tuple complexes are face-closed, and the presentation reader checks what
-it reads.
+built when the elimination reads it, with no matrix in between; as in
+Ripser (Bauer 2021), which builds each column only when the reduction
+asks for it, the rows after delta_n reaches full rank are never built.
+A complex whose torsion generators have order 2 is read as a free block,
+a free chain complex, and a torsion block whose rank mod 2 adds the Z/2
+summands.  Nothing here checks the chain-complex law: the tuple
+complexes are face-closed, and the presentation reader checks what it
+reads.
 
 Matrix conventions: one sparse form, a dict ``{index: nonzero}`` per row
-or column.  The elimination takes rows ``{row: {col: nonzero}}``.  A
+or column.  The elimination reads rows ``(row, {col: nonzero})``.  A
 boundary for degree n is stored as its columns, one ``{row: nonzero}``
 per degree-n generator with a row per degree-(n-1) generator, so column
 c of d_{n+1} is row c of delta_n as it stands.  Composition "later
@@ -31,7 +33,6 @@ degree after earlier" is the product of the two (:func:`product_entries`).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Sequence
@@ -134,79 +135,73 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple:
 # ---------------------------------------------------------------------------
 # sparse diagonalization (unit pivots, then the dense core)
 
-def _eliminate(rows: dict) -> tuple:
-    """(diagonal, unit-pivot rows) of a diagonalization of the matrix with
-    rows ``rows[r] = {col: nonzero}`` (empty rows allowed), which it
-    consumes: the unit pivots of the sparse phase in pivot order, then the
-    invariant factors of the core; and the rows of the unit pivots, never
-    a row of the core.
+def _eliminate(rows, live=None) -> tuple:
+    """(diagonal, unit pivots) of a diagonalization of the matrix whose
+    rows are the pairs ``(row, {col: nonzero})`` of ``rows``, a dict or an
+    iterable read in order, which it consumes: the unit pivots in the order
+    they were made, then the invariant factors of the core; and
+    ``{row: pivot column}`` for the unit pivots, never a row of the core.
 
-    Elementary integer row and column operations only, so the multiset of
-    entries determines the invariant factors (``canonical_invariant_factors``).
-    The sparse phase pivots only on +-1 entries, so clearing a column is
-    exact (q = a * pivot), and with the column cleared the pivot row's other
-    entries could be swept by column operations that touch nothing else;
-    the pivot row and column are simply dropped.  Each entry left over is a
-    minor of the matrix, since the pivot block has determinant +-1.
+    Each row read is reduced by the pivot rows made before it, in the order
+    they were made (a heap of their creation indices), by exact row
+    operations ``q = a * pivot``; its first +-1 entry left, if any, becomes
+    a pivot, and the row is kept as it stands.  A row with no +-1 entry
+    waits; after the last row the waiting rows are reduced again and
+    pivoted while a pass makes a new pivot, and the rows left form the
+    core, which goes to ``smith_normal_form``.  A pivot row holds no column
+    of an earlier pivot, so the pivot rows on their pivot columns form a
+    triangle with +-1 on the diagonal: determinant +-1.  Column operations
+    would then sweep each pivot row without touching the core, so the
+    pivots and the core's invariant factors diagonalize the matrix, and
+    each core entry is a minor of it.  Boundary and coboundary matrices of
+    tuple complexes usually leave no core.
 
-    Pivot rule: the live column with the fewest entries, ties to the lowest
-    index; in it, the +-1 row with the fewest entries, ties to the lowest
-    index.  Columns sit in a lazy min-heap keyed by (entry count, index): a
-    step re-pushes the columns of the pivot row, the only ones whose entries
-    it changes, and a popped key that no longer matches its column's count
-    is skipped.  A popped column with no +-1 entry is parked: it returns to
-    the heap only when a later step changes one of its entries.  When the
-    heap is empty, the rows left form the core, which goes to
-    ``smith_normal_form``; boundary and coboundary matrices of tuple
-    complexes usually leave none.
+    ``live``, when given, bounds the rank (the number of columns that can
+    hold an entry): once that many pivots are made, every later row would
+    reduce to zero, and no further row is read.
     """
-    # cols[c] is the set of rows with an entry in column c
-    cols = defaultdict(set)
-    for r, row in rows.items():
-        for c in row:
-            cols[c].add(r)
-    heap = [(len(rs), c) for c, rs in cols.items()]
-    heapify(heap)
-    diag = []
-    pivot_rows = set()
-    while heap:
-        count, pc = heappop(heap)
-        if pc not in cols or len(cols[pc]) != count:
-            continue
-        units = [r for r in cols[pc] if rows[r][pc] in (1, -1)]
-        if not units:
-            continue
-        pr = min(units, key=lambda r: (len(rows[r]), r))
-        prow = rows.pop(pr)
-        pv = prow.pop(pc)
-        for r in cols.pop(pc):
-            if r == pr:
+    made, pivot_of, pivots, waiting = [], {}, {}, []
+
+    def place(r, row):
+        heap = [pivot_of[c] for c in row if c in pivot_of]
+        heapify(heap)
+        while heap:
+            pc, pv, prow = made[heappop(heap)]
+            a = row.pop(pc, 0)
+            if not a:
                 continue
-            rrow = rows[r]
-            q = rrow.pop(pc) * pv
+            q = a * pv
             for c, v in prow.items():
-                nv = rrow.get(c, 0) - q * v
-                if nv:
-                    rrow[c] = nv
-                    cols[c].add(r)
-                else:
-                    del rrow[c]
-                    cols[c].discard(r)
-            if not rrow:
-                del rows[r]
-        for c in prow:
-            cols[c].discard(pr)
-            if cols[c]:
-                heappush(heap, (len(cols[c]), c))
-            else:
-                del cols[c]
-        diag.append(pv)
-        pivot_rows.add(pr)
-    if cols:
-        core_cols = sorted(cols)
-        core = [[row.get(c, 0) for c in core_cols] for _, row in sorted(rows.items()) if row]
-        diag.extend(smith_normal_form(core))
-    return diag, pivot_rows
+                nv = row.get(c, 0) - q * v
+                if not nv:
+                    del row[c]
+                    continue
+                if c not in row and c in pivot_of:
+                    heappush(heap, pivot_of[c])
+                row[c] = nv
+        pc = next((c for c, v in row.items() if v in (1, -1)), None)
+        if pc is None:
+            if row:
+                waiting.append((r, row))
+            return
+        pivot_of[pc] = len(made)
+        made.append((pc, row.pop(pc), row))
+        pivots[r] = pc
+
+    pairs = iter(rows.items() if isinstance(rows, dict) else rows)
+    while len(pivots) != live and (pair := next(pairs, None)):
+        place(*pair)
+    # a waiting row may hold columns of pivots made after it
+    count = None
+    while waiting and count != len(pivots):
+        count, rest, waiting = len(pivots), waiting, []
+        for pair in rest:
+            place(*pair)
+    diag = [pv for _, pv, _ in made]
+    if waiting:
+        core_cols = sorted({c for _, row in waiting for c in row})
+        diag.extend(smith_normal_form([[row.get(c, 0) for c in core_cols] for _, row in waiting]))
+    return diag, pivots
 
 
 def integer_rank(rows: dict) -> int:
@@ -259,18 +254,19 @@ def _coboundary_diagonals(degrees: int, rows_of) -> list:
     """Diagonals of delta_0, ..., delta_{degrees-1} of a cochain complex,
     eliminated bottom-up with clearing across degrees.
 
-    ``rows_of(n, cleared)`` returns delta_n as ``{row: {col: nonzero}}``
-    without the columns in ``cleared``, which are the unit-pivot rows of
-    delta_{n-1}.  That pivot block, rows P and columns Q of delta_{n-1},
-    has determinant +-1, so the delta_{n-1} e_q (q in Q) and the e_i (i
-    not in P) form a basis of delta_n's domain, over Z and mod 2.  delta_n
-    kills the delta_{n-1} e_q, since the two compose to zero, so it keeps
-    its invariant factors (and F2 rank) on the rest.  That law is taken
-    for granted, not checked.
+    ``rows_of(n, cleared)`` returns ``(rows, live)``: delta_n as rows for
+    ``_eliminate`` without the columns in ``cleared``, which are the
+    unit-pivot rows of delta_{n-1}, and a bound on its rank or None.  That
+    pivot block, rows P and columns Q of delta_{n-1}, has determinant +-1,
+    so the delta_{n-1} e_q (q in Q) and the e_i (i not in P) form a basis
+    of delta_n's domain, over Z and mod 2.  delta_n kills the
+    delta_{n-1} e_q, since the two compose to zero, so it keeps its
+    invariant factors (and F2 rank) on the rest.  That law is taken for
+    granted, not checked.
     """
-    diags, cleared = [], frozenset()
+    diags, cleared = [], {}
     for n in range(degrees):
-        diag, cleared = _eliminate(rows_of(n, cleared))
+        diag, cleared = _eliminate(*rows_of(n, cleared))
         diags.append(diag)
     return diags
 
@@ -289,17 +285,19 @@ def _tuple_homology(levels: Sequence[Sequence[tuple]]) -> list:
     ``levels[n]`` lists the degree-n tuples for n = 0..D, and every face
     of a tuple in ``levels[n + 1]`` is in ``levels[n]``.  Row r of delta_n
     is the face row (:func:`_face_row`) of tuple r of ``levels[n + 1]``,
-    built straight into the elimination with no matrix in between."""
-    def rows_of(n, cleared):
-        # every face in a cleared column lands in column -1, which is dropped
-        col_of = {g: -1 if j in cleared else j for j, g in enumerate(levels[n])}
-        rows: dict = {}
+    built only when the elimination reads it: the rank is at most the
+    number of columns left, so the rows after it reaches that are never
+    built."""
+    def face_rows(n, col_of):
         for r, g in enumerate(levels[n + 1]):
             row = _face_row(g, col_of)
             row.pop(-1, None)
-            if row:
-                rows[r] = row
-        return rows
+            yield r, row
+
+    def rows_of(n, cleared):
+        # every face in a cleared column lands in column -1, which is dropped
+        col_of = {g: -1 if j in cleared else j for j, g in enumerate(levels[n])}
+        return face_rows(n, col_of), len(levels[n]) - len(cleared)
     return _groups([len(level) for level in levels],
                    _coboundary_diagonals(len(levels) - 1, rows_of))
 
@@ -330,11 +328,11 @@ def homology_presented(pres) -> list:
 
     def free_rows(n, cleared):
         return {c: {r: v for r, v in column.items() if r not in cleared}
-                for c, column in enumerate(columns[n + 1][:free[n + 1]])}
+                for c, column in enumerate(columns[n + 1][:free[n + 1]])}, None
 
     def torsion_rows(n, cleared):
         return {c: {r: 1 for r, v in column.items() if v % 2 and r not in cleared}
-                for c, column in enumerate(columns[n + 1][free[n + 1]:], free[n + 1])}
+                for c, column in enumerate(columns[n + 1][free[n + 1]:], free[n + 1])}, None
     # unimodular integer operations stay invertible mod 2, so the odd
     # diagonal entries count the F2 rank
     f2 = [0] + [sum(d % 2 for d in diag) for diag in _coboundary_diagonals(D, torsion_rows)]

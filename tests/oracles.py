@@ -79,11 +79,15 @@ def _rref(rows):
             factor = -factor
         factor *= mat[r][c]
         inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
+        # only the pivot row's nonzero entries change another row
+        nonzero = [(j, b * inv) for j, b in enumerate(mat[r]) if b]
+        for j, b in nonzero:
+            mat[r][j] = b
         for i in range(len(mat)):
             if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                f, row = mat[i][c], mat[i]
+                for j, b in nonzero:
+                    row[j] -= f * b
         pivots.append(c)
     return mat, pivots, factor
 

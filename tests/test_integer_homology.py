@@ -5,7 +5,7 @@ import signal
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from altchain import (AbelianGroup, alt_chain_complex, cohomology_rational,
                       enumerate_generators, homology_presented, ordered_homology,
@@ -86,6 +86,11 @@ def test_sparse_diagonalize_agrees_with_dense(rows):
     sparse_factors = canonical_invariant_factors(ih._eliminate(sparse_rows(rows))[0])
     assert sparse_factors == smith_normal_form(rows)
     assert integer_rank(sparse_rows(rows)) == fraction_rank(rows)
+
+
+def boundary_of_simplex(d):
+    return SimplicialComplex.from_facets(
+        d + 1, list(itertools.combinations(range(d + 1), d)), name=f"bd_simplex_{d}")
 
 
 def columns_of(dense) -> list:
@@ -340,9 +345,7 @@ def test_presented_torsion_blocks_leave_no_dense_core(monkeypatch):
     # the torsion blocks are read mod 2, each odd entry as 1, so every
     # pivot is a unit; over Z, eliminated top-down, their even entries
     # left a 504 x 1,680 dense core on the boundary of the 6-simplex at D=7
-    K = SimplicialComplex.from_facets(
-        7, list(itertools.combinations(range(7), 6)), name="bd_simplex_6")
-    pres = alt_chain_complex(K, 7)
+    pres = alt_chain_complex(boundary_of_simplex(6), 7)
     cores = []
 
     def spy(core):
@@ -476,34 +479,42 @@ def shaped_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(shaped_matrices())
-def test_heap_pivots_match_column_scan(M):
+# rows 0 and 1 wait; row 1 pivots only after row 2's pivot, and row 0
+# only after row 1's, so the waiting rows take two passes (factors 1, 1, 3)
+@example([[2, 3, 0], [3, 0, 2], [1, 0, 1]])
+def test_unit_pivots_match_dense_snf(M):
     # a core reorders the diagonal, so compare what its consumers read:
     # invariant factors, rank and the F2 rank (the odd entries)
-    diag, _ = ih._eliminate(sparse_rows(M))
+    diag, pivots = ih._eliminate(sparse_rows(M))
     factors = smith_normal_form(M)
     assert canonical_invariant_factors(diag) == factors
     assert len(diag) == len(factors)
     assert sum(d % 2 for d in diag) == sum(d % 2 for d in factors)
+    assert_unit_pivot_block(M, pivots)
 
 
-def test_heap_pivots_match_column_scan_on_coboundaries(corpus):
-    boundary_4simplex = SimplicialComplex.from_facets(
-        5, list(itertools.combinations(range(5), 4)), name="bd_simplex_4")
-    cases = [(K, 3) for _, K in corpus] + [(boundary_4simplex, 4)]
+def assert_unit_pivot_block(M, pivots):
+    # the unit-pivot rows on their pivot columns, as they stand in M, have
+    # determinant +-1: what clearing across degrees and the F2 count rest on
+    block = [[M[r][c] for c in pivots.values()] for r in pivots]
+    assert fraction_det(block) in (1, -1)
+
+
+def test_unit_pivots_match_column_scan_on_coboundaries(corpus):
+    cases = [(K, 3) for _, K in corpus] + [(boundary_of_simplex(4), 4)]
     for K, cap in cases:
         index = enumerate_generators(K, cap)
         for n in range(cap):
             M = coboundary_matrix(index, n)
-            diag, scan = ih._eliminate(sparse_rows(M))[0], scan_diagonalize(M)
-            if all(d in (1, -1) for d in scan):
-                assert diag == scan, (K.name, n)
-            else:
-                # the Z/2 of RP^2 and the Klein bottle: the scan divided by a
-                # 2 mid-way, the unit pivots leave it to the core, last
-                assert canonical_invariant_factors(diag) == \
-                    canonical_invariant_factors(scan), (K.name, n)
-                assert len(diag) == len(scan), (K.name, n)
-                assert sum(d % 2 for d in diag) == sum(d % 2 for d in scan), (K.name, n)
+            (diag, pivots), scan = ih._eliminate(sparse_rows(M)), scan_diagonalize(M)
+            # the two diagonals differ in order and sign, and on the Z/2 of
+            # RP^2 and the Klein bottle the scan divides by a 2 mid-way where
+            # the unit pivots leave it to the core: compare what consumers read
+            assert canonical_invariant_factors(diag) == \
+                canonical_invariant_factors(scan), (K.name, n)
+            assert len(diag) == len(scan), (K.name, n)
+            assert sum(d % 2 for d in diag) == sum(d % 2 for d in scan), (K.name, n)
+            assert_unit_pivot_block(M, pivots)
 
 
 def test_matrix_builders_match_face_position_oracle(sphere_index, rp2):
@@ -671,9 +682,7 @@ def test_clearing_keeps_the_answers_of_uncleared_elimination(corpus, rp2):
     # rp2_6 and klein_8 carry Z/2, so their eliminations leave a core
     from oracles import subdivision
 
-    boundary_5 = SimplicialComplex.from_facets(
-        6, list(itertools.combinations(range(6), 5)), name="bd_simplex_5")
-    for K, cap in [(K, 4) for _, K in corpus] + [(boundary_5, 3)]:
+    for K, cap in [(K, 4) for _, K in corpus] + [(boundary_of_simplex(5), 3)]:
         assert_clearing_keeps_answers(K, cap)
     sd_rp2 = subdivision(rp2)
     assert_simplicial_clearing_keeps_answers(sd_rp2)
@@ -690,58 +699,103 @@ def test_clearing_drops_the_columns_of_the_previous_unit_pivots():
     # delta_3 of the boundary of the 6-simplex at cap 4 is 16,807 x 2,401;
     # the 300 unit-pivot rows of delta_2 index columns that could only
     # reduce to zero, so 2,101 columns enter its elimination
-    K = SimplicialComplex.from_facets(
-        7, list(itertools.combinations(range(7), 6)), name="bd_simplex_6")
-    index = enumerate_generators(K, 4)
-    betti, seen = spied_cohomology(full_levels(index))
+    index = enumerate_generators(boundary_of_simplex(6), 4)
+    betti, seen = spied(cohomology_rational, full_levels(index))
     assert betti == [1, 0, 0, 0]
     entering = [(index.count(n + 1), index.count(n),
                  len({c for _, row in layout for c, _ in row}))
-                for n, (layout, _) in enumerate(seen)]
+                for n, (layout, *_) in enumerate(seen)]
     assert entering == [(49, 7, 7), (343, 49, 43), (2401, 343, 300), (16807, 2401, 2101)]
+
+
+def test_full_rank_stops_the_face_rows(monkeypatch):
+    # delta_3 reaches its rank, 2,101, the number of columns left after
+    # clearing, within the first 2,401 of its 16,807 rows, and no face row
+    # is built after that
+    index = enumerate_generators(boundary_of_simplex(6), 4)
+    built = []
+
+    def counting_face_row(g, row_of):
+        built.append(len(g) - 1)
+        return face_row(g, row_of)
+
+    face_row = ih._face_row
+    monkeypatch.setattr(ih, "_face_row", counting_face_row)
+    assert cohomology_rational(full_levels(index)) == [1, 0, 0, 0]
+    assert built.count(4) <= 2401
+
+
+def test_torsion_keeps_every_row_read(rp2):
+    # the Z/2 of sd(RP^2) lies in delta_1, whose rank stays below the
+    # columns left, so every one of its rows is read
+    from oracles import subdivision
+
+    index = enumerate_generators(subdivision(rp2), 3)
+    groups, seen = spied(ordered_homology, index)
+    assert [str(g) for g in groups] == ["Z", "Z/2", "0"]
+    layout, read, live, (_, pivots) = seen[1]
+    assert read == len(layout) == index.count(2)
+    assert len(pivots) < live
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_matrices())
+def test_full_rank_bound_keeps_the_result(M):
+    # with live the number of columns that hold an entry, reading stops at
+    # full rank; every row left would reduce to zero
+    live = len({c for row in sparse_rows(M).values() for c in row})
+    assert ih._eliminate(sparse_rows(M), live) == ih._eliminate(sparse_rows(M))
 
 
 # ---------------------------------------------------------------------------
 # coboundary rows built from the levels against the transposed boundary
 
-def spied_cohomology(levels):
-    """``cohomology_rational(levels)``, and per degree the layout of delta_n
-    as it entered ``_eliminate``, with what ``_eliminate`` returned.  The
-    layout is the rows in order, each as its (col, value) list in order."""
+def spied(fn, arg):
+    """``fn(arg)``, and per call of ``_eliminate`` the rows it was given,
+    read out in full (in order, each as its (col, value) list in order),
+    how many of them it read, its bound ``live`` and what it returned."""
     real, seen = ih._eliminate, []
 
-    def spy(rows):
-        layout = [(r, list(row.items())) for r, row in rows.items()]
-        out = real(rows)
-        seen.append((layout, out))
+    def spy(rows, live=None):
+        rows = list(rows.items() if isinstance(rows, dict) else rows)
+        layout = [(r, list(row.items())) for r, row in rows]
+        read = []
+
+        def reading():
+            for pair in rows:
+                read.append(pair)
+                yield pair
+        out = real(reading(), live)
+        seen.append((layout, len(read), live, out))
         return out
 
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(ih, "_eliminate", spy)
-        betti = cohomology_rational(levels)
-    return betti, seen
+        result = fn(arg)
+    return result, seen
 
 
 def assert_rows_and_pivots_match(levels, deltas):
-    # entry for entry, so the pivots and their ties are those of the
-    # elimination on the transposed boundary (the pivot rule reads no
-    # order within a row)
-    betti, seen = spied_cohomology(levels)
+    # entry for entry the rows are those of the transposed boundary; the
+    # rows read are a prefix of them, and stopping there changes nothing
+    # (the pivot rule reads the order within a row, so that is kept)
+    betti, seen = spied(cohomology_rational, levels)
     assert len(seen) == len(deltas)
-    cleared = frozenset()
-    for n, (delta, (layout, (diag, pivot_rows))) in enumerate(zip(deltas, seen)):
+    cleared = {}
+    for n, (delta, (layout, read, live, out)) in enumerate(zip(deltas, seen)):
         kept = [[0 if c in cleared else v for c, v in enumerate(row)] for row in delta]
-        assert [(r, dict(row)) for r, row in layout] == list(sparse_rows(kept).items()), n
-        assert (diag, pivot_rows) == ih._eliminate(sparse_rows(kept)), n
-        cleared = pivot_rows
+        rows = sparse_rows(kept)
+        assert [(r, dict(row)) for r, row in layout if row] == list(rows.items()), n
+        assert live == len(levels[n]) - len(cleared), n
+        assert read == len(layout) or len(out[1]) == live, n
+        assert out == ih._eliminate({r: dict(row) for r, row in layout}), n
+        cleared = out[1]
     dims = [len(level) for level in levels]
     assert betti == uncleared_betti(dims, deltas)
 
 
 def test_coboundary_rows_and_pivots_match_the_transposed_boundary(corpus):
-    boundary_4simplex = SimplicialComplex.from_facets(
-        5, list(itertools.combinations(range(5), 4)), name="bd_simplex_4")
-    for K in [K for _, K in corpus] + [boundary_4simplex]:
+    for K in [K for _, K in corpus] + [boundary_of_simplex(4)]:
         index = enumerate_generators(K, 4)
         assert_rows_and_pivots_match(full_levels(index),
                                      [coboundary_matrix(index, n) for n in range(4)])
