@@ -9,9 +9,9 @@
 import sys
 import time
 
-from altchain import (alt_chain_complex, enumerate_generators,
-                      homology_presented, ordered_homology,
-                      simplicial_homology, verify_cohomology_splitting)
+from altchain import (alt_chain_complex, cohomology_rational,
+                      enumerate_generators, homology_presented,
+                      ordered_homology, simplicial_homology)
 from altchain.corpus import load_corpus
 
 print(f"{'complex':10s}  {'simplicial':22s}{'ordered tuples':22s}"
@@ -33,7 +33,8 @@ print("subcomplex's cohomology with the full one, degree by degree.")
 print(f"{'complex':10s}  degree  full rank  alternating rank  kernel")
 for name, K in load_corpus():
     index = enumerate_generators(K, 3)
+    full = cohomology_rational([index.generators(k) for k in range(4)])
+    alt = cohomology_rational([K.simplices_of_dim(k) for k in range(4)])
     for n in range(3):
-        r = verify_cohomology_splitting(index, n)
-        print(f"{name:10s}  {n:^6d}  {r.rank_full:^9d}  "
-              f"{r.rank_alternating:^16d}  {r.kernel_rank:^6d}")
+        print(f"{name:10s}  {n:^6d}  {full[n]:^9d}  "
+              f"{alt[n]:^16d}  {full[n] - alt[n]:^6d}")

@@ -37,7 +37,6 @@ from .integer_homology import (
     smith_normal_form,
     homology_presented,
     cohomology_rational,
-    verify_cohomology_splitting,
     simplicial_homology,
     ordered_homology,
 )

@@ -45,9 +45,12 @@ def _budget() -> int:
 def _nonnegative_int(text: str) -> int:
     """Degree caps, case counts and the generator budget: ASCII digits
     only, so a sign, spaces or underscores are a usage error (exit 2)."""
-    if not _DIGITS.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
-    return int(text)
+    if _DIGITS.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past Python's limit on digits read by int()
+            pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
 
 
 def _read_complex(path: str):
@@ -71,7 +74,7 @@ def _read_json(path: str) -> dict:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also Python's parser limits
         raise FormatError(f"{path}: invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object")
@@ -101,6 +104,17 @@ def _write_output(path: str | None, chunks) -> None:
 def _json_chunks(payload):
     """Indented JSON plus a newline, streamed token by token."""
     return itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
+
+
+def _cochain_chunks(alpha):
+    """The cochain as JSON chunks, refused as a whole when a value has
+    more digits than Python writes (sys.get_int_max_str_digits())."""
+    try:
+        data = ca.cochain_to_json(alpha)
+    except ValueError:
+        raise FormatError("the result has an integer past Python's "
+                          f"{sys.get_int_max_str_digits()}-digit limit") from None
+    return _json_chunks(data)
 
 
 def _rational(rank: int) -> str:
@@ -166,7 +180,7 @@ def _cmd_cup(args) -> int:
     alpha = ca.cochain_from_json(alpha_data, index)
     beta = ca.cochain_from_json(beta_data, index)
     product = (ca.alt_cup if args.alternative else ca.cup)(index, alpha, beta)
-    _write_output(args.output, _json_chunks(ca.cochain_to_json(product)))
+    _write_output(args.output, _cochain_chunks(product))
     return EXIT_OK
 
 
@@ -180,6 +194,7 @@ def _cmd_residual(args) -> int:
     if not ca.is_alternative(alpha):
         print("warning: input cochain is not alternating", file=sys.stderr)
     residual = ca.nonlinear_residual(index, alpha)
+    chunks = _cochain_chunks(residual)  # before the verdict, which prints values
     if residual.is_zero():
         print("residual: exactly zero")
     else:
@@ -189,7 +204,7 @@ def _cmd_residual(args) -> int:
         print(f"residual: nonzero on {len(residual.values)} generators; "
               f"max |numerator| = {max_num}")
         print(f"witness: value {value} on generator {list(witness)}")
-    _write_output(args.output, _json_chunks(ca.cochain_to_json(residual)))
+    _write_output(args.output, chunks)
     return EXIT_OK
 
 

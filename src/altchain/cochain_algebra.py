@@ -348,7 +348,7 @@ def cochain_from_json(data: dict, index: GeneratorIndex | None = None) -> Cochai
             raise FormatError(f"bad cochain entry {item!r}")
         try:
             v = Fraction(item[1])
-        except ZeroDivisionError as exc:
+        except (ZeroDivisionError, ValueError) as exc:  # also past int()'s digit limit
             raise FormatError(f"bad cochain entry {item!r}") from exc
         g = tuple(item[0])
         if len(g) != degree + 1:

@@ -112,7 +112,7 @@ def load_complex(description) -> SimplicialComplex:
     if isinstance(description, (str, bytes)):
         try:
             data = json.loads(description)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also Python's parser limits
             raise FormatError(f"invalid JSON: {exc}") from exc
     else:
         data = description

@@ -375,36 +375,3 @@ def ordered_homology(index: GeneratorIndex) -> list:
     """Homology of the full tuple complex for degrees 0..max_degree-1."""
     return _tuple_homology([index.generators(n) for n in range(index.max_degree + 1)])
 
-
-# ---------------------------------------------------------------------------
-# cohomology splitting report
-
-class SplittingReport(Record):
-    """Rank bookkeeping for the projector acting on degree-n cohomology."""
-
-    degree: int
-    rank_full: int
-    rank_alternating: int
-    kernel_rank: int
-
-    @property
-    def induced_isomorphism(self) -> bool:
-        return self.kernel_rank == 0
-
-
-def verify_cohomology_splitting(index: GeneratorIndex, n: int) -> SplittingReport:
-    """Check that the projector splits degree-n rational cohomology.
-
-    The projector commutes with the coboundary (the registry's
-    ``projector-coboundary-commute`` checks that on every basis cochain),
-    hence maps cocycles to cocycles and coboundaries to coboundaries; the
-    induced map on cohomology is onto the alternating part, so its kernel
-    rank is the difference of the two Betti numbers.
-    """
-    if n + 1 > index.max_degree:
-        raise ValueError(f"need generators of degree {n + 1}")
-    full = cohomology_rational([index.generators(k) for k in range(n + 2)])[n]
-    K = index.complex
-    alt = cohomology_rational([K.simplices_of_dim(k) for k in range(n + 2)])[n]
-    return SplittingReport(degree=n, rank_full=full, rank_alternating=alt,
-                           kernel_rank=full - alt)

@@ -3,12 +3,15 @@
 Every structural law of the algebra is registered here as a runnable
 suite: exhaustive where the case space is small, seeded-random where it
 is not, always with exact arithmetic and a serializable counterexample on
-failure.  The registry order is fixed, so reports are deterministic given
-the seed.
+failure.  A suite states only its law: it yields one outcome per case,
+True when the case holds or else a counterexample dict, and ``_suite``
+does the counting and the rest.  The registry order is fixed, so reports
+are deterministic given the seed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from random import Random
@@ -135,28 +138,41 @@ def _full_simplex(d: int) -> SimplicialComplex:
                                          name=f"full_simplex_{d}")
 
 
+def _suite(cases_of):
+    """The registry callable of a suite: (cases run, serializable
+    counterexample or None), stopping at the first outcome that is not
+    True, so that a stray False or None fails rather than passes."""
+    @functools.wraps(cases_of)
+    def suite(ctxs, rng, cases):
+        count = 0
+        for outcome in cases_of(ctxs, rng, cases):
+            count += 1
+            if outcome is not True:
+                return count, _jsonable(outcome if isinstance(outcome, dict)
+                                        else {"outcome": outcome})
+        return count, None
+    return suite
+
+
 # ---------------------------------------------------------------------------
 # suites
 
 
+@_suite
 def _suite_face_permutation_sign(ctxs, rng, cases):
-    count = 0
     for k in range(1, 6):
         for s in permutations.enumerate_group(k):
             for i in range(k):
                 si = permutations.induced_face_perm(s, i)
-                count += 1
-                if s.sign != (-1) ** (i - s(i)) * si.sign:
-                    return count, {
-                        "group": f"S_{k}", "images": list(s.images), "i": i,
-                        "sign": s.sign, "face_perm_images": list(si.images),
-                        "face_perm_sign": si.sign,
-                    }
-    return count, None
+                yield s.sign == (-1) ** (i - s(i)) * si.sign or {
+                    "group": f"S_{k}", "images": list(s.images), "i": i,
+                    "sign": s.sign, "face_perm_images": list(si.images),
+                    "face_perm_sign": si.sign,
+                }
 
 
+@_suite
 def _suite_boundary_of_reordered(ctxs, rng, cases):
-    count = 0
     for ctx in ctxs:
         top = min(3, ctx.index.max_degree)
         for n in range(1, top + 1):
@@ -173,34 +189,28 @@ def _suite_boundary_of_reordered(ctxs, rng, cases):
                         t = permutations.act(si, g_faces[s_of_i])
                         rhs[t] = rhs.get(t, 0) + sgn
                     rhs = {t: c for t, c in rhs.items() if c}
-                    count += 1
-                    if lhs != rhs:
-                        return count, {
-                            "complex": ctx.name, "generator": g,
-                            "images": list(s.images), "lhs": lhs, "rhs": rhs,
-                        }
-    return count, None
+                    yield lhs == rhs or {
+                        "complex": ctx.name, "generator": g,
+                        "images": list(s.images), "lhs": lhs, "rhs": rhs,
+                    }
 
 
+@_suite
 def _suite_projector_splitting(ctxs, rng, cases):
-    count = 0
     for ctx in ctxs:
         for n in range(ctx.index.max_degree + 1):
             simplices = ctx.complex.simplices_of_dim(n)
             scaled = ca.alternative_maker_matrix_scaled(ctx.index, n)
             rank = ih.integer_rank(scaled)
-            count += 1
-            if rank != len(simplices):
-                return count, {
-                    "complex": ctx.name, "degree": n,
-                    "projector_rank": rank, "simplex_count": len(simplices),
-                }
+            yield rank == len(simplices) or {
+                "complex": ctx.name, "degree": n,
+                "projector_rank": rank, "simplex_count": len(simplices),
+            }
             for tau in simplices:
                 chi = ca.alternating_cochain(tau)
-                count += 1
-                if ca.alternative_maker(chi) != chi:
-                    return count, {"complex": ctx.name, "tuple": tau,
-                                   "reason": "projector moved an alternating basis cochain"}
+                yield ca.alternative_maker(chi) == chi or {
+                    "complex": ctx.name, "tuple": tau,
+                    "reason": "projector moved an alternating basis cochain"}
         for _ in range(cases // (ctx.index.max_degree + 1) + 1 if cases else 0):
             n = rng.randint(0, ctx.index.max_degree)
             alpha = _random_cochain(ctx.index, n, rng)
@@ -208,22 +218,19 @@ def _suite_projector_splitting(ctxs, rng, cases):
                 continue
             once = ca.alternative_maker(alpha)
             alt, ker = ca.split(alpha)
-            count += 1
-            if (ca.alternative_maker(once) != once
-                    or not ca.is_alternative(once)
-                    or alt + ker != alpha
-                    or not ca.alternative_maker(ker).is_zero()):
-                return count, {"complex": ctx.name, "degree": n,
-                               "cochain": _jsonable(alpha.values)}
-    return count, None
+            yield (ca.alternative_maker(once) == once
+                   and ca.is_alternative(once)
+                   and alt + ker == alpha
+                   and ca.alternative_maker(ker).is_zero()) or {
+                "complex": ctx.name, "degree": n, "cochain": alpha.values}
 
 
 def _cup_degree_pairs(cap):
     return [(p, q) for p in (0, 1) for q in (0, 1) if p + q <= cap]
 
 
+@_suite
 def _suite_cup_commutativity(ctxs, rng, cases):
-    count = 0
     for ctx in ctxs:
         cap = ctx.index.max_degree
         # exhaustive on the alternating bases in low degrees, built once
@@ -235,10 +242,8 @@ def _suite_cup_commutativity(ctxs, rng, cases):
                 for rho, b in basis[q]:
                     lhs = ca.alt_cup(ctx.index, b, a)
                     rhs = ca.alt_cup(ctx.index, a, b).scale((-1) ** (p * q))
-                    count += 1
-                    if lhs != rhs:
-                        return count, {"complex": ctx.name, "p": p, "q": q,
-                                       "alpha": tau, "beta": rho}
+                    yield lhs == rhs or {"complex": ctx.name, "p": p, "q": q,
+                                         "alpha": tau, "beta": rho}
         for _ in range(cases):
             p, q = rng.choice([(p, q) for p in (0, 1, 2) for q in (0, 1, 2)
                                if p + q <= cap])
@@ -246,17 +251,14 @@ def _suite_cup_commutativity(ctxs, rng, cases):
             b = _random_alternating(ctx.complex, q, rng)
             if a is None or b is None:
                 continue
-            count += 1
-            if ca.alt_cup(ctx.index, b, a) != \
-                    ca.alt_cup(ctx.index, a, b).scale((-1) ** (p * q)):
-                return count, {"complex": ctx.name, "p": p, "q": q,
-                               "alpha": _jsonable(a.values),
-                               "beta": _jsonable(b.values)}
-    return count, None
+            yield ca.alt_cup(ctx.index, b, a) == \
+                ca.alt_cup(ctx.index, a, b).scale((-1) ** (p * q)) or {
+                    "complex": ctx.name, "p": p, "q": q,
+                    "alpha": a.values, "beta": b.values}
 
 
+@_suite
 def _suite_cup_associativity(ctxs, rng, cases):
-    count = 0
     exhausted = False
     for ctx in ctxs:
         cap = ctx.index.max_degree
@@ -269,10 +271,8 @@ def _suite_cup_associativity(ctxs, rng, cases):
                             a, b, c = (ca.alternating_cochain(t) for t in (tau, rho, pi))
                             lhs = ca.alt_cup(ctx.index, ca.alt_cup(ctx.index, a, b), c)
                             rhs = ca.alt_cup(ctx.index, a, ca.alt_cup(ctx.index, b, c))
-                            count += 1
-                            if lhs != rhs:
-                                return count, {"complex": ctx.name,
-                                               "alpha": tau, "beta": rho, "gamma": pi}
+                            yield lhs == rhs or {"complex": ctx.name, "alpha": tau,
+                                                 "beta": rho, "gamma": pi}
                 exhausted = True
         for _ in range(cases):
             degrees = [(p, q, r) for p in (0, 1) for q in (0, 1) for r in (0, 1)
@@ -283,19 +283,15 @@ def _suite_cup_associativity(ctxs, rng, cases):
             c = _random_alternating(ctx.complex, r, rng)
             if a is None or b is None or c is None:
                 continue
-            count += 1
             lhs = ca.alt_cup(ctx.index, ca.alt_cup(ctx.index, a, b), c)
             rhs = ca.alt_cup(ctx.index, a, ca.alt_cup(ctx.index, b, c))
-            if lhs != rhs:
-                return count, {"complex": ctx.name, "degrees": [p, q, r],
-                               "alpha": _jsonable(a.values),
-                               "beta": _jsonable(b.values),
-                               "gamma": _jsonable(c.values)}
-    return count, None
+            yield lhs == rhs or {"complex": ctx.name, "degrees": [p, q, r],
+                                 "alpha": a.values, "beta": b.values,
+                                 "gamma": c.values}
 
 
+@_suite
 def _suite_cup_leibniz(ctxs, rng, cases):
-    count = 0
     for ctx in ctxs:
         cap = ctx.index.max_degree
         degrees = [(p, q) for p in (0, 1) for q in (0, 1) if p + q + 1 <= cap]
@@ -308,65 +304,55 @@ def _suite_cup_leibniz(ctxs, rng, cases):
             lhs = ca.coboundary(ctx.index, ca.alt_cup(ctx.index, a, b))
             rhs = ca.alt_cup(ctx.index, ca.coboundary(ctx.index, a), b) + \
                 ca.alt_cup(ctx.index, a, ca.coboundary(ctx.index, b)).scale((-1) ** p)
-            count += 1
-            if lhs != rhs:
-                return count, {"complex": ctx.name, "p": p, "q": q,
-                               "alpha": _jsonable(a.values),
-                               "beta": _jsonable(b.values)}
-    return count, None
+            yield lhs == rhs or {"complex": ctx.name, "p": p, "q": q,
+                                 "alpha": a.values, "beta": b.values}
 
 
+@_suite
 def _suite_coboundary_alternating(ctxs, rng, cases):
-    count = 0
     for ctx in ctxs:
         for n in range(ctx.index.max_degree):
             for tau in ctx.complex.simplices_of_dim(n):
-                count += 1
-                if not ca.is_alternative(ca.coboundary(ctx.index, ca.alternating_cochain(tau))):
-                    return count, {"complex": ctx.name, "tuple": tau}
+                yield ca.is_alternative(ca.coboundary(ctx.index, ca.alternating_cochain(tau))) \
+                    or {"complex": ctx.name, "tuple": tau}
         for _ in range(cases // 4 + 1 if cases and ctx.index.max_degree else 0):
             n = rng.randint(0, ctx.index.max_degree - 1)
             alpha = _random_alternating(ctx.complex, n, rng)
             if alpha is None:
                 continue
-            count += 1
-            if not ca.is_alternative(ca.coboundary(ctx.index, alpha)):
-                return count, {"complex": ctx.name, "degree": n,
-                               "cochain": _jsonable(alpha.values)}
-    return count, None
+            yield ca.is_alternative(ca.coboundary(ctx.index, alpha)) or {
+                "complex": ctx.name, "degree": n, "cochain": alpha.values}
 
 
+@_suite
 def _suite_projector_coboundary_commute(ctxs, rng, cases):
-    count = 0
     for ctx in ctxs:
         for n in range(ctx.index.max_degree):
             for g in ctx.index.generators(n):
                 chi = ca.Cochain.indicator(g)
-                count += 1
-                if ca.coboundary(ctx.index, ca.alternative_maker(chi)) != \
-                        ca.alternative_maker(ca.coboundary(ctx.index, chi)):
-                    return count, {"complex": ctx.name, "generator": g}
-    return count, None
+                yield ca.coboundary(ctx.index, ca.alternative_maker(chi)) == \
+                    ca.alternative_maker(ca.coboundary(ctx.index, chi)) or {
+                        "complex": ctx.name, "generator": g}
 
 
+@_suite
 def _suite_cohomology_splitting(ctxs, rng, cases):
-    count = 0
+    # the projector commutes with the coboundary (projector-coboundary-
+    # commute), so it induces a map onto the alternating cohomology, whose
+    # kernel rank is the difference of the two Betti numbers
     for ctx in ctxs:
-        for n in range(min(2, ctx.index.max_degree - 1) + 1):
-            report = ih.verify_cohomology_splitting(ctx.index, n)
-            count += 1
-            if not report.induced_isomorphism:
-                return count, {
-                    "complex": ctx.name, "degree": n,
-                    "rank_full": report.rank_full,
-                    "rank_alternating": report.rank_alternating,
-                    "kernel_rank": report.kernel_rank,
-                }
-    return count, None
+        top = min(2, ctx.index.max_degree - 1)
+        full = ih.cohomology_rational([ctx.index.generators(k) for k in range(top + 2)])
+        alt = ih.cohomology_rational([ctx.complex.simplices_of_dim(k)
+                                      for k in range(top + 2)])
+        for n in range(top + 1):
+            yield full[n] == alt[n] or {
+                "complex": ctx.name, "degree": n, "rank_full": full[n],
+                "rank_alternating": alt[n], "kernel_rank": full[n] - alt[n]}
 
 
+@_suite
 def _suite_quotient_boundary(ctxs, rng, cases):
-    count = 0
     for ctx in ctxs:
         pres = ctx.presentation
         for n in range(2, pres.max_degree + 1):
@@ -376,34 +362,29 @@ def _suite_quotient_boundary(ctxs, rng, cases):
                     try:
                         dd = alt_chains.boundary(alt_chains.boundary(chain))
                     except ArithmeticError as exc:
-                        return count + 1, {"complex": ctx.name, "tuple": t,
-                                           "reason": str(exc)}
-                    count += 1
-                    if not dd.is_zero():
-                        return count, {"complex": ctx.name, "tuple": t,
-                                       "boundary_squared": _jsonable(dd.free)}
+                        yield {"complex": ctx.name, "tuple": t, "reason": str(exc)}
+                        return
+                    yield dd.is_zero() or {"complex": ctx.name, "tuple": t,
+                                           "boundary_squared": dd.free}
         for n in range(1, pres.max_degree + 1):
             for t in pres.torsion_generators[n]:
                 try:
                     alt_chains.boundary(alt_chains.AltChain.from_generator(t))
                 except ArithmeticError as exc:
-                    return count + 1, {"complex": ctx.name, "tuple": t,
-                                       "reason": str(exc)}
-                count += 1
+                    yield {"complex": ctx.name, "tuple": t, "reason": str(exc)}
+                    return
+                yield True
         # degree n checks d_n and d_{n+1}; at cap 1 there is d_1 alone
         D = pres.max_degree
         for n in range(1, D if D > 1 else D + 1):
             if not (pres.generator_count(n) and (n == D or pres.generator_count(n + 1))):
                 continue
-            count += 1
             violation = alt_chains.presented_law_violation(pres, n)
-            if violation:
-                return count, {"complex": ctx.name, **violation[1]}
-    return count, None
+            yield not violation or {"complex": ctx.name, **violation[1]}
 
 
+@_suite
 def _suite_torsion_cancellation(ctxs, rng, cases):
-    count = 0
     for ctx in ctxs:
         pres = ctx.presentation
         for n in range(1, pres.max_degree + 1):
@@ -416,21 +397,17 @@ def _suite_torsion_cancellation(ctxs, rng, cases):
                     si = s(i)
                     lhs = alt_chains.AltChain.from_generator(face(t, i), (-1) ** i)
                     rhs = alt_chains.AltChain.from_generator(face(t, si), (-1) ** si)
-                    count += 1
                     if si != i:
-                        if not (lhs + rhs).is_zero():
-                            return count, {"complex": ctx.name, "tuple": t,
-                                           "i": i, "swapped": si}
+                        yield (lhs + rhs).is_zero() or {
+                            "complex": ctx.name, "tuple": t, "i": i, "swapped": si}
                     else:
                         _, is_torsion, _ = alt_chains.canonicalize(face(t, i))
-                        if not is_torsion:
-                            return count, {"complex": ctx.name, "tuple": t,
-                                           "i": i, "reason": "fixed face not torsion"}
-    return count, None
+                        yield is_torsion or {"complex": ctx.name, "tuple": t, "i": i,
+                                             "reason": "fixed face not torsion"}
 
 
+@_suite
 def _suite_face_class_compat(ctxs, rng, cases):
-    count = 0
     for ctx in ctxs:
         top = min(3, ctx.index.max_degree)
         for n in range(1, top + 1):
@@ -439,43 +416,36 @@ def _suite_face_class_compat(ctxs, rng, cases):
                 for i in range(n + 1):
                     f = face(g, i)
                     for s in group:
-                        count += 1
-                        if not alt_chains.face_class_compat(f, s):
-                            return count, {"complex": ctx.name, "generator": g,
-                                           "i": i, "images": list(s.images)}
-    return count, None
+                        yield alt_chains.face_class_compat(f, s) or {
+                            "complex": ctx.name, "generator": g,
+                            "i": i, "images": list(s.images)}
 
 
+@_suite
 def _suite_dual_dimensions(ctxs, rng, cases):
-    count = 0
     for ctx in ctxs:
         for n in range(ctx.index.max_degree + 1):
-            count += 1
             alt_dim = len(ctx.complex.simplices_of_dim(n))
             free_count = len(ctx.presentation.free_generators[n])
-            if alt_dim != free_count:
-                return count, {"complex": ctx.name, "degree": n,
-                               "alternating_dim": alt_dim,
-                               "free_generators": free_count}
-    return count, None
+            yield alt_dim == free_count or {"complex": ctx.name, "degree": n,
+                                            "alternating_dim": alt_dim,
+                                            "free_generators": free_count}
 
 
+@_suite
 def _suite_quotient_homology(ctxs, rng, cases):
-    count = 0
     for ctx in ctxs:
         try:
             computed = ih.homology_presented(ctx.presentation)
         except ValueError as exc:  # a boundary of the wrong shape
-            return count + 1, {"complex": ctx.name, "reason": str(exc)}
+            yield {"complex": ctx.name, "reason": str(exc)}
+            return
         reference = ih.simplicial_homology(ctx.complex)
         for n in range(ctx.presentation.max_degree):
             expected = reference[n] if n < len(reference) else ih.AbelianGroup(0)
-            count += 1
-            if computed[n] != expected:
-                return count, {"complex": ctx.name, "degree": n,
-                               "quotient": str(computed[n]),
-                               "simplicial": str(expected)}
-    return count, None
+            yield computed[n] == expected or {"complex": ctx.name, "degree": n,
+                                              "quotient": str(computed[n]),
+                                              "simplicial": str(expected)}
 
 
 def _ordered_columns(index, n: int) -> list:
@@ -484,8 +454,8 @@ def _ordered_columns(index, n: int) -> list:
     return [ih._face_row(g, row_of) for g in index.generators(n)]
 
 
+@_suite
 def _suite_ordered_homology(ctxs, rng, cases):
-    count = 0
     for ctx in ctxs:
         computed = ih.ordered_homology(ctx.index)
         reference = ih.simplicial_homology(ctx.complex)
@@ -494,23 +464,19 @@ def _suite_ordered_homology(ctxs, rng, cases):
                       for n in range(1, ctx.index.max_degree + 1)]
         for n in range(ctx.index.max_degree):
             expected = reference[n] if n < len(reference) else ih.AbelianGroup(0)
-            count += 1
             composite = n and ih.product_entries(d[n], d[n + 1])
             if composite:
                 r, c, v = composite[0]
-                return count, {"complex": ctx.name, "degree": n,
-                               "row": r, "col": c, "value": v}
-            if computed[n] != expected:
-                return count, {"complex": ctx.name, "degree": n,
-                               "ordered": str(computed[n]),
-                               "simplicial": str(expected)}
-    return count, None
+                yield {"complex": ctx.name, "degree": n, "row": r, "col": c, "value": v}
+            else:
+                yield computed[n] == expected or {"complex": ctx.name, "degree": n,
+                                                  "ordered": str(computed[n]),
+                                                  "simplicial": str(expected)}
 
 
-def _check_prism_identity(h: hp.CombinatorialHomotopy, index, top_degree):
-    """Exact prism identity on ordered chains and on the quotient, for
-    every generator up to top_degree.  Returns (cases, counterexample)."""
-    count = 0
+def _prism_identity_cases(h: hp.CombinatorialHomotopy, index, top_degree, fixture):
+    """Outcomes of the exact prism identity on ordered chains and on the
+    quotient, for every generator up to top_degree."""
     for n in range(0, top_degree + 1):
         for g in index.generators(n):
             chain = {g: 1}
@@ -525,43 +491,34 @@ def _check_prism_identity(h: hp.CombinatorialHomotopy, index, top_degree):
             for t, c in hp.push_forward(h.start, chain).items():
                 rhs[t] = rhs.get(t, 0) - c
             rhs = {t: c for t, c in rhs.items() if c}
-            count += 1
-            if lhs != rhs:
-                return count, {"generator": g, "lhs": lhs, "rhs": rhs}
+            yield lhs == rhs or {"generator": g, "lhs": lhs, "rhs": rhs,
+                                 "fixture": fixture}
 
             alt = alt_chains.AltChain.from_generator(g)
             alt_lhs = alt_chains.boundary(hp.prism_alt(h, alt))
             if n >= 1:
                 alt_lhs = alt_lhs + hp.prism_alt(h, alt_chains.boundary(alt))
             alt_rhs = hp.push_forward_alt(h.end, alt) - hp.push_forward_alt(h.start, alt)
-            count += 1
-            if alt_lhs != alt_rhs:
-                return count, {"generator": g, "side": "quotient"}
-    return count, None
+            yield alt_lhs == alt_rhs or {"generator": g, "side": "quotient",
+                                         "fixture": fixture}
 
 
+@_suite
 def _suite_prism_identity(ctxs, rng, cases):
-    count = 0
     # cone contractions of full simplices
     for d in (1, 2, 3):
         K = _full_simplex(d)
         idx = enumerate_generators(K, min(3, d + 1))
         h = hp.CombinatorialHomotopy(hp.SimplicialMap.constant(K, K, 0),
                                      hp.SimplicialMap.identity(K))
-        done, ce = _check_prism_identity(h, idx, idx.max_degree - 1)
-        count += done
-        if ce:
-            ce["fixture"] = f"cone contraction of the full {d}-simplex"
-            return count, ce
+        yield from _prism_identity_cases(h, idx, idx.max_degree - 1,
+                                         f"cone contraction of the full {d}-simplex")
     for ctx in ctxs:
         # identity homotopy: the right side vanishes, the prism does not
         h = hp.CombinatorialHomotopy(hp.SimplicialMap.identity(ctx.complex),
                                      hp.SimplicialMap.identity(ctx.complex))
-        done, ce = _check_prism_identity(h, ctx.index, min(2, ctx.index.max_degree - 1))
-        count += done
-        if ce:
-            ce["fixture"] = f"identity homotopy on {ctx.name}"
-            return count, ce
+        yield from _prism_identity_cases(h, ctx.index, min(2, ctx.index.max_degree - 1),
+                                         f"identity homotopy on {ctx.name}")
         # a nontrivial contiguous pair: walk an edge across a facet triangle
         facets2 = ctx.complex.simplices_of_dim(2)
         if facets2:
@@ -571,16 +528,13 @@ def _suite_prism_identity(ctxs, rng, cases):
             f = hp.SimplicialMap(edge, ctx.complex, (p, q))
             g = hp.SimplicialMap(edge, ctx.complex, (q, r))
             h = hp.CombinatorialHomotopy(f, g)
-            done, ce = _check_prism_identity(h, edge_idx, edge_idx.max_degree - 1)
-            count += done
-            if ce:
-                ce["fixture"] = f"edge walk across triangle {(p, q, r)} of {ctx.name}"
-                return count, ce
-    return count, None
+            yield from _prism_identity_cases(
+                h, edge_idx, edge_idx.max_degree - 1,
+                f"edge walk across triangle {(p, q, r)} of {ctx.name}")
 
 
+@_suite
 def _suite_pullback_naturality(ctxs, rng, cases):
-    count = 0
     for ctx in ctxs:
         K = ctx.complex
         maps = [hp.SimplicialMap.identity(K), hp.SimplicialMap.constant(K, K, 0)]
@@ -594,21 +548,15 @@ def _suite_pullback_naturality(ctxs, rng, cases):
                 alpha = _random_cochain(ctx.index, n, rng)
                 if alpha is None:
                     continue
-                count += 1
-                if hp.pull_back(f, ca.alternative_maker(alpha)) != \
-                        ca.alternative_maker(hp.pull_back(f, alpha)):
-                    return count, {"complex": ctx.name,
-                                   "assignment": list(f.assignment),
-                                   "degree": n,
-                                   "cochain": _jsonable(alpha.values)}
+                yield hp.pull_back(f, ca.alternative_maker(alpha)) == \
+                    ca.alternative_maker(hp.pull_back(f, alpha)) or {
+                        "complex": ctx.name, "assignment": list(f.assignment),
+                        "degree": n, "cochain": alpha.values}
                 beta = _random_alternating(f.codomain, n, rng)
                 if beta is not None:
-                    count += 1
-                    if not ca.is_alternative(hp.pull_back(f, beta)):
-                        return count, {"complex": ctx.name,
-                                       "assignment": list(f.assignment),
-                                       "degree": n, "reason": "pullback broke alternation"}
-    return count, None
+                    yield ca.is_alternative(hp.pull_back(f, beta)) or {
+                        "complex": ctx.name, "assignment": list(f.assignment),
+                        "degree": n, "reason": "pullback broke alternation"}
 
 
 REGISTRY = (
@@ -702,8 +650,7 @@ def run_all(complexes, seed: int = 0, cases: int = 200, degree_cap: int = 3,
         results.append(SuiteResult(
             suite_id=suite_id, statement=statement,
             complexes=tuple(c.name for c in ctxs), cases=count,
-            passed=counterexample is None,
-            counterexample=_jsonable(counterexample) if counterexample else None))
+            passed=counterexample is None, counterexample=counterexample))
     return VerificationReport(
         seed=seed, cases_requested=cases, degree_cap=degree_cap, budget=budget,
         complexes=tuple(c.name for c in ctxs), results=tuple(results))

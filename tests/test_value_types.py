@@ -10,7 +10,7 @@ import pytest
 from altchain.alt_chains import AltComplexPresentation
 from altchain.complex_model import GeneratorIndex, SimplicialComplex
 from altchain.homotopy_prism import CombinatorialHomotopy, SimplicialMap
-from altchain.integer_homology import AbelianGroup, SplittingReport
+from altchain.integer_homology import AbelianGroup
 from altchain.verify import ComplexContext, SuiteResult, VerificationReport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,9 +46,6 @@ CASES = [
      ("end", TO_1), f"CombinatorialHomotopy(start={TO_0_REPR}, end={TO_0_REPR})"),
     (AbelianGroup, dict(free_rank=1, torsion=(2,)),
      ("torsion", (2, 2)), "AbelianGroup(free_rank=1, torsion=(2,))"),
-    (SplittingReport, dict(degree=1, rank_full=2, rank_alternating=1, kernel_rank=1),
-     ("kernel_rank", 0),
-     "SplittingReport(degree=1, rank_full=2, rank_alternating=1, kernel_rank=1)"),
     (ComplexContext, dict(name="point", complex=P, index=None, presentation=None),
      ("index", GeneratorIndex(P, 0, (1,))),
      f"ComplexContext(name='point', complex={P_REPR}, index=None, presentation=None)"),

@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 from random import Random
@@ -17,7 +18,7 @@ from altchain import (alt_chains, cli, cochain_algebra, enumerate_generators,
                       homotopy_prism, permutations, verify)
 from altchain import integer_homology as ih
 from altchain.cochain_algebra import alternating_cochain, cochain_from_json, cochain_to_json
-from altchain.complex_model import DEFAULT_GENERATOR_BUDGET, GeneratorIndex, load_complex
+from altchain.complex_model import DEFAULT_GENERATOR_BUDGET, GeneratorIndex, face, load_complex
 from altchain.corpus import CORPUS_NAMES, load_corpus_complex
 from altchain.errors import FormatError
 from altchain.integer_homology import homology_presented
@@ -25,13 +26,48 @@ from altchain.permutations import Permutation
 from oracles import subdivision
 
 
-def test_registry_ids_unique_and_described():
+def test_registry_ids_unique_and_described(corpus):
     ids = [suite_id for suite_id, _, _ in verify.REGISTRY]
     assert len(ids) == len(set(ids))
+    # each callable returns (cases run, counterexample dict or None)
+    ctxs = [verify.ComplexContext(name=name, complex=K, index=enumerate_generators(K, 1),
+                                  presentation=alt_chains.alt_chain_complex(K, 1))
+            for name, K in corpus]
     for suite_id, statement, fn in verify.REGISTRY:
         assert suite_id == suite_id.lower()
         assert len(statement) > 20
-        assert callable(fn)
+        result = fn(ctxs, Random(0), 3)
+        assert type(result) is tuple and len(result) == 2, suite_id
+        assert type(result[0]) is int and result[0] >= 0, suite_id
+        assert result[1] is None or type(result[1]) is dict, suite_id
+
+
+def test_suite_counts_outcomes_up_to_the_first_counterexample():
+    evaluated = []
+
+    def outcomes(ctxs, rng, cases):
+        for k, outcome in enumerate((True, True, {(0, 1): Fraction(1, 2)}, True)):
+            evaluated.append(k)
+            yield outcome
+
+    # the counterexample is made serializable, and the fourth case never runs
+    assert verify._suite(outcomes)([], Random(0), 0) == (3, {"(0, 1)": "1/2"})
+    assert evaluated == [0, 1, 2]
+
+
+def test_suite_reports_a_stray_false_as_a_failure(point, monkeypatch):
+    for stray in (False, None):
+        def outcomes(ctxs, rng, cases, stray=stray):
+            yield True
+            yield stray
+
+        suite = verify._suite(outcomes)
+        assert suite([], Random(0), 0) == (2, {"outcome": stray})
+        monkeypatch.setattr(verify, "REGISTRY", (("stray", "A suite whose second "
+                                                  "case yields no verdict.", suite),))
+        (result,) = verify.run_all([("point", point)], cases=0, degree_cap=1).results
+        assert (result.cases, result.passed, result.counterexample) == \
+            (2, False, {"outcome": stray})
 
 
 def test_run_all_point_passes_everything(point):
@@ -363,6 +399,86 @@ def test_mutation_dropping_a_free_generator_is_caught(sphere, monkeypatch):
                                               "free_generators": 3}
 
 
+# mutants of the cochain side, one per suite that no other test turns red
+REAL_COBOUNDARY, REAL_PULL_BACK = cochain_algebra.coboundary, homotopy_prism.pull_back
+
+
+def unsigned_coboundary(index, alpha):
+    # every face term counted with +1: the coboundary loses its signs
+    values = {}
+    for g in index.generators(alpha.degree + 1):
+        values[g] = sum(alpha(face(g, i)) for i in range(len(g)))
+    return cochain_algebra.Cochain(alpha.degree + 1, values)
+
+
+def sorted_representative(alpha):
+    # pi* iota*: read alpha on sorted tuples only and extend alternatingly;
+    # a projector onto the alternating cochains that commutes with the
+    # coboundary, but is not the parity average
+    total = cochain_algebra.Cochain.zero(alpha.degree)
+    for g, v in alpha.values.items():
+        if list(g) == sorted(set(g)):
+            total = total + alternating_cochain(g, v)
+    return total
+
+
+def signed_by_degree(index, alpha):
+    # the other sign convention, (-1)^(n+1) times the coboundary of degree n
+    return REAL_COBOUNDARY(index, alpha).scale((-1) ** (alpha.degree + 1))
+
+
+def overwriting_face_row(g, row_of):
+    # coinciding faces of a tuple overwrite each other instead of adding up
+    return {row_of[g[:i] + g[i + 1:]]: (-1) ** i for i in range(len(g))}
+
+
+def coefficient_dropped(cls, g, coefficient=1):
+    # a quotient class built from a generator ignores its coefficient
+    return cls.from_ordered(len(g) - 1, {g: 1})
+
+
+def sorted_image_pull_back(f, alpha):
+    # each value is pulled back along the sorted image tuple
+    return REAL_PULL_BACK(f, cochain_algebra.Cochain(
+        alpha.degree, {tuple(sorted(h)): v for h, v in alpha.values.items()}))
+
+
+# (suite id, mutant, (owner, attribute, replacement), the other suites it
+# takes down).  cup-without-projector makes alt_cup the plain cup.  The
+# plain cup and the cup projected by pi* iota* are associative, so the
+# known-red projected-cup-associativity goes green under those two.
+MUTANTS = [
+    ("projected-cup-commutativity", "cup-without-projector",
+     (cochain_algebra, "alt_cup", cochain_algebra.cup), set()),
+    ("projected-cup-commutativity", "sorted-representative-projector",
+     (cochain_algebra, "alternative_maker", sorted_representative), set()),
+    ("projected-cup-leibniz", "coboundary-sign-by-degree",
+     (cochain_algebra, "coboundary", signed_by_degree), {"projected-cup-associativity"}),
+    ("coboundary-preserves-alternating", "unsigned-coboundary",
+     (cochain_algebra, "coboundary", unsigned_coboundary),
+     {"projected-cup-associativity", "projected-cup-leibniz",
+      "projector-coboundary-commute"}),
+    ("cohomology-splitting", "overwriting-face-row",
+     (ih, "_face_row", overwriting_face_row),
+     {"projected-cup-associativity", "ordered-homology-agreement"}),
+    ("torsion-boundary-cancellation", "generator-coefficient-dropped",
+     (alt_chains.AltChain, "from_generator", classmethod(coefficient_dropped)),
+     {"projected-cup-associativity"}),
+    ("pullback-naturality", "sorted-image-pull-back",
+     (homotopy_prism, "pull_back", sorted_image_pull_back), {"projected-cup-associativity"}),
+]
+
+
+@pytest.mark.parametrize("suite_id, patch, taken_down",
+                         [(sid, patch, others) for sid, _, patch, others in MUTANTS],
+                         ids=[f"{sid}/{mutant}" for sid, mutant, _, _ in MUTANTS])
+def test_cochain_side_suites_go_red_on_a_mutant(suite_id, patch, taken_down, sphere,
+                                                 monkeypatch):
+    monkeypatch.setattr(*patch)
+    report = verify.run_all([("sphere_s2", sphere)], seed=0, cases=10, degree_cap=3)
+    assert {r.suite_id for r in report.results if not r.passed} == {suite_id} | taken_down
+
+
 def contexts(complexes, cap):
     return [verify.ComplexContext(name=name, complex=K,
                                   index=enumerate_generators(K, cap),
@@ -478,6 +594,16 @@ def test_cli_parse_error_exit(tmp_path, capsys):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe\x00")
     assert cli.main(["homology", str(binary)]) == 2
+    # past Python's parser limits: nesting depth, digits of a JSON integer
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    long_count = tmp_path / "long_count.json"
+    long_count.write_text('{"vertices": ' + "9" * 4_301 + ', "facets": [[0]]}')
+    capsys.readouterr()
+    for path in (deep, long_count):
+        assert cli.main(["homology", str(path)]) == 2, path
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1, err
 
 
 def test_cli_budget_exit(tmp_path, capsys, monkeypatch):
@@ -491,7 +617,7 @@ def test_cli_budget_exit(tmp_path, capsys, monkeypatch):
         assert "budget" in err, argv
         # ASCII digits only, the rule of --max-dim and --cases, though int()
         # takes the last four and -1 is an integer
-        for bad in ("junk", "", "-1", "1_000", " 7 ", "+5", "\u0663"):
+        for bad in ("junk", "", "-1", "1_000", " 7 ", "+5", "\u0663", "9" * 5_000):
             monkeypatch.setenv("ALTCHAIN_MAX_GENERATORS", bad)
             assert cli.main(argv) == 2, (argv, bad)
             err = capsys.readouterr().err
@@ -613,10 +739,36 @@ def test_cli_cup_and_residual_reject_bad_cochain_files(tmp_path, capsys):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(bad))
         argvs += [["cup", sphere, str(good), str(path)], ["residual", sphere, str(path)]]
+    # past Python's parser limits: nesting depth, digits of a JSON integer
+    # and of a value string
+    for k, text in enumerate(("[" * 100_000 + "]" * 100_000,
+                              '{"degree": 0, "values": [[[0], ' + "9" * 4_301 + ']]}',
+                              '{"degree": 0, "values": [[[0], "' + "9" * 5_000 + '"]]}')):
+        path = tmp_path / f"limit{k}.json"
+        path.write_text(text)
+        argvs += [["cup", sphere, str(path), str(good)], ["residual", sphere, str(path)]]
     for argv in argvs:
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_cli_results_past_the_digit_limit_exit_2(tmp_path, capsys):
+    # each input value has 3,000 digits, under the limit on reading; the
+    # result has 6,000, which Python will not write as a decimal string
+    big = write_json(tmp_path / "big.json", {"degree": 0, "values": [[[0], "9" * 3_000]]})
+    edge = write_json(tmp_path / "edge.json", {"vertices": 2, "facets": [[0, 1]]})
+    out = tmp_path / "out.json"
+    for argv in (["cup", corpus_path("point"), big, big, "-o", str(out)],
+                 ["cup", corpus_path("point"), big, big],
+                 ["residual", edge, big, "-o", str(out)],
+                 ["residual", edge, big]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == ("error: the result has an integer past Python's "
+                                f"{sys.get_int_max_str_digits()}-digit limit\n"), argv
+    assert not out.exists()
 
 
 # every key any parser reads, so that drawn objects get past the
@@ -757,7 +909,7 @@ def test_cli_rejects_negative_max_dim(tmp_path, capsys):
                          (["cup", point, str(good), str(good)], "--max-dim"),
                          (["residual", point, str(good)], "--max-dim"),
                          (["export-presentation", point, "-o", str(out)], "--max-dim")):
-        for bad in ("-1", "x", "+1", " 1", "1_0", "1.0", "\u0663"):
+        for bad in ("-1", "x", "+1", " 1", "1_0", "1.0", "\u0663", "9" * 5_000):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv + [option, bad])
             assert exc.value.code == 2, argv
