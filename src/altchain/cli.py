@@ -286,7 +286,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormatError, DegreeCapError, json.JSONDecodeError) as exc:
+    except (FormatError, DegreeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import inspect
 import io
 import itertools
@@ -40,6 +41,28 @@ def test_registry_ids_unique_and_described(corpus):
         assert type(result) is tuple and len(result) == 2, suite_id
         assert type(result[0]) is int and result[0] >= 0, suite_id
         assert result[1] is None or type(result[1]) is dict, suite_id
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_registry_matches_its_readers(monkeypatch):
+    registered = [suite_id for suite_id, _, _ in verify.REGISTRY]
+    # the benchmark's laws workload needs its suites and its known-red one;
+    # suites it does not know are safe for it
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    assert set(workloads.SUITES) <= set(registered)
+    assert workloads.KNOWN_RED in registered
+    # the README's suite table lists the registry in order, after its
+    # header and separator rows
+    section = (ROOT / "README.md").read_text().split("\n## Verification registry\n")[1]
+    rows = [line.split("|")[1].strip() for line in section.split("\n## ")[0].splitlines()
+            if line.startswith("| ")]
+    assert rows[2:] == registered
+    # every suite generator of the module is registered once, where it is written
+    suites = [fn for name, fn in vars(verify).items() if name.startswith("_suite_")]
+    assert [fn for _, _, fn in verify.REGISTRY] == suites
 
 
 def test_suite_counts_outcomes_up_to_the_first_counterexample():
@@ -152,6 +175,40 @@ def test_mutation_in_canonicalize_is_caught(sphere, monkeypatch):
     # face(0, 0, 1; 0) = (0, 1) is free, and the swap is odd
     assert failed["face-class-compatibility"] == {
         "complex": "sphere_s2", "generator": [0, 0, 1], "i": 0, "images": [1, 0]}
+
+
+REAL_CANONICALIZE = alt_chains.canonicalize
+
+
+def torsion_only_on_a_leading_repeat(g):
+    # a repeat counts only between the first two sorted entries, so
+    # (0, 1, 1) is taken for a free class
+    t, is_torsion, coeff = REAL_CANONICALIZE(g)
+    if is_torsion and t[0] != t[1]:
+        return t, False, permutations.parity(g)
+    return t, is_torsion, coeff
+
+
+def test_a_quotient_map_that_raises_is_reported(sphere, monkeypatch, capsys):
+    monkeypatch.setattr(alt_chains, "canonicalize", torsion_only_on_a_leading_repeat)
+    report = verify.run_all([("sphere_s2", sphere)], seed=0, cases=5, degree_cap=3)
+    failed = {r.suite_id: r for r in report.results if not r.passed}
+    assert set(failed) == {"prism-homotopy-identity", "face-class-compatibility",
+                           "torsion-boundary-cancellation", "projected-cup-associativity"}
+    # the cone's prism takes the torsion class (1, 1) to (0, 1, 1), which
+    # the mutant calls free
+    prism = failed["prism-homotopy-identity"]
+    assert prism.cases == 12
+    assert prism.counterexample == {
+        "generator": [1, 1], "side": "quotient",
+        "fixture": "cone contraction of the full 1-simplex",
+        "reason": "image of torsion class (1, 1) has free terms {(0, 1, 1): 1}; "
+                  "its class would not have order 2"}
+    # the command reports the fault and exits 1 instead of raising
+    assert cli.main(["verify", corpus_path("sphere_s2"), "--cases", "5",
+                     "--max-dim", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert "[FAIL] prism-homotopy-identity: 12 cases" in out and err == ""
 
 
 def test_mutation_in_ordered_boundary_is_caught(point, monkeypatch):
