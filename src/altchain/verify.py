@@ -3,16 +3,19 @@
 Every structural law of the algebra is registered here as a runnable
 suite: exhaustive where the case space is small, seeded-random where it
 is not, always with exact arithmetic and a serializable counterexample on
-failure.  A suite states only its law: it yields one outcome per case,
-True when the case holds or else a counterexample dict, and ``_suite``
-does the counting and the rest.  ``_law(id, statement)`` registers a
-suite where it is written, so the registry order is definition order and
-reports are deterministic given the seed.
+failure.  A law that only compares tuple entries runs on every order
+pattern of a tuple and on a seeded sample of generators.  A suite states
+only its law: it yields one outcome per case, True when the case holds
+or else a counterexample dict, and ``_suite`` does the counting and the
+rest.  ``_law(id, statement)`` registers a suite where it is written, so
+the registry order is definition order and reports are deterministic
+given the seed.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from fractions import Fraction
 from random import Random
@@ -139,6 +142,32 @@ def _full_simplex(d: int) -> SimplicialComplex:
                                          name=f"full_simplex_{d}")
 
 
+@functools.lru_cache(maxsize=None)
+def _order_patterns(length: int) -> tuple:
+    """Every weak-order pattern of the given length, in lexicographic
+    order: a tuple over 0..m-1 that uses each of them, for some m."""
+    return tuple(p for p in itertools.product(range(length), repeat=length)
+                 if len(set(p)) == max(p, default=-1) + 1)
+
+
+def _label_free_cases(ctxs, rng, cases, extra):
+    """(where, tuple): every order pattern of length n + extra for
+    n = 1..min(3, D), which settles a law that only compares tuple entries,
+    then ``cases`` generators per complex of those lengths past 1 (S_1
+    moves nothing), against a fault that reads vertex labels."""
+    top = min(3, max((ctx.index.max_degree for ctx in ctxs), default=0))
+    for n in range(1, top + 1):
+        for p in _order_patterns(n + extra):
+            yield {"pattern": p}, p
+    for ctx in ctxs:
+        lengths = range(2, min(3, ctx.index.max_degree) + extra + 1)
+        for _ in range(cases if lengths else 0):
+            gens = ctx.index.generators(rng.choice(lengths) - 1)
+            if gens:
+                g = rng.choice(gens)
+                yield {"complex": ctx.name, "generator": g}, g
+
+
 def _suite(cases_of):
     """The registry callable of a suite: (cases run, serializable
     counterexample or None), stopping at the first outcome that is not
@@ -191,28 +220,25 @@ def _suite_face_permutation_sign(ctxs, rng, cases):
 
 @_law("boundary-of-reordered-generator",
       "The boundary of a reordered generator equals the signed sum of the "
-      "induced reorderings of its faces, exhaustively per degree.")
+      "induced reorderings of its faces, on every tuple pattern of length "
+      "2 to min(4, D + 1) and a seeded sample of each complex's generators.")
 def _suite_boundary_of_reordered(ctxs, rng, cases):
-    for ctx in ctxs:
-        top = min(3, ctx.index.max_degree)
-        for n in range(1, top + 1):
-            # (s, [(induced face permutation, s(i), (-1)^i) for each i])
-            faces = [(s, [(permutations.induced_face_perm(s, i), s(i), (-1) ** i)
-                          for i in range(n + 1)])
-                     for s in permutations.enumerate_group(n + 1)]
-            for g in ctx.index.generators(n):
-                g_faces = [face(g, i) for i in range(n + 1)]
-                for s, face_terms in faces:
-                    lhs = alt_chains.ordered_boundary({permutations.act(s, g): 1})
-                    rhs: dict = {}
-                    for si, s_of_i, sgn in face_terms:
-                        t = permutations.act(si, g_faces[s_of_i])
-                        rhs[t] = rhs.get(t, 0) + sgn
-                    rhs = {t: c for t, c in rhs.items() if c}
-                    yield lhs == rhs or {
-                        "complex": ctx.name, "generator": g,
-                        "images": list(s.images), "lhs": lhs, "rhs": rhs,
-                    }
+    # per length: (s, [(induced face permutation, s(i), (-1)^i) for each i])
+    terms = {k: [(s, [(permutations.induced_face_perm(s, i), s(i), (-1) ** i)
+                      for i in range(k)])
+                 for s in permutations.enumerate_group(k)]
+             for k in range(2, 5)}
+    for where, g in _label_free_cases(ctxs, rng, cases, 1):
+        g_faces = [face(g, i) for i in range(len(g))]
+        for s, face_terms in terms[len(g)]:
+            lhs = alt_chains.ordered_boundary({permutations.act(s, g): 1})
+            rhs: dict = {}
+            for si, s_of_i, sgn in face_terms:
+                t = permutations.act(si, g_faces[s_of_i])
+                rhs[t] = rhs.get(t, 0) + sgn
+            rhs = {t: c for t, c in rhs.items() if c}
+            yield lhs == rhs or {**where, "images": list(s.images),
+                                 "lhs": lhs, "rhs": rhs}
 
 
 @_law("projector-splitting",
@@ -258,13 +284,13 @@ def _suite_cup_commutativity(ctxs, rng, cases):
         basis = {p: [(tau, ca.alternating_cochain(tau))
                      for tau in ctx.complex.simplices_of_dim(p)]
                  for p in (0, 1) if p <= cap}
-        for p, q in [(p, q) for p in basis for q in basis if p + q <= cap]:
-            for tau, a in basis[p]:
-                for rho, b in basis[q]:
-                    lhs = ca.alt_cup(ctx.index, b, a)
-                    rhs = ca.alt_cup(ctx.index, a, b).scale((-1) ** (p * q))
-                    yield lhs == rhs or {"complex": ctx.name, "p": p, "q": q,
-                                         "alpha": tau, "beta": rho}
+        pairs = [(p, q) for p in basis for q in basis if p + q <= cap]
+        product = {(tau, rho): ca.alt_cup(ctx.index, a, b)
+                   for p, q in pairs for tau, a in basis[p] for rho, b in basis[q]}
+        for p, q in pairs:
+            for (tau, _), (rho, _) in itertools.product(basis[p], basis[q]):
+                yield product[rho, tau] == product[tau, rho].scale((-1) ** (p * q)) or {
+                    "complex": ctx.name, "p": p, "q": q, "alpha": tau, "beta": rho}
         for _ in range(cases):
             p, q = rng.choice([(p, q) for p in (0, 1, 2) for q in (0, 1, 2)
                                if p + q <= cap])
@@ -442,19 +468,13 @@ def _suite_torsion_cancellation(ctxs, rng, cases):
 
 @_law("face-class-compatibility",
       "Reordering a face changes its canonical class by exactly the parity, "
-      "so restriction to faces descends to the quotient.")
+      "so restriction to faces descends to the quotient, on every tuple "
+      "pattern of length 1 to min(3, D) and a seeded sample of each "
+      "complex's generators.")
 def _suite_face_class_compat(ctxs, rng, cases):
-    for ctx in ctxs:
-        top = min(3, ctx.index.max_degree)
-        for n in range(1, top + 1):
-            group = permutations.enumerate_group(n)
-            for g in ctx.index.generators(n):
-                for i in range(n + 1):
-                    f = face(g, i)
-                    for s in group:
-                        yield alt_chains.face_class_compat(f, s) or {
-                            "complex": ctx.name, "generator": g,
-                            "i": i, "images": list(s.images)}
+    for where, f in _label_free_cases(ctxs, rng, cases, 0):
+        for s in permutations.enumerate_group(len(f)):
+            yield alt_chains.face_class_compat(f, s) or {**where, "images": list(s.images)}
 
 
 @_law("dual-dimension-match",

@@ -162,22 +162,20 @@ def test_mutation_in_face_permutation_is_caught(point, monkeypatch):
     assert "images" in entry.counterexample
 
 
+REAL_CANONICALIZE = alt_chains.canonicalize
+
+
+def unsigned_canonicalize(g):
+    t, is_torsion, coeff = REAL_CANONICALIZE(g)
+    return t, is_torsion, abs(coeff)  # drop every orientation sign
+
+
 def test_mutation_in_canonicalize_is_caught(sphere, monkeypatch):
-    real = alt_chains.canonicalize
-
-    def broken(g):
-        t, is_torsion, coeff = real(g)
-        return t, is_torsion, abs(coeff)  # drop every orientation sign
-
-    monkeypatch.setattr(alt_chains, "canonicalize", broken)
+    monkeypatch.setattr(alt_chains, "canonicalize", unsigned_canonicalize)
     report = verify.run_all([("sphere_s2", sphere)], seed=0, cases=5)
     failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
-    # face(0, 0, 1; 0) = (0, 1) is free, and the swap is odd
-    assert failed["face-class-compatibility"] == {
-        "complex": "sphere_s2", "generator": [0, 0, 1], "i": 0, "images": [1, 0]}
-
-
-REAL_CANONICALIZE = alt_chains.canonicalize
+    # the pattern (0, 1) is free, and the swap is odd
+    assert failed["face-class-compatibility"] == {"pattern": [0, 1], "images": [1, 0]}
 
 
 def torsion_only_on_a_leading_repeat(g):
@@ -211,21 +209,83 @@ def test_a_quotient_map_that_raises_is_reported(sphere, monkeypatch, capsys):
     assert "[FAIL] prism-homotopy-identity: 12 cases" in out and err == ""
 
 
-def test_mutation_in_ordered_boundary_is_caught(point, monkeypatch):
-    def broken(coefficients):
-        out: dict = {}
-        for g, c in coefficients.items():
-            for i in range(len(g) - 1):  # the last face is dropped
-                f = g[:i] + g[i + 1:]
-                out[f] = out.get(f, 0) + (-1) ** i * c
-        return {t: c for t, c in out.items() if c}
+def last_face_dropped(coefficients):
+    out: dict = {}
+    for g, c in coefficients.items():
+        for i in range(len(g) - 1):  # the last face is dropped
+            f = g[:i] + g[i + 1:]
+            out[f] = out.get(f, 0) + (-1) ** i * c
+    return {t: c for t, c in out.items() if c}
 
-    monkeypatch.setattr(alt_chains, "ordered_boundary", broken)
+
+def test_mutation_in_ordered_boundary_is_caught(point, monkeypatch):
+    monkeypatch.setattr(alt_chains, "ordered_boundary", last_face_dropped)
     report = verify.run_all([("point", point)], seed=0, cases=5)
     failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
     assert failed["boundary-of-reordered-generator"] == {
-        "complex": "point", "generator": [0, 0], "images": [0, 1],
-        "lhs": {"(0,)": 1}, "rhs": {}}
+        "pattern": [0, 0], "images": [0, 1], "lhs": {"(0,)": 1}, "rhs": {}}
+
+
+# (suite id, mutant, its first counterexample on the order patterns)
+PATTERN_MUTANTS = [
+    ("face-class-compatibility", (alt_chains, "canonicalize", unsigned_canonicalize),
+     {"pattern": [0, 1], "images": [1, 0]}),
+    ("boundary-of-reordered-generator", (alt_chains, "ordered_boundary", last_face_dropped),
+     {"pattern": [0, 0], "images": [0, 1], "lhs": {"(0,)": 1}, "rhs": {}}),
+]
+
+
+@pytest.mark.parametrize("suite_id, patch, counterexample", PATTERN_MUTANTS,
+                         ids=[sid for sid, _, _ in PATTERN_MUTANTS])
+def test_order_pattern_mutants_go_red_without_a_sample(suite_id, patch, counterexample,
+                                                        torus, monkeypatch):
+    monkeypatch.setattr(*patch)
+    report = verify.run_all([("torus_7", torus)], seed=0, cases=0, degree_cap=3)
+    (entry,) = [r for r in report.results if r.suite_id == suite_id]
+    assert entry.counterexample == counterexample
+
+
+def label_read_canonicalize(g):
+    # orientation signs are dropped on tuples holding a label of 4 or more,
+    # which no order pattern of length at most 4 holds
+    t, is_torsion, coeff = REAL_CANONICALIZE(g)
+    return t, is_torsion, abs(coeff) if max(g) >= 4 else coeff
+
+
+REAL_ORDERED_BOUNDARY = alt_chains.ordered_boundary
+
+
+def label_read_ordered_boundary(coefficients):
+    # the last face is dropped from tuples holding a label of 4 or more
+    if any(max(g) >= 4 for g in coefficients):
+        return last_face_dropped(coefficients)
+    return REAL_ORDERED_BOUNDARY(coefficients)
+
+
+# (suite id, mutant, the sampled counterexample on torus_7 at seed 3, 10 cases)
+LABEL_MUTANTS = [
+    ("face-class-compatibility", (alt_chains, "canonicalize", label_read_canonicalize),
+     {"complex": "torus_7", "generator": [6, 0], "images": [1, 0]}),
+    ("boundary-of-reordered-generator",
+     (alt_chains, "ordered_boundary", label_read_ordered_boundary),
+     {"complex": "torus_7", "generator": [0, 6, 4, 0], "images": [0, 1, 2, 3],
+      "lhs": {"(6, 4, 0)": 1, "(0, 4, 0)": -1, "(0, 6, 0)": 1},
+      "rhs": {"(6, 4, 0)": 1, "(0, 4, 0)": -1, "(0, 6, 0)": 1, "(0, 6, 4)": -1}}),
+]
+
+
+@pytest.mark.parametrize("suite_id, patch, counterexample", LABEL_MUTANTS,
+                         ids=[sid for sid, _, _ in LABEL_MUTANTS])
+def test_label_reading_mutants_go_red_only_through_the_sample(suite_id, patch,
+                                                               counterexample, torus,
+                                                               monkeypatch):
+    monkeypatch.setattr(*patch)
+    ctxs = contexts([("torus_7", torus)], 3)
+    (suite,) = [fn for sid, _, fn in verify.REGISTRY if sid == suite_id]
+    patterns, bad = suite(ctxs, Random(f"3:{suite_id}"), 0)
+    assert bad is None
+    count, bad = suite(ctxs, Random(f"3:{suite_id}"), 10)
+    assert count > patterns and bad == counterexample
 
 
 def test_mutation_in_torsion_boundary_is_caught(point, monkeypatch):
@@ -571,21 +631,41 @@ def test_boundary_of_reordered_takes_each_face_once(sphere, monkeypatch):
         return real(g, i)
 
     monkeypatch.setattr(verify, "face", spy)
-    (ctx,) = contexts([("sphere_s2", sphere)], 3)
-    count, bad = verify._suite_boundary_of_reordered([ctx], Random(0), 0)
+    ctxs = contexts([("sphere_s2", sphere)], 3)
+    checked = [g for _, g in verify._label_free_cases(ctxs, Random(0), 7, 1)]
+    count, bad = verify._suite_boundary_of_reordered(ctxs, Random(0), 7)
     assert bad is None
-    assert faces_by_degree == {n: (n + 1) * ctx.index.count(n) for n in (1, 2, 3)}
-    assert count == sum(factorial(n + 1) * ctx.index.count(n) for n in (1, 2, 3))
+    # n + 1 faces per checked pattern or sampled tuple of degree n
+    assert faces_by_degree == {n: (n + 1) * sum(len(g) == n + 1 for g in checked)
+                               for n in (1, 2, 3)}
+    assert count == sum(factorial(len(g)) for g in checked)
 
 
 def test_exhaustive_permutation_suites_run_every_case(corpus):
     ctxs = contexts(corpus, 3)
-    expected = sum(factorial(n + 1) * ctx.index.count(n)
-                   for ctx in ctxs for n in (1, 2, 3))
-    assert expected == 65_248
-    for suite in (verify._suite_boundary_of_reordered,
-                  verify._suite_face_class_compat):
-        assert suite(ctxs, Random(0), 0) == (expected, None)
+    patterns = {extra: sum(factorial(n + extra) * len(verify._order_patterns(n + extra))
+                           for n in (1, 2, 3))
+                for extra in (0, 1)}
+    assert patterns == {0: 1 + 3 * 2 + 13 * 6, 1: 3 * 2 + 13 * 6 + 75 * 24}
+    for suite, extra in ((verify._suite_face_class_compat, 0),
+                         (verify._suite_boundary_of_reordered, 1)):
+        assert suite(ctxs, Random(0), 0) == (patterns[extra], None)
+        sample = [g for where, g in verify._label_free_cases(ctxs, Random(1), 10, extra)
+                  if "generator" in where]
+        assert len(sample) == 10 * len(ctxs)
+        assert suite(ctxs, Random(1), 10) == (
+            patterns[extra] + sum(factorial(len(g)) for g in sample), None)
+
+
+def test_order_patterns_are_every_weak_order_once():
+    # the ordered Bell (Fubini) numbers
+    assert [len(verify._order_patterns(m)) for m in range(1, 6)] == [1, 3, 13, 75, 541]
+    for m in range(1, 6):
+        patterns = verify._order_patterns(m)
+        assert len(set(patterns)) == len(patterns)
+        assert list(patterns) == sorted(patterns)
+        for p in patterns:
+            assert len(p) == m and set(p) == set(range(max(p) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1034,6 +1114,16 @@ def test_cli_verify_zero_cases(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "face-permutation-sign" in out
+
+
+def test_cli_verify_zero_cases_runs_every_order_pattern(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", corpus_path("torus_7"), "--cases", "0",
+                     "--json", str(report)]) == 0
+    cases = {r["id"]: r["cases"] for r in json.loads(report.read_text())["results"]}
+    # the patterns of length 1..3 under S_1..S_3, and of length 2..4 under S_2..S_4
+    assert cases["face-class-compatibility"] == 1 + 3 * 2 + 13 * 6
+    assert cases["boundary-of-reordered-generator"] == 3 * 2 + 13 * 6 + 75 * 24
 
 
 # ---------------------------------------------------------------------------
