@@ -3,8 +3,6 @@ Klein bottle, each a vertex-minimal triangulation shipped as a data file."""
 
 from __future__ import annotations
 
-from importlib import resources
-
 from .complex_model import SimplicialComplex, load_complex
 
 CORPUS_NAMES = ("point", "sphere_s2", "rp2_6", "torus_7", "klein_8")
@@ -13,6 +11,8 @@ CORPUS_NAMES = ("point", "sphere_s2", "rp2_6", "torus_7", "klein_8")
 def load_corpus_complex(name: str) -> SimplicialComplex:
     if name not in CORPUS_NAMES:
         raise KeyError(f"unknown corpus complex {name!r}; have {CORPUS_NAMES}")
+    # every CLI process imports this module; only `verify --corpus` reads files
+    from importlib import resources
     text = resources.files("altchain.data").joinpath(f"{name}.json").read_text()
     return load_complex(text)
 

@@ -1,12 +1,16 @@
 """The package's value types: construction, equality, hashing, immutability
-and repr, and what importing the command line front end loads."""
+and repr; the names the package exports; and what importing the command
+line front end, and running each subcommand, loads."""
 
+import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import altchain
 from altchain.alt_chains import AltComplexPresentation
 from altchain.complex_model import GeneratorIndex, SimplicialComplex
 from altchain.homotopy_prism import CombinatorialHomotopy, SimplicialMap
@@ -109,19 +113,125 @@ def test_defaults_and_caches():
     assert SimplicialMap(P, E, [1]) == TO_1
 
 
+def _run_isolated(script: str, *argv: str) -> str:
+    """stdout of ``script`` in a fresh interpreter without site packages,
+    with the package and perfbench on its path."""
+    prelude = (f"import sys; sys.path[:0] = [{str(ROOT / 'src')!r}, "
+               f"{str(ROOT / 'perfbench')!r}]\n")
+    return subprocess.run([sys.executable, "-S", "-c", prelude + script, *argv],
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_import_loads_no_dataclasses_and_every_traced_module():
     # every CLI process pays for what importing the front end loads;
     # perfbench's tracer reads its modules from sys.modules after
-    # `import altchain.cli`, so all of them must be loaded by then
+    # `import altchain.cli`, so all of them must be registered by then
+    # (the package registers each lazily: it runs on first attribute read)
     script = "\n".join([
-        "import sys",
-        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'perfbench')!r}]",
         "import altchain.cli",
         "loaded = set(sys.modules)",
         "from tracer import MODULES",
         "print(sorted({'dataclasses', 'inspect'} & loaded))",
         "print(len(MODULES), [m for m in MODULES if 'altchain.' + m not in loaded])",
     ])
-    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                         text=True, check=True).stdout
+    out = _run_isolated(script)
     assert out == "[]\n8 []\n"
+
+
+# a lazy module not yet run is an instance of a subclass of ModuleType, and
+# type() does not trigger its load
+EXECUTED_MODULES = """\
+import types
+import altchain.cli
+code = altchain.cli.main(sys.argv[1:])
+print(code, sorted(name[9:] for name, m in sys.modules.items()
+                   if name.startswith("altchain.") and type(m) is types.ModuleType),
+      "fractions" in sys.modules)
+"""
+HOMOLOGY = ["cli", "complex_model", "corpus", "errors", "integer_homology"]
+COCHAINS = ["cli", "cochain_algebra", "complex_model", "corpus", "errors"]
+EVERY = ["alt_chains", "cli", "cochain_algebra", "complex_model", "corpus", "errors",
+         "homotopy_prism", "integer_homology", "permutations", "verify"]
+
+
+@pytest.mark.parametrize("argv, executed, fractions", [
+    (["homology", "{sphere}", "--variant", "simplicial"], HOMOLOGY, False),
+    (["homology", "{sphere}", "--variant", "ordered"], HOMOLOGY, False),
+    (["cohomology", "{sphere}"], HOMOLOGY, False),
+    (["cohomology", "{sphere}", "--variant", "alternative"], HOMOLOGY, False),
+    (["cup", "{sphere}", "{alpha}", "{alpha}"], COCHAINS, True),
+    (["cup", "{sphere}", "{alpha}", "{alpha}", "--alternative"], COCHAINS, True),
+    (["residual", "{sphere}", "{alpha}"], sorted(COCHAINS + ["permutations"]), True),
+    (["verify", "{point}", "--cases", "2", "--max-dim", "2"], EVERY, True),
+], ids=["homology-simplicial", "homology-ordered", "cohomology-full",
+        "cohomology-alternative", "cup", "cup-alternative", "residual", "verify"])
+def test_each_subcommand_executes_only_the_modules_it_runs(tmp_path, argv, executed,
+                                                           fractions):
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text(json.dumps({"degree": 1, "values": [[[0, 1], 1], [[1, 0], -1]]}))
+    data = ROOT / "src" / "altchain" / "data"
+    paths = dict(sphere=data / "sphere_s2.json", point=data / "point.json", alpha=alpha)
+    out = _run_isolated(EXECUTED_MODULES, *(arg.format(**paths) for arg in argv))
+    assert out.splitlines()[-1] == f"0 {executed} {fractions}"
+
+
+TRACED = """\
+import altchain.cli
+import tracer
+publics = dict(permutations="enumerate_group", complex_model="enumerate_generators",
+               alt_chains="alt_chain_complex", cochain_algebra="cup",
+               integer_homology="simplicial_homology", homotopy_prism="prism",
+               verify="run_all", cli="main")
+mods = {short: sys.modules["altchain." + short] for short in tracer.MODULES}
+cli, verify = mods["cli"], mods["verify"]
+def bound():
+    return ([getattr(mods[short], name) for short, name in publics.items()]
+            + [cli.enumerate_generators, cli.ih.simplicial_homology]
+            + [fn for _, _, fn in verify.REGISTRY])
+spans = tracer.Tracer()
+spans.install()
+wrappers = bound()
+print(len(wrappers), all(fn.__code__.co_filename == tracer.__file__ for fn in wrappers))
+spans.uninstall()
+print(all(fn is wrapper.__wrapped__ for fn, wrapper in zip(bound(), wrappers)))
+"""
+
+
+def test_tracer_wraps_every_module_the_cli_registers():
+    # the order of `run.py --trace 1`: the tracer's own reads run the
+    # modules that `import altchain.cli` only registered
+    assert _run_isolated(TRACED) == "27 True\nTrue\n"
+
+
+# the names the package re-exports, by the module that defines them
+EXPORTED = {
+    "errors": "BudgetExceededError DegreeCapError FormatError",
+    "complex_model": "SimplicialComplex GeneratorIndex load_complex "
+                     "enumerate_generators face",
+    "permutations": "Permutation act induced_face_perm enumerate_group",
+    "integer_homology": "AbelianGroup smith_normal_form homology_presented "
+                        "cohomology_rational simplicial_homology ordered_homology",
+    "alt_chains": "AltChain AltComplexPresentation canonicalize boundary "
+                  "alt_chain_complex face_class_compat ordered_boundary",
+    "cochain_algebra": "Cochain coboundary is_alternative alternative_maker split cup "
+                       "alt_cup nonlinear_residual alternating_cochain",
+    "homotopy_prism": "SimplicialMap CombinatorialHomotopy push_forward "
+                      "push_forward_alt pull_back prism prism_alt",
+}
+
+
+def test_package_exports_resolve_to_their_modules():
+    names = [(module, name) for module, names in EXPORTED.items()
+             for name in names.split()]
+    assert len(names) == 41
+    for module, name in names:
+        namespace = {}
+        exec(f"from altchain import {name}", namespace)
+        owner = importlib.import_module(f"altchain.{module}")
+        assert namespace[name] is getattr(owner, name) is getattr(altchain, name)
+        assert getattr(altchain, module) is owner is sys.modules[owner.__name__]
+    assert not hasattr(altchain, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        altchain.no_such_name
+    with pytest.raises(ImportError):
+        exec("from altchain import no_such_name", {})
