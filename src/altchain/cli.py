@@ -198,11 +198,11 @@ def _cmd_residual(args) -> int:
     if residual.is_zero():
         print("residual: exactly zero")
     else:
-        witness, value = max(residual.values.items(),
+        values = residual.values  # each in lowest terms
+        witness, value = max(values.items(),
                              key=lambda item: (abs(item[1].numerator), item[0]))
-        max_num = max(abs(v.numerator) for v in residual.values.values())
-        print(f"residual: nonzero on {len(residual.values)} generators; "
-              f"max |numerator| = {max_num}")
+        print(f"residual: nonzero on {len(values)} generators; "
+              f"max |numerator| = {abs(value.numerator)}")
         print(f"witness: value {value} on generator {list(witness)}")
     _write_output(args.output, chunks)
     return EXIT_OK

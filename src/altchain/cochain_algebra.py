@@ -1,7 +1,8 @@
 """Exact rational cochains, the alternating-projection operator, cup products.
 
-A cochain is a finitely supported map from degree-n generators to
-Fractions.  The projector averages a cochain over all reorderings of each
+A cochain is a finitely supported map from degree-n generators to the
+rationals, held as integer numerators over one denominator in lowest
+terms.  The projector averages a cochain over all reorderings of each
 generator with the parity as weight; its image is exactly the cochains
 that flip sign under odd reorderings, and it is the identity there.  The
 modified cup product is the projector applied to the ordinary front/back
@@ -21,25 +22,26 @@ its sorted tuple, one signed sum is kept per orbit, and each nonzero sum
 is written out over the (n+1)! reorderings of that orbit, read from one
 signed table per size: O(|supp| + orbits * (n+1)!) in all.  The table
 holds one ``operator.itemgetter`` per reordering, so a reordered tuple is
-read in one C call, and a signed sum adds or subtracts each value (an odd
-reordering negates) instead of multiplying it by its sign.  The
-coboundary scatters each supported value onto the cofaces it is a face
-of, so its cost is O(|supp| * (n+2) * coface vertices); like the sum of
-two cochains, it stores the first value to reach a tuple as it is rather
-than adding it to zero, and drops the sums that cancel.  Results computed
-here are built without the constructor's per-entry checks.
+read in one C call.  The coboundary scatters each supported value onto
+the cofaces it is a face of: O(|supp| * (n+2) * coface vertices).
 
-All arithmetic is exact; equality of cochains is equality of their
-canonical sparse forms, with no tolerances anywhere.
+The operations work on numerators in ``int``: a sum takes the common
+denominator through one gcd, the coboundary keeps the denominator, the
+cup multiplies the two, the projector multiplies it by (n+1)!.  A private
+constructor reduces each result by one gcd, without the checks of
+``Cochain(n, values)``, which refuses a common denominator past Python's
+digit limit.  ``Fraction`` is met only where values come in or go out.
+Equality is equality of the canonical forms, with no tolerances.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import itemgetter
 
 from . import permutations
@@ -54,70 +56,89 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
 class Cochain:
-    """Sparse rational cochain of a fixed degree.
-
-    ``values`` maps generator tuples to nonzero Fractions; anything absent
-    evaluates to zero.  Instances are value-like: arithmetic returns new
-    cochains and the internal map is never mutated after construction.
+    """Sparse rational cochain of a fixed degree: ``num`` maps generator
+    tuples to nonzero ints over the int ``den`` > 0, with gcd(den, *num)
+    == 1 (den == 1 when empty); ``values`` reads them as Fractions.
+    Absent tuples are zero.  Instances are never mutated once built.
     """
 
-    __slots__ = ("degree", "values")
+    __slots__ = ("degree", "num", "den")
 
     def __init__(self, degree: int, values=None):
-        self.degree = degree
-        clean = {}
+        exact, den = {}, 1
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 before 3.11
         for g, v in (values or {}).items():
             if len(g) != degree + 1:
                 raise ValueError(f"{g} does not have degree {degree}")
-            if type(v) is not Fraction:
-                v = _exact(v)
-            if v:
-                clean[g] = v
-        self.values = clean
+            top, bottom = _ratio(v)
+            if top:
+                exact[g] = top, bottom
+                if den % bottom:
+                    den = lcm(den, bottom)
+                    # refused before any numerator is built; 2**(3*limit) < 10**limit
+                    if limit and den.bit_length() > 3 * limit and den >= 10 ** limit:
+                        raise FormatError("the values' common denominator passes "
+                                          f"Python's {limit}-digit limit")
+        self.degree, self.den = degree, den
+        self.num = {g: top * (den // bottom) for g, (top, bottom) in exact.items()}
 
     @classmethod
-    def _trusted(cls, degree: int, values: dict) -> "Cochain":
-        """Values computed here, nonzero Fractions on tuples of the degree."""
+    def _reduced(cls, degree: int, num: dict, den: int) -> "Cochain":
+        """Nonzero ints computed here over den > 0, in lowest terms."""
+        if den > 1 and (common := gcd(den, *num.values())) > 1:
+            num = {g: v // common for g, v in num.items()}
+            den //= common
         self = object.__new__(cls)
-        self.degree, self.values = degree, values
+        self.degree, self.num, self.den = degree, num, den
         return self
 
     @classmethod
     def zero(cls, degree: int) -> "Cochain":
-        return cls(degree)
+        return cls._reduced(degree, {}, 1)
 
     @classmethod
     def indicator(cls, g: tuple) -> "Cochain":
-        return cls(len(g) - 1, {g: Fraction(1)})
+        return cls._reduced(len(g) - 1, {g: 1}, 1)
+
+    @property
+    def values(self) -> dict:
+        """A new ``{tuple: Fraction}`` map of the nonzero values."""
+        den = self.den
+        return {g: Fraction(v, den) for g, v in self.num.items()}
 
     def __call__(self, g: tuple) -> Fraction:
-        return self.values.get(g, Fraction(0))
+        return Fraction(self.num.get(g, 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not self.num
 
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        out = dict(self.values)
-        for g, v in other.values.items():
-            prior = out.get(g)
-            out[g] = v if prior is None else prior + v
-        return Cochain._trusted(self.degree, {g: v for g, v in out.items() if v})
+        common = gcd(self.den, other.den)
+        fa, fb = other.den // common, self.den // common  # over the lcm
+        out = {g: v * fa for g, v in self.num.items()}
+        for g, v in other.num.items():
+            out[g] = out.get(g, 0) + v * fb
+        return Cochain._reduced(self.degree, {g: v for g, v in out.items() if v},
+                                self.den * fa)
 
     def __neg__(self) -> "Cochain":
-        return Cochain._trusted(self.degree, {g: -v for g, v in self.values.items()})
+        return Cochain._reduced(self.degree, {g: -v for g, v in self.num.items()}, self.den)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
 
     def scale(self, k) -> "Cochain":
-        k = _exact(k)
-        return Cochain(self.degree, {g: k * v for g, v in self.values.items()})
+        top, bottom = _ratio(k)
+        if not top:
+            return Cochain.zero(self.degree)
+        return Cochain._reduced(self.degree, {g: top * v for g, v in self.num.items()},
+                                self.den * bottom)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cochain) and self.degree == other.degree
-                and self.values == other.values)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
         raise TypeError("Cochain is not hashable")
@@ -127,12 +148,12 @@ class Cochain:
         return f"Cochain(deg {self.degree}, {{{terms}}})"
 
 
-def _exact(v) -> Fraction:
-    """``v`` as a Fraction; a float is refused, since it has no exact
-    meaning here (0.1 is not 1/10)."""
+def _ratio(v) -> tuple:
+    """``v`` as (numerator, denominator > 0) in lowest terms; a float is
+    refused, since it has no exact meaning here (0.1 is not 1/10)."""
     if isinstance(v, float):
         raise TypeError(f"cochain values are exact; got the float {v!r}")
-    return Fraction(v)
+    return (v if type(v) in (int, Fraction) else Fraction(v)).as_integer_ratio()
 
 
 @lru_cache(maxsize=None)
@@ -166,16 +187,15 @@ def coboundary(index: GeneratorIndex, alpha: Cochain) -> Cochain:
             f"cap is {index.max_degree}")
     coface_vertices = index.complex.coface_vertices
     out: dict = {}
-    for f, value in alpha.values.items():
+    for f, value in alpha.num.items():
         vertices = coface_vertices.get(frozenset(f), ())
         for i in range(n + 2):
             head, tail = f[:i], f[i:]
             signed = -value if i % 2 else value
             for v in vertices:
                 g = head + (v,) + tail
-                prior = out.get(g)
-                out[g] = signed if prior is None else prior + signed
-    return Cochain._trusted(n + 1, {g: v for g, v in out.items() if v})
+                out[g] = out.get(g, 0) + signed
+    return Cochain._reduced(n + 1, {g: v for g, v in out.items() if v}, alpha.den)
 
 
 def is_alternative(alpha: Cochain) -> bool:
@@ -184,7 +204,7 @@ def is_alternative(alpha: Cochain) -> bool:
     Checked one orbit at a time: no supported tuple repeats an entry, and
     every reordering h of a sorted key holds sign(h) * alpha(key).
     """
-    values = alpha.values
+    values = alpha.num
     seen = set()
     for h in values:
         key = tuple(sorted(h))
@@ -194,9 +214,8 @@ def is_alternative(alpha: Cochain) -> bool:
         if len(set(key)) != len(key):
             return False
         base = values.get(key, 0)
-        signed = {1: base, -1: -base}
         for g, sgn in _orbit(key).items():
-            if values.get(g, 0) != signed[sgn]:
+            if values.get(g, 0) != base * sgn:
                 return False
     return True
 
@@ -213,24 +232,19 @@ def alternative_maker(alpha: Cochain) -> Cochain:
     """
     n = alpha.degree
     groups: dict = {}
-    for h, v in alpha.values.items():
+    for h, v in alpha.num.items():
         if len(set(h)) == len(h):
             groups.setdefault(tuple(sorted(h)), []).append((h, v))
-    fact = factorial(n + 1)
-    out = {}
+    sums, orbits = {}, {}
     for key, members in groups.items():
-        orbit = _orbit(key)
-        (h, total), *rest = members
-        if orbit[h] < 0:
-            total = -total
-        for h, v in rest:
-            total = total - v if orbit[h] < 0 else total + v
-        if total:
-            value = total / fact
-            signed = {1: value, -1: -value}
-            for g, sgn in orbit.items():
-                out[g] = signed[sgn]
-    return Cochain._trusted(n, out)
+        orbit = orbits[key] = _orbit(key)
+        if total := sum(-v if orbit[h] < 0 else v for h, v in members):
+            sums[key] = total
+    # reduced once per orbit, then written to each reordering
+    image = Cochain._reduced(n, sums, alpha.den * factorial(n + 1))
+    image.num = {g: total * sgn for key, total in image.num.items()
+                 for g, sgn in orbits[key].items()}
+    return image
 
 
 def split(alpha: Cochain) -> tuple:
@@ -248,14 +262,14 @@ def cup(index: GeneratorIndex, alpha: Cochain, beta: Cochain) -> Cochain:
             f"cup product of degrees {p} and {q} exceeds the cap "
             f"{index.max_degree}")
     out = {}
-    for a, va in alpha.values.items():
-        for b, vb in beta.values.items():
+    for a, va in alpha.num.items():
+        for b, vb in beta.num.items():
             if a[-1] != b[0]:
                 continue
             t = a + b[1:]
             if index.is_generator(t):
                 out[t] = va * vb  # front/back split of t is unique
-    return Cochain._trusted(p + q, out)
+    return Cochain._reduced(p + q, out, alpha.den * beta.den)
 
 
 def alt_cup(index: GeneratorIndex, alpha: Cochain, beta: Cochain) -> Cochain:
@@ -285,10 +299,9 @@ def alternating_cochain(tau: tuple, value=1) -> Cochain:
     strictly increasing tuple, worth ``value`` on the tuple itself."""
     if list(tau) != sorted(set(tau)):
         raise ValueError(f"{tau} is not strictly increasing")
-    value = _exact(value)
-    signed = {1: value, -1: -value}
-    orbit = _orbit(tau) if value else {}
-    return Cochain._trusted(len(tau) - 1, {g: signed[sgn] for g, sgn in orbit.items()})
+    top, bottom = _ratio(value)
+    orbit = _orbit(tau) if top else {}
+    return Cochain._reduced(len(tau) - 1, {g: top * sgn for g, sgn in orbit.items()}, bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +315,10 @@ def alternative_maker_matrix_scaled(index: GeneratorIndex, n: int) -> dict:
     fact = factorial(n + 1)
     rows: dict = {}
     for j, g in enumerate(index.generators(n)):
-        image = alternative_maker(Cochain.indicator(g)).values
-        if image:
-            rows[j] = {index.position(h): int(v * fact) for h, v in image.items()}
+        image = alternative_maker(Cochain.indicator(g))
+        if image.num:
+            rows[j] = {index.position(h): v * fact // image.den
+                       for h, v in image.num.items()}
     return rows
 
 
@@ -312,11 +326,13 @@ def alternative_maker_matrix_scaled(index: GeneratorIndex, n: int) -> dict:
 # serialization
 
 def cochain_to_json(alpha: Cochain) -> dict:
+    """Each value in lowest terms, as the string "num/den"."""
+    den = alpha.den
     return {
         "format_version": COCHAIN_FORMAT_VERSION,
         "degree": alpha.degree,
-        "values": [[list(g), f"{v.numerator}/{v.denominator}"]
-                   for g, v in sorted(alpha.values.items())],
+        "values": [[list(g), f"{v // (common := gcd(v, den))}/{den // common}"]
+                   for g, v in sorted(alpha.num.items())],
     }
 
 

@@ -78,11 +78,12 @@ def pull_back(f: SimplicialMap, alpha: Cochain) -> Cochain:
     for v, w in enumerate(f.assignment):
         preimages[w].append(v)
     out = {}
-    for h, val in alpha.values.items():
+    for h, val in alpha.num.items():
         for g in itertools.product(*(preimages[w] for w in h)):
             if f.domain.has_simplex(set(g)):
                 out[g] = val
-    return Cochain(alpha.degree, out)
+    # the same denominator, reduced again when values have no preimage
+    return Cochain._reduced(alpha.degree, out, alpha.den)
 
 
 class CombinatorialHomotopy(Record):

@@ -110,8 +110,11 @@ def _jsonable(x):
     return repr(x)
 
 
+_NUMERATORS = tuple(v for v in range(-9, 10) if v)
+
+
 def _random_fraction(rng: Random) -> Fraction:
-    num = rng.choice([v for v in range(-9, 10) if v])
+    num = rng.choice(_NUMERATORS)
     return Fraction(num, rng.randint(1, 9))
 
 
@@ -120,10 +123,10 @@ def _random_alternating(K: SimplicialComplex, n: int, rng: Random):
     if not simplices:
         return None
     count = rng.randint(1, min(3, len(simplices)))
-    total = ca.Cochain.zero(n)
-    for tau in rng.sample(simplices, count):
-        total = total + ca.alternating_cochain(tau, _random_fraction(rng))
-    return total
+    # one orbit per simplex; the orbits are disjoint, so no sum cancels
+    first, *rest = [ca.alternating_cochain(tau, _random_fraction(rng))
+                    for tau in rng.sample(simplices, count)]
+    return sum(rest, first)
 
 
 def _random_cochain(index, n: int, rng: Random):

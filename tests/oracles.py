@@ -2,9 +2,10 @@
 Fraction, sharing no code with altchain's integer elimination, the
 boundary matrices of tuple complexes summed one face per entry, the
 coboundary matrices as transposed boundary matrices, the tuple generators
-enumerated by brute force, and the quotient boundary built by descending
-each generator's boundary through ``AltChain``.  Matrices are dense lists
-of rows; :func:`sparse_rows` gives the rows the elimination reads."""
+enumerated by brute force, the quotient boundary built by descending
+each generator's boundary through ``AltChain``, and the cochain operations
+on plain ``{tuple: Fraction}`` maps.  Matrices are dense lists of rows;
+:func:`sparse_rows` gives the rows the elimination reads."""
 
 import itertools
 from fractions import Fraction
@@ -169,3 +170,57 @@ def subdivision(K):
         return [c + [s] for v in s for c in chains(s - {v})]
     facets = [[vertex[s] for s in c] for f in K.facets for c in chains(f)]
     return SimplicialComplex.from_facets(len(order), facets, name=f"sd({K.name})")
+
+
+# ---------------------------------------------------------------------------
+# cochains as {tuple: nonzero Fraction}, one value at a time
+
+def _nonzero(values: dict) -> dict:
+    return {g: v for g, v in values.items() if v}
+
+
+def _parity(order) -> int:
+    inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+    return -1 if inversions % 2 else 1
+
+
+def fraction_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    return _nonzero({g: a.get(g, 0) + sign * b.get(g, 0) for g in {*a, *b}})
+
+
+def fraction_scale(a: dict, k) -> dict:
+    return _nonzero({g: Fraction(k) * v for g, v in a.items()})
+
+
+def fraction_coboundary(index, a: dict, n: int) -> dict:
+    """Gathered: the signed sum of the face values at every generator."""
+    return _nonzero({g: sum((-1) ** i * a.get(g[:i] + g[i + 1:], 0)
+                            for i in range(n + 2))
+                     for g in index.generators(n + 1)})
+
+
+def fraction_cup(index, a: dict, p: int, b: dict, q: int) -> dict:
+    """Every generator of degree p + q split into its front p-face and
+    back q-face."""
+    return _nonzero({t: a.get(t[:p + 1], 0) * b.get(t[p:], 0)
+                     for t in index.generators(p + q)})
+
+
+def fraction_projector(a: dict, n: int) -> dict:
+    """The parity-weighted mean over the whole symmetric group, at every
+    reordering of every supported tuple."""
+    orders = list(itertools.permutations(range(n + 1)))
+    closure = {h for g in a for h in itertools.permutations(g)}
+    return _nonzero({g: sum(_parity(o) * a.get(tuple(g[i] for i in o), 0)
+                            for o in orders) / Fraction(len(orders))
+                     for g in closure})
+
+
+def fraction_alternating(tau: tuple, value) -> dict:
+    return _nonzero({tuple(tau[i] for i in o): _parity(o) * Fraction(value)
+                     for o in itertools.permutations(range(len(tau)))})
+
+
+def fraction_pull_back(f, domain_index, a: dict, n: int) -> dict:
+    """The value at every domain generator read at its image tuple."""
+    return _nonzero({g: a.get(f.apply(g), 0) for g in domain_index.generators(n)})

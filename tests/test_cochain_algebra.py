@@ -1,7 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from random import Random
 
 import pytest
@@ -15,9 +15,12 @@ from altchain import (Cochain, DegreeCapError, FormatError, SimplicialComplex,
                       nonlinear_residual, split)
 from altchain.cochain_algebra import (alternative_maker_matrix_scaled,
                                       cochain_from_json, cochain_to_json)
+from altchain.homotopy_prism import SimplicialMap, pull_back
 from altchain.integer_homology import integer_rank
 from altchain.permutations import act, enumerate_group, parity
-from oracles import (alt_coboundary_matrix, coboundary_matrix, fraction_rank,
+from oracles import (alt_coboundary_matrix, coboundary_matrix, fraction_alternating,
+                     fraction_coboundary, fraction_cup, fraction_projector,
+                     fraction_pull_back, fraction_rank, fraction_scale, fraction_sum,
                      integer_kernel, transpose)
 
 
@@ -588,6 +591,56 @@ def test_computed_cochains_need_no_checks(oracle_indices, data):
     assert all(r.is_zero() for r in cancelled)
     assert [r.degree for r in cancelled[:3]] == [n, n, n + 2]
     assert all(r.degree == n for r in cancelled[3:])
+
+
+def assert_canonical(result, expected):
+    """Nonzero int numerators over an int denominator in lowest terms, the
+    same cochain again through the checking constructor, and the values of
+    the {tuple: Fraction} oracle."""
+    num, den = result.num, result.den
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int and v for v in num.values())
+    assert gcd(den, *num.values()) == 1  # so den == 1 when num is empty
+    assert Cochain(result.degree, result.values) == result
+    assert result.values == expected
+
+
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_every_operation_keeps_the_canonical_form(oracle_indices, data):
+    index = data.draw(st.sampled_from(oracle_indices))
+    K = index.complex
+    alpha = data.draw(cochains(index, range(3)))
+    n = alpha.degree
+    same = data.draw(cochains(index, [n]))
+    beta = data.draw(cochains(index, range(3 - n)))
+    a, b, c, q = alpha.values, same.values, beta.values, beta.degree
+    k = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.sampled_from(DENOMINATORS)))
+    image = data.draw(st.lists(st.integers(0, K.vertex_count - 1),
+                               min_size=K.vertex_count, max_size=K.vertex_count))
+    try:
+        f = SimplicialMap(K, K, image)
+    except ValueError:  # not simplicial: the constant map is
+        f = SimplicialMap.constant(K, K, image[0])
+    projected = fraction_projector(a, n)
+    alt, kernel = split(alpha)
+    checks = [
+        (alpha + same, fraction_sum(a, b)), (alpha - same, fraction_sum(a, b, -1)),
+        (-alpha, fraction_scale(a, -1)), (alpha.scale(k), fraction_scale(a, k)),
+        (coboundary(index, alpha), fraction_coboundary(index, a, n)),
+        (cup(index, alpha, beta), fraction_cup(index, a, n, c, q)),
+        (alt_cup(index, alpha, beta),
+         fraction_projector(fraction_cup(index, a, n, c, q), n + q)),
+        (alternative_maker(alpha), projected),
+        (alt, projected), (kernel, fraction_sum(a, projected, -1)),
+        (pull_back(f, alpha), fraction_pull_back(f, index, a, n)),
+        (cochain_from_json(json.loads(json.dumps(cochain_to_json(alpha)))), a)]
+    simplices = K.simplices_of_dim(n)
+    if simplices:
+        tau = data.draw(st.sampled_from(simplices))
+        checks.append((alternating_cochain(tau, k), fraction_alternating(tau, k)))
+    for result, expected in checks:
+        assert_canonical(result, expected)
 
 
 def test_scaled_projector_matrix_matches_group_sum(sphere_index, oracle_indices):

@@ -877,10 +877,13 @@ def test_cli_cup_and_residual_reject_bad_cochain_files(tmp_path, capsys):
         path.write_text(json.dumps(bad))
         argvs += [["cup", sphere, str(good), str(path)], ["residual", sphere, str(path)]]
     # past Python's parser limits: nesting depth, digits of a JSON integer
-    # and of a value string
+    # and of a value string; two values over coprime 3,000-digit
+    # denominators, whose common denominator has 6,000 digits
     for k, text in enumerate(("[" * 100_000 + "]" * 100_000,
                               '{"degree": 0, "values": [[[0], ' + "9" * 4_301 + ']]}',
-                              '{"degree": 0, "values": [[[0], "' + "9" * 5_000 + '"]]}')):
+                              '{"degree": 0, "values": [[[0], "' + "9" * 5_000 + '"]]}',
+                              json.dumps({"degree": 0, "values": [
+                                  [[0], f"1/{10 ** 2999}"], [[1], f"1/{10 ** 2999 + 1}"]]}))):
         path = tmp_path / f"limit{k}.json"
         path.write_text(text)
         argvs += [["cup", sphere, str(path), str(good)], ["residual", sphere, str(path)]]
@@ -1166,6 +1169,28 @@ def test_cli_file_outputs_are_pinned(tmp_path, capsys):
         assert out.read_bytes() == pinned, name
         assert cli.main(argv + ["-o", "-"]) == 0, argv
         assert capsys.readouterr().out.encode() == verdict.encode() + pinned, name
+
+
+def test_cli_residual_verdicts_are_pinned(tmp_path, capsys):
+    # the witness and max |numerator| read each value in lowest terms: on
+    # the solid 4-simplex every value is +-1/d with d in {9, 18, 20, 30},
+    # so the numerators over the common denominator 180 reach 20
+    solid = write_json(tmp_path / "solid.json", SOLID_TETRAHEDRON)
+    solid_4 = write_json(tmp_path / "solid_4.json", {"vertices": 5, "facets": [[0, 1, 2, 3, 4]]})
+    alpha = write_json(tmp_path / "alpha.json", NOT_CLOSED)
+    fractional = write_json(tmp_path / "fractional.json", {"degree": 1, "values": [
+        [[0, 1], "1/2"], [[1, 0], "-1/2"], [[0, 2], "5/6"], [[2, 0], "-5/6"],
+        [[1, 2], "3/4"], [[2, 1], "-3/4"], [[2, 3], "-2/3"], [[3, 2], "2/3"],
+        [[3, 4], "1/5"], [[4, 3], "-1/5"]]})
+    for argv, verdict in (
+            (["residual", solid, alpha],
+             "residual: nonzero on 24 generators; max |numerator| = 2\n"
+             "witness: value -2/3 on generator [3, 2, 1, 0]\n"),
+            (["residual", solid_4, fractional],
+             "residual: nonzero on 96 generators; max |numerator| = 1\n"
+             "witness: value 1/20 on generator [4, 3, 2, 1]\n")):
+        assert cli.main(argv + ["-o", str(tmp_path / "out.json")]) == 0, argv
+        assert capsys.readouterr().out == verdict, argv
 
 
 def test_cli_unwritable_output_exits_2(tmp_path, capsys):
