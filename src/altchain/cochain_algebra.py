@@ -29,8 +29,9 @@ The operations work on numerators in ``int``: a sum takes the common
 denominator through one gcd, the coboundary keeps the denominator, the
 cup multiplies the two, the projector multiplies it by (n+1)!.  A private
 constructor reduces each result by one gcd, without the checks of
-``Cochain(n, values)``, which refuses a common denominator past Python's
-digit limit.  ``Fraction`` is met only where values come in or go out.
+``Cochain(n, values)`` and the reader, which sum over the common
+denominator and refuse it once it passes Python's digit limit.
+``Fraction`` is met only where values come in or go out.
 Equality is equality of the canonical forms, with no tolerances.
 """
 
@@ -65,22 +66,9 @@ class Cochain:
     __slots__ = ("degree", "num", "den")
 
     def __init__(self, degree: int, values=None):
-        exact, den = {}, 1
-        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 before 3.11
-        for g, v in (values or {}).items():
-            if len(g) != degree + 1:
-                raise ValueError(f"{g} does not have degree {degree}")
-            top, bottom = _ratio(v)
-            if top:
-                exact[g] = top, bottom
-                if den % bottom:
-                    den = lcm(den, bottom)
-                    # refused before any numerator is built; 2**(3*limit) < 10**limit
-                    if limit and den.bit_length() > 3 * limit and den >= 10 ** limit:
-                        raise FormatError("the values' common denominator passes "
-                                          f"Python's {limit}-digit limit")
-        self.degree, self.den = degree, den
-        self.num = {g: top * (den // bottom) for g, (top, bottom) in exact.items()}
+        # a dict repeats no tuple, so nothing is summed and gcd(den, *num) == 1
+        self.degree = degree
+        self.num, self.den = _over_common_denominator(degree, (values or {}).items())
 
     @classmethod
     def _reduced(cls, degree: int, num: dict, den: int) -> "Cochain":
@@ -146,6 +134,30 @@ class Cochain:
     def __repr__(self) -> str:
         terms = ", ".join(f"{g}: {v}" for g, v in sorted(self.values.items()))
         return f"Cochain(deg {self.degree}, {{{terms}}})"
+
+
+def _over_common_denominator(degree: int, terms) -> tuple:
+    """(tuple, value) pairs as ({tuple: nonzero int}, den), summed over the
+    lcm of the denominators, which is refused as soon as it passes Python's
+    digit limit, before any numerator is built."""
+    exact, den = [], 1
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 before 3.11
+    for g, v in terms:
+        if len(g) != degree + 1:
+            raise ValueError(f"{g} does not have degree {degree}")
+        top, bottom = _ratio(v)
+        if top:
+            exact.append((g, top, bottom))
+            if den % bottom:
+                den = lcm(den, bottom)
+                # 2**(3*limit) < 10**limit
+                if limit and den.bit_length() > 3 * limit and den >= 10 ** limit:
+                    raise FormatError("the values' common denominator passes "
+                                      f"Python's {limit}-digit limit")
+    num: dict = {}
+    for g, top, bottom in exact:
+        num[g] = num.get(g, 0) + top * (den // bottom)
+    return {g: v for g, v in num.items() if v}, den
 
 
 def _ratio(v) -> tuple:
@@ -305,24 +317,6 @@ def alternating_cochain(tau: tuple, value=1) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
-# matrices
-
-def alternative_maker_matrix_scaled(index: GeneratorIndex, n: int) -> dict:
-    """The projector matrix on the degree-n basis times (n+1)!, which is
-    integer (every entry is 0 or +-1); it has the projector's rank.  The
-    matrix is symmetric, so its nonzero rows ``{row: {col: nonzero}}``
-    are the images of the basis cochains: row j that of the j-th one."""
-    fact = factorial(n + 1)
-    rows: dict = {}
-    for j, g in enumerate(index.generators(n)):
-        image = alternative_maker(Cochain.indicator(g))
-        if image.num:
-            rows[j] = {index.position(h): v * fact // image.den
-                       for h, v in image.num.items()}
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 def cochain_to_json(alpha: Cochain) -> dict:
@@ -352,8 +346,14 @@ def cochain_from_json(data: dict, index: GeneratorIndex | None = None) -> Cochai
         raise FormatError(f"bad degree {degree!r}")
     if not isinstance(data["values"], list):
         raise FormatError("cochain 'values' must be a list")
-    vals = {}
-    for item in data["values"]:
+    # read lazily: a denominator past the digit limit stops at its entry
+    return Cochain._reduced(degree, *_over_common_denominator(
+        degree, _cochain_entries(data["values"], degree, index)))
+
+
+def _cochain_entries(items: list, degree: int, index: GeneratorIndex | None):
+    """Each entry of a cochain's 'values' list as (tuple, Fraction)."""
+    for item in items:
         # vertices are JSON integers; a value is a JSON integer or an exact
         # "num/den", integer or decimal-point string (no floats, no booleans)
         if not (isinstance(item, list) and len(item) == 2
@@ -371,5 +371,4 @@ def cochain_from_json(data: dict, index: GeneratorIndex | None = None) -> Cochai
             raise FormatError(f"tuple {g} does not have degree {degree}")
         if index is not None and not index.is_generator(g):
             raise FormatError(f"{g} is not a generator of the complex")
-        vals[g] = vals.get(g, Fraction(0)) + v
-    return Cochain(degree, vals)
+        yield g, v

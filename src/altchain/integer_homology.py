@@ -204,12 +204,6 @@ def _eliminate(rows, live=None) -> tuple:
     return diag, pivots
 
 
-def integer_rank(rows: dict) -> int:
-    """Rank over Q (equivalently over Z) of an exact integer matrix given
-    as rows ``{row: {col: nonzero}}``, which are left as they are."""
-    return len(_eliminate({r: dict(row) for r, row in rows.items()})[0])
-
-
 def product_entries(outer, inner) -> list:
     """The nonzero entries ``(row, col, value)`` of the product of two
     matrices stored as columns ``{row: nonzero}``, column by column:

@@ -4,12 +4,13 @@ boundary matrices of tuple complexes summed one face per entry, the
 coboundary matrices as transposed boundary matrices, the tuple generators
 enumerated by brute force, the quotient boundary built by descending
 each generator's boundary through ``AltChain``, and the cochain operations
-on plain ``{tuple: Fraction}`` maps.  Matrices are dense lists of rows;
+on plain ``{tuple: Fraction}`` maps, with the scaled projector matrix
+built from the projector of each indicator.  Matrices are dense lists of rows;
 :func:`sparse_rows` gives the rows the elimination reads."""
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from altchain import SimplicialComplex
 from altchain.alt_chains import AltChain, boundary
@@ -94,7 +95,8 @@ def _rref(rows):
 
 
 def fraction_rank(rows) -> int:
-    return len(_rref(rows)[1])
+    # zero rows add no rank, and a projector matrix is mostly zero rows
+    return len(_rref([row for row in rows if any(row)])[1])
 
 
 def fraction_det(rows) -> Fraction:
@@ -209,11 +211,24 @@ def fraction_cup(index, a: dict, p: int, b: dict, q: int) -> dict:
 def fraction_projector(a: dict, n: int) -> dict:
     """The parity-weighted mean over the whole symmetric group, at every
     reordering of every supported tuple."""
-    orders = list(itertools.permutations(range(n + 1)))
+    orders = [(o, _parity(o)) for o in itertools.permutations(range(n + 1))]
     closure = {h for g in a for h in itertools.permutations(g)}
-    return _nonzero({g: sum(_parity(o) * a.get(tuple(g[i] for i in o), 0)
-                            for o in orders) / Fraction(len(orders))
+    return _nonzero({g: sum(sign * a.get(tuple(g[i] for i in o), 0)
+                            for o, sign in orders) / Fraction(len(orders))
                      for g in closure})
+
+
+def scaled_projector_matrix(index, n: int) -> list:
+    """(n+1)! times the projector on the degree-n generator basis, an
+    integer matrix: column j is the image of the j-th indicator under
+    :func:`fraction_projector`.  It is symmetric, so row j is that image too."""
+    gens = index.generators(n)
+    row_of = {g: i for i, g in enumerate(gens)}
+    dense = [[0] * len(gens) for _ in gens]
+    for j, g in enumerate(gens):
+        for h, v in fraction_projector({g: 1}, n).items():
+            dense[row_of[h]][j] = int(v * factorial(n + 1))
+    return dense
 
 
 def fraction_alternating(tau: tuple, value) -> dict:

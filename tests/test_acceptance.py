@@ -23,12 +23,12 @@ from altchain import (AltChain, Cochain, CombinatorialHomotopy, SimplicialMap,
                       is_alternative, ordered_boundary, prism, prism_alt,
                       push_forward, push_forward_alt, simplicial_homology)
 from altchain import alt_chains, permutations, verify
-from altchain.cochain_algebra import alternative_maker_matrix_scaled
 from altchain.complex_model import SimplicialComplex
-from altchain.integer_homology import cohomology_rational, integer_rank
+from altchain.integer_homology import cohomology_rational
 from altchain.permutations import (Permutation, act, enumerate_group,
                                    induced_face_perm)
-from oracles import alt_coboundary_matrix, integer_kernel
+from oracles import (alt_coboundary_matrix, fraction_rank, integer_kernel,
+                     scaled_projector_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -90,15 +90,14 @@ def test_criterion_02_boundary_of_reordered_generator(ctx):
 
 def test_criterion_03_projector_splitting_dimensions(ctx):
     _, sphere_index = ctx["sphere_s2"]
-    rank = integer_rank(alternative_maker_matrix_scaled(sphere_index, 1))
+    rank = fraction_rank(scaled_projector_matrix(sphere_index, 1))
     assert sphere_index.count(1) == 16
     assert rank == 6
     assert 16 == 6 + 10 == rank + (16 - rank)
     checked = 1
     for name, (K, index) in ctx.items():
         for n in range(4):
-            scaled = alternative_maker_matrix_scaled(index, n)
-            r = integer_rank(scaled)
+            r = fraction_rank(scaled_projector_matrix(index, n))
             assert r == len(K.simplices_of_dim(n)), (name, n)
             checked += 1
     report(f"[criterion 3] PASS - cochain space splits as alternating part "

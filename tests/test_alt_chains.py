@@ -9,7 +9,8 @@ from altchain.alt_chains import descend, presentation_from_json, presentation_to
 from altchain.complex_model import SimplicialComplex
 from altchain.errors import BudgetExceededError
 from altchain.permutations import act, enumerate_group
-from oracles import descended_boundary_matrices, product_filter_generators, subdivision
+from oracles import (descended_boundary_matrices, fraction_rank, product_filter_generators,
+                     scaled_projector_matrix, subdivision)
 
 
 def matrix_json(rows: int, cols: int, entries: dict) -> dict:
@@ -357,11 +358,9 @@ def test_presentation_from_json_rejects_bad_generators(rp2):
 def test_dual_dimension_invariant(corpus):
     # rational alternating cochain dimension, the projector's rank, ==
     # free quotient generators
-    from altchain.cochain_algebra import alternative_maker_matrix_scaled
-    from altchain.integer_homology import integer_rank
     for name, K in corpus:
         index = enumerate_generators(K, 3)
         pres = alt_chain_complex(K, 3)
         for n in range(4):
-            rank = integer_rank(alternative_maker_matrix_scaled(index, n))
+            rank = fraction_rank(scaled_projector_matrix(index, n))
             assert rank == len(pres.free_generators[n]), (name, n)

@@ -13,15 +13,14 @@ from altchain import (Cochain, DegreeCapError, FormatError, SimplicialComplex,
                       alternative_maker, coboundary, cup,
                       enumerate_generators, is_alternative,
                       nonlinear_residual, split)
-from altchain.cochain_algebra import (alternative_maker_matrix_scaled,
-                                      cochain_from_json, cochain_to_json)
+from altchain import integer_homology as ih
+from altchain.cochain_algebra import cochain_from_json, cochain_to_json
 from altchain.homotopy_prism import SimplicialMap, pull_back
-from altchain.integer_homology import integer_rank
 from altchain.permutations import act, enumerate_group, parity
 from oracles import (alt_coboundary_matrix, coboundary_matrix, fraction_alternating,
                      fraction_coboundary, fraction_cup, fraction_projector,
                      fraction_pull_back, fraction_rank, fraction_scale, fraction_sum,
-                     integer_kernel, transpose)
+                     integer_kernel, scaled_projector_matrix, sparse_rows, transpose)
 
 
 def random_cochain(index, n, rng, terms=3):
@@ -123,20 +122,13 @@ def test_split_examples(sphere, sphere_index):
     assert alternative_maker(ker).is_zero()
 
 
-def scaled_projector_dense(index, n):
-    rows = alternative_maker_matrix_scaled(index, n)
-    m = index.count(n)
-    return [[rows.get(r, {}).get(c, 0) for c in range(m)] for r in range(m)]
-
-
 def test_splitting_dimensions_sphere_degree_one(sphere_index):
     # 16 = 6 + 10: rank of the projector plus its nullity, via two
     # independent rank computations on the same matrix
-    scaled = alternative_maker_matrix_scaled(sphere_index, 1)
-    dense = scaled_projector_dense(sphere_index, 1)
+    dense = scaled_projector_matrix(sphere_index, 1)
     assert len(dense) == sphere_index.count(1) == 16
     assert fraction_rank(dense) == 6
-    assert integer_rank(scaled) == 6
+    assert len(ih._eliminate(sparse_rows(dense))[0]) == 6
     assert len(integer_kernel(dense)) == 10
     assert dense == transpose(dense)  # symmetric, so its rows are its columns
 
@@ -144,7 +136,7 @@ def test_splitting_dimensions_sphere_degree_one(sphere_index):
 def test_alt_basis_counts(sphere_index):
     # the alternating cochains have one basis cochain per simplex: the
     # projector's rank, with the rest of each degree its kernel
-    ranks = [integer_rank(alternative_maker_matrix_scaled(sphere_index, n)) for n in range(4)]
+    ranks = [fraction_rank(scaled_projector_matrix(sphere_index, n)) for n in range(4)]
     assert ranks == [len(sphere_index.complex.simplices_of_dim(n)) for n in range(4)]
     assert ranks == [4, 6, 4, 0]
     assert sphere_index.count(3) - ranks[3] == 232
@@ -378,6 +370,25 @@ def test_serialization_roundtrip(sphere_index):
     assert data["values"][0][1].count("/") == 1
     back = cochain_from_json(json.loads(json.dumps(data)), sphere_index)
     assert back == alpha
+
+
+def test_reader_sums_the_repeats_of_a_tuple():
+    def read(*entries):
+        return cochain_from_json({"degree": 1, "values": [list(e) for e in entries]})
+
+    assert read(([0, 1], "1/2"), ([0, 1], "1/3")).values == {(0, 1): Fraction(5, 6)}
+    cancelled = read(([0, 1], "1/2"), ([0, 1], "-1/2"))
+    assert (cancelled.num, cancelled.den) == ({}, 1)
+    whole = read(([0, 1], "1/2"), ([1, 2], 3), ([0, 1], "1/2"))
+    assert (whole.num, whole.den) == ({(0, 1): 1, (1, 2): 3}, 1)
+    # five repeats over pairwise nearly coprime 1,000-digit denominators
+    # pass the digit limit, and the reader stops there: the bad sixth
+    # entry is never read
+    repeats = [([0, 1], f"1/{10 ** 999 + k}") for k in range(5)]
+    with pytest.raises(FormatError, match="digit limit"):
+        read(*repeats, ([0, 1], "one half"))
+    assert read(*repeats[:4]).values == {
+        (0, 1): sum(Fraction(1, 10 ** 999 + k) for k in range(4))}
 
 
 def test_serialization_strictness(sphere_index):
@@ -644,14 +655,18 @@ def test_every_operation_keeps_the_canonical_form(oracle_indices, data):
 
 
 def test_scaled_projector_matrix_matches_group_sum(sphere_index, oracle_indices):
+    # the projector of every indicator: (n+1)! times it is its column of
+    # the fraction oracle's matrix, and it is the group sum
     solid = oracle_indices[-1]
     for index, top in ((sphere_index, 3), (solid, 2)):
         for n in range(top + 1):
-            M = scaled_projector_dense(index, n)
-            for j, g in enumerate(index.generators(n)):
-                column = {index.generators(n)[r]: row[j] for r, row in enumerate(M) if row[j]}
-                expected = oracle_alternative_maker(Cochain.indicator(g))
-                assert Cochain(n, column) == expected.scale(factorial(n + 1))
+            M = scaled_projector_matrix(index, n)
+            gens = index.generators(n)
+            for j, g in enumerate(gens):
+                column = {gens[r]: row[j] for r, row in enumerate(M) if row[j]}
+                image = alternative_maker(Cochain.indicator(g))
+                assert image.scale(factorial(n + 1)) == Cochain(n, column)
+                assert image == oracle_alternative_maker(Cochain.indicator(g))
 
 
 def test_is_alternative_rejects_a_broken_orbit():

@@ -427,23 +427,23 @@ def test_mutation_in_ordered_boundary_matrix_is_caught(sphere, monkeypatch):
                                                     "row": 1, "col": 6, "value": -2}
 
 
-def test_mutation_dropping_a_projector_row_is_caught(point, monkeypatch):
-    # the scaled projector loses the row of its first generator, so its
-    # rank falls one short of the simplex count; nothing else reads it
+def test_mutation_dropping_a_projector_row_is_caught(sphere, monkeypatch):
+    # the projector sends the indicator of (1, 0) to zero: its row of the
+    # projector is gone, but the row of (0, 1) spans the same image, so
+    # only the closed form on every generator sees it
     from altchain import cochain_algebra as ca
 
-    real = ca.alternative_maker_matrix_scaled
+    real = ca.alternative_maker
 
-    def broken(index, n):
-        rows = real(index, n)
-        del rows[min(rows)]
-        return rows
+    def broken(alpha):
+        return ca.Cochain.zero(1) if alpha == ca.Cochain.indicator((1, 0)) else real(alpha)
 
-    monkeypatch.setattr(ca, "alternative_maker_matrix_scaled", broken)
-    report = verify.run_all([("point", point)], seed=0, cases=5)
+    monkeypatch.setattr(ca, "alternative_maker", broken)
+    report = verify.run_all([("sphere_s2", sphere)], seed=0, cases=5, degree_cap=2)
     failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
-    assert failed == {"projector-splitting": {"complex": "point", "degree": 0,
-                                              "projector_rank": 0, "simplex_count": 1}}
+    assert set(failed) <= {"projector-splitting", "projector-coboundary-commute",
+                           "projected-cup-associativity"}
+    assert failed["projector-splitting"] == {"complex": "sphere_s2", "generator": [1, 0]}
 
 
 def test_mutation_moving_an_alternating_cochain_is_caught(point, monkeypatch):
@@ -531,7 +531,8 @@ def unsigned_coboundary(index, alpha):
 def sorted_representative(alpha):
     # pi* iota*: read alpha on sorted tuples only and extend alternatingly;
     # a projector onto the alternating cochains that commutes with the
-    # coboundary, but is not the parity average
+    # coboundary, but is not the parity average: projector-splitting's
+    # closed form finds it at (0, 1), whose indicator it maps to twice that
     total = cochain_algebra.Cochain.zero(alpha.degree)
     for g, v in alpha.values.items():
         if list(g) == sorted(set(g)):
@@ -568,7 +569,7 @@ MUTANTS = [
     ("projected-cup-commutativity", "cup-without-projector",
      (cochain_algebra, "alt_cup", cochain_algebra.cup), set()),
     ("projected-cup-commutativity", "sorted-representative-projector",
-     (cochain_algebra, "alternative_maker", sorted_representative), set()),
+     (cochain_algebra, "alternative_maker", sorted_representative), {"projector-splitting"}),
     ("projected-cup-leibniz", "coboundary-sign-by-degree",
      (cochain_algebra, "coboundary", signed_by_degree), {"projected-cup-associativity"}),
     ("coboundary-preserves-alternating", "unsigned-coboundary",
@@ -878,12 +879,15 @@ def test_cli_cup_and_residual_reject_bad_cochain_files(tmp_path, capsys):
         argvs += [["cup", sphere, str(good), str(path)], ["residual", sphere, str(path)]]
     # past Python's parser limits: nesting depth, digits of a JSON integer
     # and of a value string; two values over coprime 3,000-digit
-    # denominators, whose common denominator has 6,000 digits
+    # denominators, whose common denominator has 6,000 digits; one tuple
+    # 200 times over distinct 1,000-digit denominators
     for k, text in enumerate(("[" * 100_000 + "]" * 100_000,
                               '{"degree": 0, "values": [[[0], ' + "9" * 4_301 + ']]}',
                               '{"degree": 0, "values": [[[0], "' + "9" * 5_000 + '"]]}',
                               json.dumps({"degree": 0, "values": [
-                                  [[0], f"1/{10 ** 2999}"], [[1], f"1/{10 ** 2999 + 1}"]]}))):
+                                  [[0], f"1/{10 ** 2999}"], [[1], f"1/{10 ** 2999 + 1}"]]}),
+                              json.dumps({"degree": 0, "values": [
+                                  [[0], f"1/{10 ** 999 + j}"] for j in range(200)]}))):
         path = tmp_path / f"limit{k}.json"
         path.write_text(text)
         argvs += [["cup", sphere, str(path), str(good)], ["residual", sphere, str(path)]]
