@@ -81,8 +81,8 @@ class AltChain:
         return cls(degree, free, torsion)
 
     @classmethod
-    def from_generator(cls, g: tuple, coefficient: int = 1) -> "AltChain":
-        return cls.from_ordered(len(g) - 1, {g: coefficient})
+    def from_generator(cls, g: tuple) -> "AltChain":
+        return cls.from_ordered(len(g) - 1, {g: 1})
 
     def __add__(self, other: "AltChain") -> "AltChain":
         if self.degree != other.degree:
@@ -204,8 +204,8 @@ class AltComplexPresentation(Record):
     def boundaries(self) -> tuple:
         """The lifted boundaries as dense nested lists, ``[]`` at degree 0.
 
-        Read-only and rebuilt on every read; only the benchmark harness
-        under ``perfbench/`` reads presentations this way.
+        Read-only and rebuilt on every read; only demo 03 and the
+        benchmark harness under ``perfbench/`` read presentations this way.
         """
         dense = [[]]
         for n in range(1, self.max_degree + 1):

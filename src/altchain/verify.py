@@ -416,31 +416,14 @@ def _suite_cohomology_splitting(ctxs, rng, cases):
 
 
 @_law("quotient-boundary",
-      "The sign-quotient boundary squares to zero, boundaries of torsion "
-      "classes stay torsion, and the lifted matrices compose to zero modulo "
-      "the order-2 relations.")
+      "The lifted boundaries join no free and torsion generator and compose "
+      "to zero modulo the order-2 relations, and on every generator of "
+      "degree 1 to D the sign-quotient boundary equals the stored column.")
 def _suite_quotient_boundary(ctxs, rng, cases):
+    # with the law, agreement gives d d = 0 on the quotient boundary and
+    # keeps the boundaries of torsion classes torsion
     for ctx in ctxs:
         pres = ctx.presentation
-        for n in range(2, pres.max_degree + 1):
-            for gens in (pres.free_generators[n], pres.torsion_generators[n]):
-                for t in gens:
-                    chain = alt_chains.AltChain.from_generator(t)
-                    try:
-                        dd = alt_chains.boundary(alt_chains.boundary(chain))
-                    except ArithmeticError as exc:
-                        yield {"complex": ctx.name, "tuple": t, "reason": str(exc)}
-                        return
-                    yield dd.is_zero() or {"complex": ctx.name, "tuple": t,
-                                           "boundary_squared": dd.free}
-        for n in range(1, pres.max_degree + 1):
-            for t in pres.torsion_generators[n]:
-                try:
-                    alt_chains.boundary(alt_chains.AltChain.from_generator(t))
-                except ArithmeticError as exc:
-                    yield {"complex": ctx.name, "tuple": t, "reason": str(exc)}
-                    return
-                yield True
         # degree n checks d_n and d_{n+1}; at cap 1 there is d_1 alone
         D = pres.max_degree
         for n in range(1, D if D > 1 else D + 1):
@@ -448,31 +431,39 @@ def _suite_quotient_boundary(ctxs, rng, cases):
                 continue
             violation = alt_chains.presented_law_violation(pres, n)
             yield not violation or {"complex": ctx.name, **violation[1]}
+        for n in range(1, D + 1):
+            rows = pres.free_generators[n - 1] + pres.torsion_generators[n - 1]
+            free = len(pres.free_generators[n - 1])
+            gens = pres.free_generators[n] + pres.torsion_generators[n]
+            for t, column in zip(gens, pres.columns[n]):
+                try:
+                    descended = alt_chains.boundary(alt_chains.AltChain.from_generator(t))
+                except ArithmeticError as exc:
+                    yield {"complex": ctx.name, "tuple": t, "reason": str(exc)}
+                    return
+                stored = alt_chains.AltChain(
+                    n - 1, {rows[r]: v for r, v in column.items() if r < free},
+                    {rows[r]: v for r, v in column.items() if r >= free})
+                yield descended == stored or {
+                    "complex": ctx.name, "tuple": t,
+                    "descended": {"free": descended.free, "torsion": descended.torsion},
+                    "stored": {"free": stored.free, "torsion": stored.torsion}}
 
 
 @_law("torsion-boundary-cancellation",
-      "In the boundary of a torsion class the i-th and swap(i)-th face "
-      "terms cancel in pairs and the fixed faces are torsion classes.")
+      "Every face of a torsion generator of degree 2 to D that keeps its "
+      "first repeated pair is a torsion class.")
 def _suite_torsion_cancellation(ctxs, rng, cases):
     for ctx in ctxs:
         pres = ctx.presentation
-        for n in range(1, pres.max_degree + 1):
+        for n in range(2, pres.max_degree + 1):
             for t in pres.torsion_generators[n]:
-                j = next(k for k in range(len(t) - 1) if t[k] == t[k + 1])
-                images = list(range(len(t)))
-                images[j], images[j + 1] = images[j + 1], images[j]
-                s = permutations.Permutation(images)
-                for i in range(len(t)):
-                    si = s(i)
-                    lhs = alt_chains.AltChain.from_generator(face(t, i), (-1) ** i)
-                    rhs = alt_chains.AltChain.from_generator(face(t, si), (-1) ** si)
-                    if si != i:
-                        yield (lhs + rhs).is_zero() or {
-                            "complex": ctx.name, "tuple": t, "i": i, "swapped": si}
-                    else:
-                        _, is_torsion, _ = alt_chains.canonicalize(face(t, i))
-                        yield is_torsion or {"complex": ctx.name, "tuple": t, "i": i,
-                                             "reason": "fixed face not torsion"}
+                j = next(k for k in range(n) if t[k] == t[k + 1])
+                for i in range(n + 1):
+                    if i not in (j, j + 1):
+                        yield alt_chains.canonicalize(face(t, i))[1] or {
+                            "complex": ctx.name, "tuple": t, "i": i,
+                            "reason": "face keeping the repeat not torsion"}
 
 
 @_law("face-class-compatibility",

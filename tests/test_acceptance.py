@@ -284,8 +284,8 @@ def test_criterion_06_quotient_boundary_and_torsion(ctx):
                 for i in range(len(t)):
                     si = s(i)
                     if si != i:
-                        paired = AltChain.from_generator(face(t, i), (-1) ** i) \
-                            + AltChain.from_generator(face(t, si), (-1) ** si)
+                        paired = AltChain.from_generator(face(t, i)).scale((-1) ** i) \
+                            + AltChain.from_generator(face(t, si)).scale((-1) ** si)
                         assert paired.is_zero(), (name, t, i)
                     else:
                         _, is_torsion, _ = canonicalize(face(t, i))

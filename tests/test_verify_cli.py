@@ -192,7 +192,11 @@ def test_a_quotient_map_that_raises_is_reported(sphere, monkeypatch, capsys):
     report = verify.run_all([("sphere_s2", sphere)], seed=0, cases=5, degree_cap=3)
     failed = {r.suite_id: r for r in report.results if not r.passed}
     assert set(failed) == {"prism-homotopy-identity", "face-class-compatibility",
-                           "torsion-boundary-cancellation", "projected-cup-associativity"}
+                           "quotient-boundary", "torsion-boundary-cancellation",
+                           "projected-cup-associativity"}
+    # the mutant takes (0, 1, 1, 1) for free, so its descended boundary has
+    # the free term (0, 1, 1) where the stored column has a torsion row
+    assert failed["quotient-boundary"].counterexample["tuple"] == [0, 1, 1, 1]
     # the cone's prism takes the torsion class (1, 1) to (0, 1, 1), which
     # the mutant calls free
     prism = failed["prism-homotopy-identity"]
@@ -313,8 +317,9 @@ def test_mutation_in_torsion_boundary_is_caught(point, monkeypatch):
 
 def test_mutation_in_quotient_boundary_is_caught(point, monkeypatch):
     # the presentation is built without alt_chains.boundary, and dropping
-    # the torsion images there keeps d d = 0; the prism identity
-    # d h + h d = g - f on the quotient is what reads them
+    # the torsion images there keeps d d = 0; quotient-boundary sees them
+    # gone from the stored columns, and the prism identity
+    # d h + h d = g - f on the quotient reads them too
     real = alt_chains.boundary
 
     def broken(chain):
@@ -356,8 +361,8 @@ def test_mutation_in_presentation_boundary_is_caught(point, monkeypatch):
 
 def test_mutation_joining_free_and_torsion_is_caught(sphere, monkeypatch):
     # one entry of d_1 joins the free vertex 0 to the torsion edge (0, 0);
-    # the boundary of each generator is still right, so only the shared
-    # law of a presented complex sees the lifted matrix
+    # the descended boundary of each generator is still right, and the
+    # shared law of a presented complex, checked first, names the entry
     real = alt_chains.alt_chain_complex
 
     def broken(K, max_degree, **kwargs):
@@ -401,6 +406,36 @@ def test_mutation_joining_free_and_torsion_is_caught_at_cap_1(point, sphere, mon
         failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
         assert failed["quotient-boundary"] == {"complex": name, "degree": 1,
                                                "row": 0, "col": col, "value": 1}
+
+
+def test_mutation_reorienting_an_edge_is_caught(corpus, monkeypatch):
+    # the free edge 0 flips its orientation consistently (the point has no
+    # free edge): its column of d_1 and its row of d_2 are negated, so the
+    # presentation still obeys the law and has the right homology; only
+    # the comparison with the descended boundary sees that the column is
+    # no longer d(0, 1)
+    real = alt_chains.alt_chain_complex
+
+    def broken(K, max_degree, **kwargs):
+        pres = real(K, max_degree, **kwargs)
+        if not pres.free_generators[1]:
+            return pres
+        columns = [list(cols) for cols in pres.columns]
+        columns[1][0] = {r: -v for r, v in columns[1][0].items()}
+        columns[2] = [{r: -v if r == 0 else v for r, v in column.items()}
+                      for column in columns[2]]
+        return alt_chains.AltComplexPresentation(
+            pres.complex, pres.max_degree, pres.free_generators,
+            pres.torsion_generators, tuple(tuple(cols) for cols in columns))
+
+    monkeypatch.setattr(alt_chains, "alt_chain_complex", broken)
+    report = verify.run_all(corpus, seed=5, cases=10, degree_cap=3)
+    failed = {r.suite_id: r.counterexample for r in report.results if not r.passed}
+    assert set(failed) == {"quotient-boundary", "projected-cup-associativity"}
+    assert failed["quotient-boundary"] == {
+        "complex": "sphere_s2", "tuple": [0, 1],
+        "descended": {"free": {"(0,)": -1, "(1,)": 1}, "torsion": {}},
+        "stored": {"free": {"(0,)": 1, "(1,)": -1}, "torsion": {}}}
 
 
 def test_mutation_in_ordered_boundary_matrix_is_caught(sphere, monkeypatch):
@@ -550,11 +585,6 @@ def overwriting_face_row(g, row_of):
     return {row_of[g[:i] + g[i + 1:]]: (-1) ** i for i in range(len(g))}
 
 
-def coefficient_dropped(cls, g, coefficient=1):
-    # a quotient class built from a generator ignores its coefficient
-    return cls.from_ordered(len(g) - 1, {g: 1})
-
-
 def sorted_image_pull_back(f, alpha):
     # each value is pulled back along the sorted image tuple
     return REAL_PULL_BACK(f, cochain_algebra.Cochain(
@@ -579,9 +609,6 @@ MUTANTS = [
     ("cohomology-splitting", "overwriting-face-row",
      (ih, "_face_row", overwriting_face_row),
      {"projected-cup-associativity", "ordered-homology-agreement"}),
-    ("torsion-boundary-cancellation", "generator-coefficient-dropped",
-     (alt_chains.AltChain, "from_generator", classmethod(coefficient_dropped)),
-     {"projected-cup-associativity"}),
     ("pullback-naturality", "sorted-image-pull-back",
      (homotopy_prism, "pull_back", sorted_image_pull_back), {"projected-cup-associativity"}),
 ]
