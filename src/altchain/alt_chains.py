@@ -68,17 +68,23 @@ class AltChain:
         self.torsion = {t: c % 2 for t, c in (torsion or {}).items() if c % 2}
 
     @classmethod
+    def _unchecked(cls, degree: int, free: dict, torsion: dict) -> "AltChain":
+        self = object.__new__(cls)  # nonzero free entries, torsion entries 1
+        self.degree, self.free, self.torsion = degree, free, torsion
+        return self
+
+    @classmethod
     def from_ordered(cls, degree: int, coefficients) -> "AltChain":
         """Project an ordered chain {tuple: int} into the quotient."""
         free: dict = {}
         torsion: dict = {}
         for g, c in coefficients.items():
             t, is_torsion, sign = canonicalize(g)
-            if is_torsion:
-                torsion[t] = torsion.get(t, 0) + c
-            else:
+            if not is_torsion:
                 free[t] = free.get(t, 0) + sign * c
-        return cls(degree, free, torsion)
+            elif c % 2 and not torsion.pop(t, 0):  # a sum mod 2
+                torsion[t] = 1
+        return cls._unchecked(degree, {t: c for t, c in free.items() if c}, torsion)
 
     @classmethod
     def from_generator(cls, g: tuple) -> "AltChain":
@@ -96,8 +102,8 @@ class AltChain:
         return AltChain(self.degree, free, torsion)
 
     def __neg__(self) -> "AltChain":
-        return AltChain(self.degree, {t: -c for t, c in self.free.items()},
-                        dict(self.torsion))
+        return AltChain._unchecked(self.degree, {t: -c for t, c in self.free.items()},
+                                   dict(self.torsion))
 
     def __sub__(self, other: "AltChain") -> "AltChain":
         return self + (-other)
@@ -145,16 +151,16 @@ def descend(ordered_map, chain: AltChain, degree: int) -> AltChain:
     to torsion only; a free term there raises ArithmeticError.
     """
     image = AltChain.from_ordered(degree, ordered_map(chain.free))
-    torsion = dict(image.torsion)
     for t, c in chain.torsion.items():
         piece = AltChain.from_ordered(degree, ordered_map({t: c}))
         if piece.free:
             raise ArithmeticError(
                 f"image of torsion class {t} has free terms {piece.free}; "
                 "its class would not have order 2")
-        for u, w in piece.torsion.items():
-            torsion[u] = torsion.get(u, 0) + w
-    return AltChain(degree, image.free, torsion)
+        for u in piece.torsion:  # into the new image, mod 2
+            if not image.torsion.pop(u, 0):
+                image.torsion[u] = 1
+    return image
 
 
 def boundary(chain: AltChain) -> AltChain:

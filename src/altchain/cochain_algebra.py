@@ -23,7 +23,9 @@ is written out over the (n+1)! reorderings of that orbit, read from one
 signed table per size: O(|supp| + orbits * (n+1)!) in all.  The table
 holds one ``operator.itemgetter`` per reordering, so a reordered tuple is
 read in one C call.  The coboundary scatters each supported value onto
-the cofaces it is a face of: O(|supp| * (n+2) * coface vertices).
+the cofaces it is a face of: O(|supp| * (n+2) * coface vertices).  The
+cup indexes beta by first vertex, so each alpha tuple meets only the beta
+tuples that start at its last vertex: O(|supp beta| + matching pairs).
 
 The operations work on numerators in ``int``: a sum takes the common
 denominator through one gcd, the coboundary keeps the denominator, the
@@ -243,17 +245,17 @@ def alternative_maker(alpha: Cochain) -> Cochain:
     parity: O(|supp| + orbits * (n+1)!).
     """
     n = alpha.degree
-    groups: dict = {}
+    if not alpha.num:
+        return Cochain.zero(n)
+    sums, orbits = {}, {}
     for h, v in alpha.num.items():
         if len(set(h)) == len(h):
-            groups.setdefault(tuple(sorted(h)), []).append((h, v))
-    sums, orbits = {}, {}
-    for key, members in groups.items():
-        orbit = orbits[key] = _orbit(key)
-        if total := sum(-v if orbit[h] < 0 else v for h, v in members):
-            sums[key] = total
+            key = tuple(sorted(h))
+            if (orbit := orbits.get(key)) is None:
+                orbit = orbits[key] = _orbit(key)
+            sums[key] = sums.get(key, 0) + (-v if orbit[h] < 0 else v)
     # reduced once per orbit, then written to each reordering
-    image = Cochain._reduced(n, sums, alpha.den * factorial(n + 1))
+    image = Cochain._reduced(n, {k: s for k, s in sums.items() if s}, alpha.den * factorial(n + 1))
     image.num = {g: total * sgn for key, total in image.num.items()
                  for g, sgn in orbits[key].items()}
     return image
@@ -273,13 +275,14 @@ def cup(index: GeneratorIndex, alpha: Cochain, beta: Cochain) -> Cochain:
         raise DegreeCapError(
             f"cup product of degrees {p} and {q} exceeds the cap "
             f"{index.max_degree}")
-    out = {}
+    tails, out = {}, {}  # beta by first vertex
+    for b, vb in beta.num.items():
+        tails.setdefault(b[0], []).append((b[1:], vb))
+    simplex_set = index.complex.simplex_set
     for a, va in alpha.num.items():
-        for b, vb in beta.num.items():
-            if a[-1] != b[0]:
-                continue
-            t = a + b[1:]
-            if index.is_generator(t):
+        for tail, vb in tails.get(a[-1], ()):
+            t = a + tail
+            if frozenset(t) in simplex_set:
                 out[t] = va * vb  # front/back split of t is unique
     return Cochain._reduced(p + q, out, alpha.den * beta.den)
 

@@ -1,4 +1,5 @@
 import json
+from random import Random
 
 import pytest
 
@@ -8,6 +9,8 @@ from altchain import (AltChain, alt_chain_complex, boundary, canonicalize,
 from altchain.alt_chains import descend, presentation_from_json, presentation_to_json
 from altchain.complex_model import SimplicialComplex
 from altchain.errors import BudgetExceededError
+from altchain.homotopy_prism import (CombinatorialHomotopy, SimplicialMap, prism,
+                                     prism_alt, push_forward, push_forward_alt)
 from altchain.permutations import act, enumerate_group
 from oracles import (descended_boundary_matrices, fraction_rank, product_filter_generators,
                      scaled_projector_matrix, subdivision)
@@ -120,6 +123,58 @@ def test_descend_checks_each_torsion_image():
     chain = AltChain(1, free={(0, 2): 3}, torsion={(0, 0): 1})
     assert descend(good, chain, 1) == AltChain(1, free={(0, 1): 6},
                                                torsion={(1, 1): 1, (2, 2): 1})
+
+
+def assert_reduced(chain):
+    """No zero free coefficient, and every torsion coefficient 1."""
+    assert all(type(c) is int and c for c in chain.free.values()), chain
+    assert all(c == 1 for c in chain.torsion.values()), chain
+
+
+def projected(n, ordered):
+    """(the quotient chain of an ordered chain, its class count before
+    filtering): the classes summed here and filtered by the public
+    constructor."""
+    free, torsion = {}, {}
+    for g, c in ordered.items():
+        t, is_torsion, sign = canonicalize(g)
+        part = torsion if is_torsion else free
+        part[t] = part.get(t, 0) + (c if is_torsion else sign * c)
+    return AltChain(n, free, torsion), len(free) + len(torsion)
+
+
+def test_quotient_chains_come_out_reduced(sphere):
+    # ordered chains on a few reorderings of a few generators, so that free
+    # terms cancel and torsion terms meet an even number of times; every
+    # quotient chain built from them holds only its nonzero classes
+    rng = Random(30)
+    index = enumerate_generators(sphere, 3)
+    shift = SimplicialMap(sphere, sphere, (1, 2, 3, 0))
+    h = CombinatorialHomotopy(SimplicialMap.identity(sphere), SimplicialMap.identity(sphere))
+    cancelled = 0
+    for n in range(1, 4):
+        for _ in range(30):
+            ordered: dict = {}
+            for g in rng.sample(index.generators(n), 3):
+                for _ in range(3):
+                    t = tuple(rng.sample(g, len(g)))
+                    ordered[t] = ordered.get(t, 0) + rng.choice((-2, -1, 1, 2))
+            ordered = {t: c for t, c in ordered.items() if c}
+            chain = AltChain.from_ordered(n, ordered)
+            expected, classes = projected(n, ordered)
+            assert chain == expected
+            cancelled += classes - len(chain.free) - len(chain.torsion)
+            # each quotient map of a chain is the projection of the ordered
+            # map of any lift, which `ordered` is
+            for result, lift in (
+                    (boundary(chain), projected(n - 1, ordered_boundary(ordered))),
+                    (push_forward_alt(shift, chain), projected(n, push_forward(shift, ordered))),
+                    (prism_alt(h, chain), projected(n + 1, prism(h, ordered)))):
+                assert result == lift[0]
+                assert_reduced(result)
+            assert_reduced(chain)
+            assert_reduced(-chain)
+    assert cancelled  # some class summed to zero, or to an even torsion count
 
 
 def test_face_class_compat_examples(monkeypatch):

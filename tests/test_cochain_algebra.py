@@ -654,6 +654,55 @@ def test_every_operation_keeps_the_canonical_form(oracle_indices, data):
         assert_canonical(result, expected)
 
 
+def seeded_cochain(gens, n, rng):
+    """Nonzero values on a few of the given generators, one with a repeated
+    entry among them when the list has one, and on a reordering of each
+    that the list holds, so that an orbit often holds two tuples."""
+    picked = rng.sample(gens, min(3, len(gens)))
+    repeats = [g for g in gens if len(set(g)) < len(g)]
+    if repeats:
+        picked.append(rng.choice(repeats))
+    allowed, values = set(gens), {}
+    for g in picked:
+        for h in (g, tuple(rng.sample(g, len(g)))):
+            if h in allowed:
+                values[h] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 6))
+    return Cochain(n, values)
+
+
+def test_cup_and_projector_match_the_fraction_oracles(oracle_indices):
+    # cup reads beta by first vertex and the projector sums each orbit in
+    # one pass; both against the oracles, on empty inputs too, and on a
+    # beta none of whose first vertices ends an alpha tuple
+    rng = Random(30)
+    met = {"repeat": 0, "apart": 0}
+    for index in oracle_indices:
+        for p in range(3):
+            for q in range(3 - p):
+                for _ in range(3):
+                    alpha = seeded_cochain(index.generators(p), p, rng)
+                    ends = {a[-1] for a in alpha.num}
+                    apart = [b for b in index.generators(q) if b[0] not in ends]
+                    betas = [seeded_cochain(index.generators(q), q, rng), Cochain.zero(q)]
+                    if apart:
+                        betas.append(seeded_cochain(apart, q, rng))
+                        met["apart"] += 1
+                    met["repeat"] += any(len(set(g)) < len(g) for g in alpha.num)
+                    for a in (alpha, Cochain.zero(p)):
+                        for b in betas:
+                            product = cup(index, a, b)
+                            expected = fraction_cup(index, a.values, p, b.values, q)
+                            assert product.values == expected, (index.complex.name, a, b)
+                            assert alternative_maker(product).values == \
+                                fraction_projector(expected, p + q)
+                        assert alternative_maker(a).values == fraction_projector(a.values, p)
+                    if apart:
+                        assert cup(index, alpha, betas[-1]).is_zero()
+    empty = alternative_maker(Cochain.zero(2))
+    assert empty.is_zero() and (empty.degree, empty.den) == (2, 1)
+    assert met["repeat"] and met["apart"]
+
+
 def test_scaled_projector_matrix_matches_group_sum(sphere_index, oracle_indices):
     # the projector of every indicator: (n+1)! times it is its column of
     # the fraction oracle's matrix, and it is the group sum

@@ -213,6 +213,31 @@ def test_a_quotient_map_that_raises_is_reported(sphere, monkeypatch, capsys):
     assert "[FAIL] prism-homotopy-identity: 12 cases" in out and err == ""
 
 
+REAL_PRISM_ALT = homotopy_prism.prism_alt
+
+
+def prism_drops_a_negative_sign(h, chain):
+    # P(-x) taken for P(x) on a chain whose free terms are all negative: a
+    # reordered generator of odd sign.  No boundary of a generator is such a
+    # chain, so a check that met each class with its sorted, positive
+    # representative only would never see the fault
+    if chain.free and all(c < 0 for c in chain.free.values()):
+        return REAL_PRISM_ALT(h, -chain)
+    return REAL_PRISM_ALT(h, chain)
+
+
+def test_prism_identity_checks_each_sign_of_a_class(sphere, monkeypatch):
+    monkeypatch.setattr(homotopy_prism, "prism_alt", prism_drops_a_negative_sign)
+    report = verify.run_all([("sphere_s2", sphere)], seed=0, cases=5, degree_cap=3)
+    failed = {r.suite_id: r for r in report.results if not r.passed}
+    assert set(failed) == {"prism-homotopy-identity", "projected-cup-associativity"}
+    # (2, 1) is -(1, 2), met after (1, 2) passed; on the edge the cone's
+    # prism of (0, 1) is zero, so its sign does not matter there
+    prism = failed["prism-homotopy-identity"]
+    assert prism.counterexample == {"generator": [2, 1], "side": "quotient",
+                                    "fixture": "cone contraction of the full 2-simplex"}
+
+
 def last_face_dropped(coefficients):
     out: dict = {}
     for g, c in coefficients.items():
@@ -1140,6 +1165,18 @@ def test_cli_verify_corpus_report_is_golden(tmp_path, capsys):
     text = capsys.readouterr().out
     assert text == (data / "verify_corpus_seed5_cases10_D3.txt").read_text()
     assert report.read_bytes() == (data / "verify_corpus_seed5_cases10_D3.json").read_bytes()
+
+
+def test_cli_verify_sphere_d3_report_is_golden(tmp_path, capsys):
+    # the shape of the benchmark's S^2 job at degree cap 3: every suite runs
+    # its quotient, prism and cup kernels at D=3, so a kernel change that
+    # moves a case count or a counterexample shows here
+    report = tmp_path / "report.json"
+    code = cli.main(["verify", corpus_path("sphere_s2"), "--seed", "1", "--cases", "20",
+                     "--max-dim", "3", "--json", str(report)])
+    assert code == 1
+    assert capsys.readouterr().out == (DATA / "verify_sphere_s2_seed1_cases20_D3.txt").read_text()
+    assert report.read_bytes() == (DATA / "verify_sphere_s2_seed1_cases20_D3.json").read_bytes()
 
 
 def test_cli_verify_zero_cases(capsys):
