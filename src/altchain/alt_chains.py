@@ -43,13 +43,11 @@ def canonicalize(g: tuple) -> tuple:
 
     Distinct entries give a free class (integer coefficients) and the sign
     of the sorting permutation; a repeated entry gives a torsion class
-    (mod-2 coefficients) and sign 1.
+    (mod-2 coefficients) and sign 1.  Read from the per-process table
+    ``permutations._signed_classes`` of at most 2**16 tuples.
     """
-    srt = tuple(sorted(g))
-    for a in range(len(srt) - 1):
-        if srt[a] == srt[a + 1]:
-            return srt, True, 1
-    return srt, False, permutations.parity(g)
+    key, sign = permutations._signed_classes[g]
+    return key, not sign, sign or 1
 
 
 class AltChain:

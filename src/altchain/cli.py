@@ -145,7 +145,7 @@ def _cmd_cohomology(args) -> int:
         levels = [K.simplices_of_dim(k) for k in range(args.max_dim + 1)]
     else:
         index = enumerate_generators(K, args.max_dim, budget=_budget())
-        levels = [index.generators(k) for k in range(args.max_dim + 1)]
+        levels = [index.generators(k) for k in range(args.max_dim)] + [index.stream(args.max_dim)]
     for n, rank in enumerate(ih.cohomology_rational(levels)):
         print(f"H^{n} = {_rational(rank)}")
     return EXIT_OK

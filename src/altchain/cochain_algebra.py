@@ -19,13 +19,16 @@ the projection at g depends only on the orbit of g (its reorderings):
 for distinct entries, and P(alpha)(g) = 0 when g repeats an entry, since
 the odd swap of two equal entries fixes g.  So the support is grouped by
 its sorted tuple, one signed sum is kept per orbit, and each nonzero sum
-is written out over the (n+1)! reorderings of that orbit, read from one
-signed table per size: O(|supp| + orbits * (n+1)!) in all.  The table
-holds one ``operator.itemgetter`` per reordering, so a reordered tuple is
-read in one C call.  The coboundary scatters each supported value onto
-the cofaces it is a face of: O(|supp| * (n+2) * coface vertices).  The
-cup indexes beta by first vertex, so each alpha tuple meets only the beta
-tuples that start at its last vertex: O(|supp beta| + matching pairs).
+is written out over the (n+1)! reorderings of that orbit: O(|supp| +
+orbits * (n+1)!) in all.  Each sign is computed once per process and
+then read from the two tables of ``permutations``: a tuple's sorted key
+and sign (at most 2**16 tuples), and a key's orbit with the sign of each
+reordering (at most 2**16 reorderings in all), built with one
+``operator.itemgetter`` per reordering.  The coboundary scatters each
+supported value onto the cofaces it is a face of: O(|supp| * (n+2) *
+coface vertices).  The cup indexes beta by first vertex, so each alpha
+tuple meets only the beta tuples that start at its last vertex:
+O(|supp beta| + matching pairs).
 
 The operations work on numerators in ``int``: a sum takes the common
 denominator through one gcd, the coboundary keeps the denominator, the
@@ -39,13 +42,10 @@ Equality is equality of the canonical forms, with no tolerances.
 
 from __future__ import annotations
 
-import itertools
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, gcd, lcm
-from operator import itemgetter
 
 from . import permutations
 # face stays importable from here: perfbench's tracer test checks that
@@ -170,22 +170,6 @@ def _ratio(v) -> tuple:
     return (v if type(v) in (int, Fraction) else Fraction(v)).as_integer_ratio()
 
 
-@lru_cache(maxsize=None)
-def _signed_orders(k: int) -> tuple:
-    """Every ordering of k positions as (getter, parity), in lexicographic
-    order of the orders; the getter reads a tuple in that order."""
-    if k <= 1:
-        return ((tuple, 1),)
-    return tuple((itemgetter(*order), permutations.parity(order))
-                 for order in itertools.permutations(range(k)))
-
-
-def _orbit(key: tuple) -> dict:
-    """Each reordering of the strictly increasing tuple ``key``, mapped to
-    the parity of the reordering that sorts it back."""
-    return {get(key): sgn for get, sgn in _signed_orders(len(key))}
-
-
 def coboundary(index: GeneratorIndex, alpha: Cochain) -> Cochain:
     """Alternating sum of values on the faces; the dual of the boundary.
 
@@ -221,14 +205,14 @@ def is_alternative(alpha: Cochain) -> bool:
     values = alpha.num
     seen = set()
     for h in values:
-        key = tuple(sorted(h))
+        key, sign = permutations._signed_classes[h]
+        if not sign:
+            return False
         if key in seen:
             continue
         seen.add(key)
-        if len(set(key)) != len(key):
-            return False
         base = values.get(key, 0)
-        for g, sgn in _orbit(key).items():
+        for g, sgn in permutations._orbits[key].items():
             if values.get(g, 0) != base * sgn:
                 return False
     return True
@@ -245,15 +229,16 @@ def alternative_maker(alpha: Cochain) -> Cochain:
     parity: O(|supp| + orbits * (n+1)!).
     """
     n = alpha.degree
-    if not alpha.num:
-        return Cochain.zero(n)
-    sums, orbits = {}, {}
-    for h, v in alpha.num.items():
+    for h in alpha.num:
         if len(set(h)) == len(h):
-            key = tuple(sorted(h))
-            if (orbit := orbits.get(key)) is None:
-                orbit = orbits[key] = _orbit(key)
-            sums[key] = sums.get(key, 0) + (-v if orbit[h] < 0 else v)
+            break
+    else:  # only repeated entries: the projection is 0, and no sign table is read
+        return Cochain.zero(n)
+    sums, classes, orbits = {}, permutations._signed_classes, permutations._orbits
+    for h, v in alpha.num.items():
+        key, sign = classes[h]
+        if sign:
+            sums[key] = sums.get(key, 0) + sign * v
     # reduced once per orbit, then written to each reordering
     image = Cochain._reduced(n, {k: s for k, s in sums.items() if s}, alpha.den * factorial(n + 1))
     image.num = {g: total * sgn for key, total in image.num.items()
@@ -315,7 +300,7 @@ def alternating_cochain(tau: tuple, value=1) -> Cochain:
     if list(tau) != sorted(set(tau)):
         raise ValueError(f"{tau} is not strictly increasing")
     top, bottom = _ratio(value)
-    orbit = _orbit(tau) if top else {}
+    orbit = permutations._orbits[tau] if top else {}
     return Cochain._reduced(len(tau) - 1, {g: top * sgn for g, sgn in orbit.items()}, bottom)
 
 

@@ -243,11 +243,19 @@ class GeneratorIndex(Record):
         levels = self._levels
         if not levels:
             levels.append(tuple(self.complex.simplices_of_dim(0)))
-        coface_vertices = self.complex.coface_vertices
         while len(levels) <= n:
-            levels.append(tuple(g + (v,) for g in levels[-1]
-                                for v in coface_vertices[frozenset(g)]))
+            levels.append(tuple(self.stream(len(levels))))
         return levels[n]
+
+    def stream(self, n: int):
+        """The degree-n generators in the order of :meth:`generators`, each
+        built as it is read and not kept, unless degree n is kept already."""
+        self._check_degree(n)
+        if n == 0 or n < len(self._levels):
+            return iter(self.generators(n))
+        coface_vertices = self.complex.coface_vertices
+        return (g + (v,) for g in self.generators(n - 1)
+                for v in coface_vertices[frozenset(g)])
 
     def position(self, g: tuple) -> int:
         try:

@@ -277,11 +277,12 @@ def _groups(dims: Sequence[int], diags: list) -> list:
 def _tuple_homology(levels: Sequence[Sequence[tuple]]) -> list:
     """Homology of degrees 0..D-1 of a face-closed tuple complex:
     ``levels[n]`` lists the degree-n tuples for n = 0..D, and every face
-    of a tuple in ``levels[n + 1]`` is in ``levels[n]``.  Row r of delta_n
-    is the face row (:func:`_face_row`) of tuple r of ``levels[n + 1]``,
-    built only when the elimination reads it: the rank is at most the
-    number of columns left, so the rows after it reaches that are never
-    built."""
+    of a tuple in ``levels[n + 1]`` is in ``levels[n]``; ``levels[D]`` may
+    be any iterable, which is read once and only as far as the sweep
+    needs.  Row r of delta_n is the face row (:func:`_face_row`) of tuple
+    r of ``levels[n + 1]``, built only when the elimination reads it: the
+    rank is at most the number of columns left, so the rows after it
+    reaches that are never built."""
     def face_rows(n, col_of):
         for r, g in enumerate(levels[n + 1]):
             row = _face_row(g, col_of)
@@ -292,7 +293,7 @@ def _tuple_homology(levels: Sequence[Sequence[tuple]]) -> list:
         # every face in a cleared column lands in column -1, which is dropped
         col_of = {g: -1 if j in cleared else j for j, g in enumerate(levels[n])}
         return face_rows(n, col_of), len(levels[n]) - len(cleared)
-    return _groups([len(level) for level in levels],
+    return _groups([len(level) for level in levels[:-1]],
                    _coboundary_diagonals(len(levels) - 1, rows_of))
 
 
@@ -367,5 +368,6 @@ def simplicial_homology(K: SimplicialComplex) -> list:
 
 def ordered_homology(index: GeneratorIndex) -> list:
     """Homology of the full tuple complex for degrees 0..max_degree-1."""
-    return _tuple_homology([index.generators(n) for n in range(index.max_degree + 1)])
+    D = index.max_degree
+    return _tuple_homology([index.generators(n) for n in range(D)] + [index.stream(D)])
 

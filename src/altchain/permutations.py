@@ -102,3 +102,48 @@ def enumerate_group(k: int) -> tuple:
     if k > GROUP_SIZE_CAP:
         raise ValueError(f"S_{k} exceeds the enumeration cap of S_{GROUP_SIZE_CAP}")
     return _group_cached(k)
+
+
+@lru_cache(maxsize=None)
+def _signed_orders(k: int) -> tuple:
+    """Every ordering of k positions as (getter, parity), in lexicographic
+    order of the orders; the getter reads a tuple in that order."""
+    if k <= 1:
+        return ((tuple, 1),)
+    return tuple((itemgetter(*order), parity(order))
+                 for order in itertools.permutations(range(k)))
+
+
+class _Table(dict):
+    """``build(key)`` for each key read, built on first read and kept while
+    the values hold at most ``bound`` entries in all, ``size(value)`` each;
+    a value that would pass the bound empties the table first.  Read it,
+    do not write it: a value depends on its key alone."""
+
+    def __init__(self, build, bound: int, size):
+        self.build, self.bound, self.size, self.held = build, bound, size, 0
+
+    def __missing__(self, key):
+        value = self.build(key)
+        size = self.size(value)
+        if self.held + size > self.bound:
+            self.clear()
+            self.held = 0
+        if size <= self.bound:
+            self[key] = value
+            self.held += size
+        return value
+
+
+def _signed_class(g: tuple) -> tuple:
+    key = tuple(sorted(g))
+    return key, parity(g) if len(set(key)) == len(key) else 0
+
+
+# g -> (sorted g, sign of the sorting reordering), or (sorted g, 0) when g
+# repeats an entry; at most 2**16 tuples
+_signed_classes = _Table(_signed_class, 1 << 16, lambda cls: 1)
+# strictly increasing key -> {each reordering of key: its sign}; at most
+# 2**16 reorderings in all, an orbit of k entries holding k! of them
+_orbits = _Table(lambda key: {get(key): sgn for get, sgn in _signed_orders(len(key))},
+                 1 << 16, len)

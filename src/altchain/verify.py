@@ -114,9 +114,8 @@ def _jsonable(x):
 _NUMERATORS = tuple(v for v in range(-9, 10) if v)
 
 
-def _random_fraction(rng: Random) -> Fraction:
-    num = rng.choice(_NUMERATORS)
-    return Fraction(num, rng.randint(1, 9))
+def _random_ratio(rng: Random) -> tuple:
+    return rng.choice(_NUMERATORS), rng.randint(1, 9)  # (numerator, denominator)
 
 
 def _random_alternating(K: SimplicialComplex, n: int, rng: Random):
@@ -125,10 +124,11 @@ def _random_alternating(K: SimplicialComplex, n: int, rng: Random):
         return None
     count = rng.randint(1, min(3, len(simplices)))
     # one orbit per simplex; the orbits are disjoint, so one dict holds the sum
-    terms = [(tau, _random_fraction(rng)) for tau in rng.sample(simplices, count)]
-    den = lcm(*(v.denominator for _, v in terms))
-    return ca.Cochain._reduced(n, {g: sgn * v.numerator * (den // v.denominator)
-                                   for tau, v in terms for g, sgn in ca._orbit(tau).items()}, den)
+    terms = [(tau, *_random_ratio(rng)) for tau in rng.sample(simplices, count)]
+    den = lcm(*(d for _, _, d in terms))
+    orbits = permutations._orbits
+    return ca.Cochain._reduced(n, {g: sgn * v * (den // d)
+                                   for tau, v, d in terms for g, sgn in orbits[tau].items()}, den)
 
 
 def _random_cochain(index, n: int, rng: Random):
@@ -136,7 +136,7 @@ def _random_cochain(index, n: int, rng: Random):
     if not gens:
         return None
     count = rng.randint(1, min(4, len(gens)))
-    return ca.Cochain(n, {g: _random_fraction(rng) for g in rng.sample(gens, count)})
+    return ca.Cochain(n, {g: Fraction(*_random_ratio(rng)) for g in rng.sample(gens, count)})
 
 
 def _full_simplex(d: int) -> SimplicialComplex:

@@ -132,6 +132,18 @@ def test_ordered_homology_golden(sphere, point, rp2):
         assert [str(g) for g in ordered_homology(index)] == expected
 
 
+def test_ordered_homology_keeps_no_top_level(sphere):
+    # the sweep reads the top-degree tuples as it needs them, so only the
+    # degrees below are kept; a kept top degree is read as kept
+    index = enumerate_generators(sphere, 3)
+    groups = ordered_homology(index)
+    assert len(index._levels) == 3
+    assert list(index.stream(3)) == list(index.generators(3))
+    assert [list(index.stream(n)) for n in range(4)] == [list(index.generators(n))
+                                                        for n in range(4)]
+    assert ordered_homology(index) == groups
+
+
 def test_homology_presented_golden(corpus):
     golden = {
         "point": ["Z", "0", "0"],

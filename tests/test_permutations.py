@@ -1,8 +1,10 @@
+import inspect
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
+from altchain import alt_chains, cochain_algebra, permutations
 from altchain.permutations import (Permutation, act, enumerate_group,
                                    induced_face_perm, parity)
 
@@ -191,3 +193,40 @@ def test_face_action_compatibility_through_degree_four(sphere):
                 for i in range(n + 1):
                     assert face(reordered, i) == \
                         act(induced_face_perm(s, i), face(g, s(i)))
+
+
+def test_sign_tables_agree_with_parity_on_every_short_tuple():
+    # every tuple over {0, 1, 2, 3} of length 1 to 5, repeats included, read
+    # twice so that the second read comes from the table
+    for _ in range(2):
+        for k in range(1, 6):
+            for g in itertools.product(range(4), repeat=k):
+                key = tuple(sorted(g))
+                if len(set(g)) < k:  # torsion: sign 0
+                    assert permutations._signed_classes[g] == (key, 0)
+                    assert alt_chains.canonicalize(g) == (key, True, 1)
+                    continue
+                assert permutations._signed_classes[g] == (key, parity(g))
+                assert alt_chains.canonicalize(g) == (key, False, parity(g))
+                orbit = permutations._orbits[key]
+                assert orbit == {h: parity(h) for h in itertools.permutations(key)}
+
+
+def test_sign_tables_are_bounded_in_entries():
+    for table in (permutations._signed_classes, permutations._orbits):
+        assert 0 < table.bound <= 1 << 16 and table.held <= table.bound
+        assert table.held == sum(map(table.size, table.values()))
+    # a value that would pass the bound empties the table first, and a value
+    # larger than the bound is returned but not kept
+    table = permutations._Table(lambda k: list(range(k)), 5, len)
+    assert (table[3], table[2]) == ([0, 1, 2], [0, 1])
+    assert table.held == 5 and list(table) == [3, 2]
+    assert table[1] == [0] and table.held == 1 and list(table) == [1]
+    assert table[6] == list(range(6)) and table.held == 0 and not table
+
+
+def test_sign_readers_stay_plain_functions():
+    # the tracer wraps functions only, and the mutants patch these names
+    for fn in (alt_chains.canonicalize, cochain_algebra.alternative_maker,
+               cochain_algebra.is_alternative, cochain_algebra.alternating_cochain):
+        assert inspect.isfunction(fn), fn

@@ -149,6 +149,9 @@ print(code, sorted(name[9:] for name, m in sys.modules.items()
       "fractions" in sys.modules)
 """
 HOMOLOGY = ["cli", "complex_model", "corpus", "errors", "integer_homology"]
+# the quotient's presentation reads no reordering sign, so it runs
+# neither permutations nor the cochain modules
+PRESENTATION = sorted(HOMOLOGY + ["alt_chains"])
 COCHAINS = ["cli", "cochain_algebra", "complex_model", "corpus", "errors"]
 EVERY = ["alt_chains", "cli", "cochain_algebra", "complex_model", "corpus", "errors",
          "homotopy_prism", "integer_homology", "permutations", "verify"]
@@ -157,20 +160,24 @@ EVERY = ["alt_chains", "cli", "cochain_algebra", "complex_model", "corpus", "err
 @pytest.mark.parametrize("argv, executed, fractions", [
     (["homology", "{sphere}", "--variant", "simplicial"], HOMOLOGY, False),
     (["homology", "{sphere}", "--variant", "ordered"], HOMOLOGY, False),
+    (["homology", "{sphere}", "--variant", "alternative"], PRESENTATION, False),
+    (["export-presentation", "{sphere}", "-o", "{out}"], PRESENTATION, False),
     (["cohomology", "{sphere}"], HOMOLOGY, False),
     (["cohomology", "{sphere}", "--variant", "alternative"], HOMOLOGY, False),
     (["cup", "{sphere}", "{alpha}", "{alpha}"], COCHAINS, True),
     (["cup", "{sphere}", "{alpha}", "{alpha}", "--alternative"], COCHAINS, True),
     (["residual", "{sphere}", "{alpha}"], sorted(COCHAINS + ["permutations"]), True),
     (["verify", "{point}", "--cases", "2", "--max-dim", "2"], EVERY, True),
-], ids=["homology-simplicial", "homology-ordered", "cohomology-full",
+], ids=["homology-simplicial", "homology-ordered", "homology-alternative",
+        "export-presentation", "cohomology-full",
         "cohomology-alternative", "cup", "cup-alternative", "residual", "verify"])
 def test_each_subcommand_executes_only_the_modules_it_runs(tmp_path, argv, executed,
                                                            fractions):
     alpha = tmp_path / "alpha.json"
     alpha.write_text(json.dumps({"degree": 1, "values": [[[0, 1], 1], [[1, 0], -1]]}))
     data = ROOT / "src" / "altchain" / "data"
-    paths = dict(sphere=data / "sphere_s2.json", point=data / "point.json", alpha=alpha)
+    paths = dict(sphere=data / "sphere_s2.json", point=data / "point.json", alpha=alpha,
+                 out=tmp_path / "out.json")
     out = _run_isolated(EXECUTED_MODULES, *(arg.format(**paths) for arg in argv))
     assert out.splitlines()[-1] == f"0 {executed} {fractions}"
 

@@ -1179,6 +1179,18 @@ def test_cli_verify_sphere_d3_report_is_golden(tmp_path, capsys):
     assert report.read_bytes() == (DATA / "verify_sphere_s2_seed1_cases20_D3.json").read_bytes()
 
 
+def test_cli_verify_corpus_d2_report_is_golden(tmp_path, capsys):
+    # the degree cap of the benchmark's corpus and sd(S^2) jobs: the cup,
+    # projector and quotient kernels at D=2, whose counterexamples and case
+    # counts the D=3 reports do not pin
+    report = tmp_path / "report.json"
+    code = cli.main(["verify", "--corpus", "--seed", "1", "--cases", "5",
+                     "--max-dim", "2", "--json", str(report)])
+    assert code == 1
+    assert capsys.readouterr().out == (DATA / "verify_corpus_seed1_cases5_D2.txt").read_text()
+    assert report.read_bytes() == (DATA / "verify_corpus_seed1_cases5_D2.json").read_bytes()
+
+
 def test_cli_verify_zero_cases(capsys):
     # randomized portions drop to zero cases; exhaustive checks still run
     code = cli.main(["verify", corpus_path("point"), "--cases", "0"])
