@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from contextlib import nullcontext
+from math import gcd
 
 from . import alt_chains, verify
 from . import cochain_algebra as ca
@@ -198,12 +199,13 @@ def _cmd_residual(args) -> int:
     if residual.is_zero():
         print("residual: exactly zero")
     else:
-        values = residual.values  # each in lowest terms
-        witness, value = max(values.items(),
-                             key=lambda item: (abs(item[1].numerator), item[0]))
-        print(f"residual: nonzero on {len(values)} generators; "
-              f"max |numerator| = {abs(value.numerator)}")
-        print(f"witness: value {value} on generator {list(witness)}")
+        num, den = residual.num, residual.den
+        # each value in lowest terms: the witness has the largest |numerator|
+        witness = max(num, key=lambda g: (abs(num[g]) // gcd(num[g], den), g))
+        top, bottom = num[witness] // (common := gcd(num[witness], den)), den // common
+        print(f"residual: nonzero on {len(num)} generators; max |numerator| = {abs(top)}")
+        print(f"witness: value {top if bottom == 1 else f'{top}/{bottom}'} "
+              f"on generator {list(witness)}")
     _write_output(args.output, chunks)
     return EXIT_OK
 

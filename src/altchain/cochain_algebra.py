@@ -35,8 +35,10 @@ denominator through one gcd, the coboundary keeps the denominator, the
 cup multiplies the two, the projector multiplies it by (n+1)!.  A private
 constructor reduces each result by one gcd, without the checks of
 ``Cochain(n, values)`` and the reader, which sum over the common
-denominator and refuse it once it passes Python's digit limit.
-``Fraction`` is met only where values come in or go out.
+denominator and refuse it once it passes Python's digit limit.  The
+reader parses values with ``int()``; ``fractions`` is imported only by the
+views that return a ``Fraction`` (``values``, a call, ``repr``) and to
+read a value given as neither an ``int`` nor a ``Fraction``.
 Equality is equality of the canonical forms, with no tolerances.
 """
 
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from . import permutations
@@ -55,7 +56,7 @@ from .errors import DegreeCapError, FormatError
 
 COCHAIN_FORMAT_VERSION = 1
 _COCHAIN_FIELDS = {"format_version", "degree", "values"}
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*|\.[0-9]+)?")  # no zero denominator
 
 
 class Cochain:
@@ -70,7 +71,8 @@ class Cochain:
     def __init__(self, degree: int, values=None):
         # a dict repeats no tuple, so nothing is summed and gcd(den, *num) == 1
         self.degree = degree
-        self.num, self.den = _over_common_denominator(degree, (values or {}).items())
+        self.num, self.den = _over_common_denominator(
+            degree, ((g, *_ratio(v)) for g, v in (values or {}).items()))
 
     @classmethod
     def _reduced(cls, degree: int, num: dict, den: int) -> "Cochain":
@@ -93,10 +95,13 @@ class Cochain:
     @property
     def values(self) -> dict:
         """A new ``{tuple: Fraction}`` map of the nonzero values."""
+        from fractions import Fraction
         den = self.den
         return {g: Fraction(v, den) for g, v in self.num.items()}
 
-    def __call__(self, g: tuple) -> Fraction:
+    def __call__(self, g: tuple):
+        """The value at ``g`` as a ``Fraction``."""
+        from fractions import Fraction
         return Fraction(self.num.get(g, 0), self.den)
 
     def is_zero(self) -> bool:
@@ -139,15 +144,15 @@ class Cochain:
 
 
 def _over_common_denominator(degree: int, terms) -> tuple:
-    """(tuple, value) pairs as ({tuple: nonzero int}, den), summed over the
-    lcm of the denominators, which is refused as soon as it passes Python's
-    digit limit, before any numerator is built."""
+    """(tuple, numerator, denominator > 0) triples as ({tuple: nonzero
+    int}, den), summed over the lcm of the denominators, which is refused
+    as soon as it passes Python's digit limit, before any numerator is
+    built."""
     exact, den = [], 1
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 before 3.11
-    for g, v in terms:
+    for g, top, bottom in terms:
         if len(g) != degree + 1:
             raise ValueError(f"{g} does not have degree {degree}")
-        top, bottom = _ratio(v)
         if top:
             exact.append((g, top, bottom))
             if den % bottom:
@@ -165,9 +170,12 @@ def _over_common_denominator(degree: int, terms) -> tuple:
 def _ratio(v) -> tuple:
     """``v`` as (numerator, denominator > 0) in lowest terms; a float is
     refused, since it has no exact meaning here (0.1 is not 1/10)."""
+    if type(v) is int:
+        return v, 1
     if isinstance(v, float):
         raise TypeError(f"cochain values are exact; got the float {v!r}")
-    return (v if type(v) in (int, Fraction) else Fraction(v)).as_integer_ratio()
+    from fractions import Fraction  # a Fraction's caller has loaded it already
+    return Fraction(v).as_integer_ratio()
 
 
 def coboundary(index: GeneratorIndex, alpha: Cochain) -> Cochain:
@@ -307,14 +315,18 @@ def alternating_cochain(tau: tuple, value=1) -> Cochain:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _value_strings(alpha: Cochain) -> dict:
+    """``{tuple: "num/den"}``, each value in lowest terms."""
+    den = alpha.den
+    return {g: f"{v // (common := gcd(v, den))}/{den // common}" for g, v in alpha.num.items()}
+
+
 def cochain_to_json(alpha: Cochain) -> dict:
     """Each value in lowest terms, as the string "num/den"."""
-    den = alpha.den
     return {
         "format_version": COCHAIN_FORMAT_VERSION,
         "degree": alpha.degree,
-        "values": [[list(g), f"{v // (common := gcd(v, den))}/{den // common}"]
-                   for g, v in sorted(alpha.num.items())],
+        "values": [[list(g), v] for g, v in sorted(_value_strings(alpha).items())],
     }
 
 
@@ -340,23 +352,32 @@ def cochain_from_json(data: dict, index: GeneratorIndex | None = None) -> Cochai
 
 
 def _cochain_entries(items: list, degree: int, index: GeneratorIndex | None):
-    """Each entry of a cochain's 'values' list as (tuple, Fraction)."""
+    """Each entry of a cochain's 'values' list as (tuple, numerator,
+    denominator > 0), the value read with ``int()`` in lowest terms."""
     for item in items:
         # vertices are JSON integers; a value is a JSON integer or an exact
         # "num/den", integer or decimal-point string (no floats, no booleans)
         if not (isinstance(item, list) and len(item) == 2
                 and isinstance(item[0], list)
                 and all(type(v) is int for v in item[0])
-                and (type(item[1]) is int
-                     or isinstance(item[1], str) and _RATIONAL.fullmatch(item[1]))):
+                and (type(value := item[1]) is int
+                     or isinstance(value, str) and _RATIONAL.fullmatch(value))):
             raise FormatError(f"bad cochain entry {item!r}")
-        try:
-            v = Fraction(item[1])
-        except (ZeroDivisionError, ValueError) as exc:  # also past int()'s digit limit
+        try:  # int() refuses a string past its digit limit
+            if type(value) is int:
+                top, bottom = value, 1
+            elif "/" in value:
+                top, bottom = map(int, value.split("/"))
+            else:  # the digits after the point as a second int, as Fraction reads them
+                whole, _, digits = value.partition(".")
+                bottom = 10 ** len(digits)
+                top = int(whole) * bottom + (-1 if whole[0] == "-" else 1) * int(digits or 0)
+        except ValueError as exc:
             raise FormatError(f"bad cochain entry {item!r}") from exc
         g = tuple(item[0])
         if len(g) != degree + 1:
             raise FormatError(f"tuple {g} does not have degree {degree}")
         if index is not None and not index.is_generator(g):
             raise FormatError(f"{g} is not a generator of the complex")
-        yield g, v
+        common = gcd(top, bottom)
+        yield g, top // common, bottom // common

@@ -156,9 +156,8 @@ def _eliminate(rows, live=None) -> tuple:
     each core entry is a minor of it.  Boundary and coboundary matrices of
     tuple complexes usually leave no core.
 
-    ``live``, when given, bounds the rank (the number of columns that can
-    hold an entry): once that many pivots are made, every later row would
-    reduce to zero, and no further row is read.
+    ``live``, when given, bounds the rank: once that many pivots are made,
+    every later row would reduce to zero, and no further row is read.
     """
     made, pivot_of, pivots, waiting = [], {}, {}, []
 
@@ -248,9 +247,10 @@ def _coboundary_diagonals(degrees: int, rows_of) -> list:
     """Diagonals of delta_0, ..., delta_{degrees-1} of a cochain complex,
     eliminated bottom-up with clearing across degrees.
 
-    ``rows_of(n, cleared)`` returns ``(rows, live)``: delta_n as rows for
-    ``_eliminate`` without the columns in ``cleared``, which are the
-    unit-pivot rows of delta_{n-1}, and a bound on its rank or None.  That
+    ``rows_of(n, cleared, rank)`` returns ``(rows, live)``: delta_n as rows
+    for ``_eliminate`` without the columns in ``cleared``, which are the
+    unit-pivot rows of delta_{n-1}, and a bound on its rank or None;
+    ``rank`` is the rank of delta_{n-1} (0 for n = 0).  That
     pivot block, rows P and columns Q of delta_{n-1}, has determinant +-1,
     so the delta_{n-1} e_q (q in Q) and the e_i (i not in P) form a basis
     of delta_n's domain, over Z and mod 2.  delta_n kills the
@@ -260,7 +260,7 @@ def _coboundary_diagonals(degrees: int, rows_of) -> list:
     """
     diags, cleared = [], {}
     for n in range(degrees):
-        diag, cleared = _eliminate(*rows_of(n, cleared))
+        diag, cleared = _eliminate(*rows_of(n, cleared, len(diags[-1]) if diags else 0))
         diags.append(diag)
     return diags
 
@@ -281,18 +281,19 @@ def _tuple_homology(levels: Sequence[Sequence[tuple]]) -> list:
     be any iterable, which is read once and only as far as the sweep
     needs.  Row r of delta_n is the face row (:func:`_face_row`) of tuple
     r of ``levels[n + 1]``, built only when the elimination reads it: the
-    rank is at most the number of columns left, so the rows after it
-    reaches that are never built."""
+    image of delta_{n-1} lies in the kernel of delta_n, so the rank of
+    delta_n is at most len(levels[n]) - rank(delta_{n-1}), and the rows
+    after it reaches that are never built."""
     def face_rows(n, col_of):
         for r, g in enumerate(levels[n + 1]):
             row = _face_row(g, col_of)
             row.pop(-1, None)
             yield r, row
 
-    def rows_of(n, cleared):
+    def rows_of(n, cleared, rank):
         # every face in a cleared column lands in column -1, which is dropped
         col_of = {g: -1 if j in cleared else j for j, g in enumerate(levels[n])}
-        return face_rows(n, col_of), len(levels[n]) - len(cleared)
+        return face_rows(n, col_of), len(levels[n]) - rank
     return _groups([len(level) for level in levels[:-1]],
                    _coboundary_diagonals(len(levels) - 1, rows_of))
 
@@ -321,11 +322,11 @@ def homology_presented(pres) -> list:
         if len(columns[n]) != free[n] + tors[n]:
             raise ValueError(f"boundary {n} has wrong shape")
 
-    def free_rows(n, cleared):
+    def free_rows(n, cleared, _rank):
         return {c: {r: v for r, v in column.items() if r not in cleared}
                 for c, column in enumerate(columns[n + 1][:free[n + 1]])}, None
 
-    def torsion_rows(n, cleared):
+    def torsion_rows(n, cleared, _rank):
         return {c: {r: 1 for r, v in column.items() if v % 2 and r not in cleared}
                 for c, column in enumerate(columns[n + 1][free[n + 1]:], free[n + 1])}, None
     # unimodular integer operations stay invertible mod 2, so the odd

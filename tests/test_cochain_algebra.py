@@ -391,6 +391,29 @@ def test_reader_sums_the_repeats_of_a_tuple():
         (0, 1): sum(Fraction(1, 10 ** 999 + k) for k in range(4))}
 
 
+# a JSON integer, or a string of the reader's grammar, with Fraction as oracle
+READ_VALUES = [3, -4, 0, 10 ** 40, "6/4", "-6/4", "-0", "0/5", "007", "-3/0006",
+               "1.50", "-0.25", "-12.000", "0.0", "9" * 4_000, "-" + "9" * 4_000 + "/3",
+               "9" * 3_000 + "." + "9" * 3_000]
+# refused with the one message; "9" * 5_000 passes int()'s digit limit
+REFUSED_VALUES = ["1/0", "-0/0", "1/", "+1", " 1", "1 ", "1e3", "0.", ".5", 0.5, 2.0,
+                  True, False, "9" * 5_000, "1/" + "9" * 5_000, "0." + "9" * 5_000]
+
+
+@pytest.mark.parametrize("value", READ_VALUES, ids=range(len(READ_VALUES)))
+def test_reader_matches_the_fraction_oracle(value):
+    loaded = cochain_from_json({"degree": 1, "values": [[[0, 1], value]]})
+    assert loaded == Cochain(1, {(0, 1): Fraction(value)})
+
+
+def test_reader_refuses_each_malformed_value_with_its_entry():
+    for value in REFUSED_VALUES:
+        entry = [[0, 1], value]
+        with pytest.raises(FormatError) as refused:
+            cochain_from_json({"degree": 1, "values": [entry]})
+        assert str(refused.value) == f"bad cochain entry {entry!r}"
+
+
 def test_serialization_strictness(sphere_index):
     with pytest.raises(FormatError):
         cochain_from_json({"degree": 1})

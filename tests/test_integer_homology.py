@@ -789,15 +789,15 @@ def assert_rows_and_pivots_match(levels, deltas):
     # (the pivot rule reads the order within a row, so that is kept)
     betti, seen = spied(cohomology_rational, levels)
     assert len(seen) == len(deltas)
-    cleared = {}
+    cleared, rank = {}, 0
     for n, (delta, (layout, read, live, out)) in enumerate(zip(deltas, seen)):
         kept = [[0 if c in cleared else v for c, v in enumerate(row)] for row in delta]
         rows = sparse_rows(kept)
         assert [(r, dict(row)) for r, row in layout if row] == list(rows.items()), n
-        assert live == len(levels[n]) - len(cleared), n
+        assert live == len(levels[n]) - rank, n  # rank(delta_n) <= dim - rank(delta_{n-1})
         assert read == len(layout) or len(out[1]) == live, n
         assert out == ih._eliminate({r: dict(row) for r, row in layout}), n
-        cleared = out[1]
+        cleared, rank = out[1], len(out[0])
     dims = [len(level) for level in levels]
     assert betti == uncleared_betti(dims, deltas)
 

@@ -164,10 +164,10 @@ EVERY = ["alt_chains", "cli", "cochain_algebra", "complex_model", "corpus", "err
     (["export-presentation", "{sphere}", "-o", "{out}"], PRESENTATION, False),
     (["cohomology", "{sphere}"], HOMOLOGY, False),
     (["cohomology", "{sphere}", "--variant", "alternative"], HOMOLOGY, False),
-    (["cup", "{sphere}", "{alpha}", "{alpha}"], COCHAINS, True),
-    (["cup", "{sphere}", "{alpha}", "{alpha}", "--alternative"], COCHAINS, True),
-    (["residual", "{sphere}", "{alpha}"], sorted(COCHAINS + ["permutations"]), True),
-    (["verify", "{point}", "--cases", "2", "--max-dim", "2"], EVERY, True),
+    (["cup", "{sphere}", "{alpha}", "{alpha}"], COCHAINS, False),
+    (["cup", "{sphere}", "{alpha}", "{alpha}", "--alternative"], COCHAINS, False),
+    (["residual", "{sphere}", "{alpha}"], sorted(COCHAINS + ["permutations"]), False),
+    (["verify", "{point}", "--cases", "2", "--max-dim", "2"], EVERY, False),
 ], ids=["homology-simplicial", "homology-ordered", "homology-alternative",
         "export-presentation", "cohomology-full",
         "cohomology-alternative", "cup", "cup-alternative", "residual", "verify"])
@@ -180,6 +180,35 @@ def test_each_subcommand_executes_only_the_modules_it_runs(tmp_path, argv, execu
                  out=tmp_path / "out.json")
     out = _run_isolated(EXECUTED_MODULES, *(arg.format(**paths) for arg in argv))
     assert out.splitlines()[-1] == f"0 {executed} {fractions}"
+
+
+# values are integer pairs inside: only a view that returns a Fraction
+# (values, a call, repr) imports fractions, and with it decimal and numbers
+NUMBER_MODULES = "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
+
+
+def test_setup_probe_and_cochain_reader_import_no_fractions(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from runner import SETUP_PROBE
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text(json.dumps({"degree": 1, "values": [
+        [[0, 1], "1/2"], [[1, 0], "-0.5"], [[0, 2], 3], [[2, 0], "-6/2"]]}))
+    sphere = ROOT / "src" / "altchain" / "data" / "sphere_s2.json"
+    out = _run_isolated(SETUP_PROBE + NUMBER_MODULES, str(sphere), str(alpha))
+    assert out == "[]\n"
+
+
+def test_fraction_views_import_fractions_on_first_use():
+    script = "\n".join([
+        "from altchain.cochain_algebra import cochain_from_json",
+        "alpha = cochain_from_json({'degree': 1, 'values': [[[0, 1], '1/2'], [[1, 0], -3]]})",
+        "print('fractions' in sys.modules)",
+        "print(alpha.values, alpha((0, 1)), alpha((1, 1)))",
+        "print(repr(alpha), 'fractions' in sys.modules)",
+    ])
+    assert _run_isolated(script) == (
+        "False\n{(0, 1): Fraction(1, 2), (1, 0): Fraction(-3, 1)} 1/2 0\n"
+        "Cochain(deg 1, {(0, 1): 1/2, (1, 0): -3}) True\n")
 
 
 TRACED = """\

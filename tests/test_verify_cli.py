@@ -1262,13 +1262,20 @@ def test_cli_residual_verdicts_are_pinned(tmp_path, capsys):
         [[0, 1], "1/2"], [[1, 0], "-1/2"], [[0, 2], "5/6"], [[2, 0], "-5/6"],
         [[1, 2], "3/4"], [[2, 1], "-3/4"], [[2, 3], "-2/3"], [[3, 2], "2/3"],
         [[3, 4], "1/5"], [[4, 3], "-1/5"]]})
+    # on the path 0-1-2 with values 0, 4, 3 the residual is 8 on (0, 1) and
+    # -7/2 on (1, 2): the witness is an integer over the denominator 2
+    path = write_json(tmp_path / "path.json", {"vertices": 3, "facets": [[0, 1], [1, 2]]})
+    heights = write_json(tmp_path / "heights.json", {"degree": 0, "values": [[[1], 4], [[2], 3]]})
     for argv, verdict in (
             (["residual", solid, alpha],
              "residual: nonzero on 24 generators; max |numerator| = 2\n"
              "witness: value -2/3 on generator [3, 2, 1, 0]\n"),
             (["residual", solid_4, fractional],
              "residual: nonzero on 96 generators; max |numerator| = 1\n"
-             "witness: value 1/20 on generator [4, 3, 2, 1]\n")):
+             "witness: value 1/20 on generator [4, 3, 2, 1]\n"),
+            (["residual", path, heights],
+             "residual: nonzero on 4 generators; max |numerator| = 8\n"
+             "witness: value -8 on generator [1, 0]\n")):
         assert cli.main(argv + ["-o", str(tmp_path / "out.json")]) == 0, argv
         assert capsys.readouterr().out == verdict, argv
 
