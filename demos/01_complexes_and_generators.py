@@ -8,7 +8,6 @@
 
 from altchain import enumerate_generators, face
 from altchain.corpus import load_corpus
-from altchain.permutations import Permutation, act
 
 for name, K in load_corpus():
     index = enumerate_generators(K, 3)
@@ -29,8 +28,8 @@ g = (0, 1, 2)
 print(f"  g = {g}")
 for i in range(3):
     print(f"  face(g, {i}) = {face(g, i)}")
-three_cycle = Permutation((1, 2, 0))
-print(f"  act({three_cycle}, g) = {act(three_cycle, g)}")
+images = (1, 2, 0)  # entry j of the reordered tuple is g[images[j]]
+print(f"  g reordered by {images} = {tuple(g[j] for j in images)}")
 
 print()
 print("Closure: every face and every reordering of a generator is again "

@@ -16,7 +16,7 @@ _EXPORTS = {
     "errors": ("BudgetExceededError", "DegreeCapError", "FormatError"),
     "complex_model": ("SimplicialComplex", "GeneratorIndex", "load_complex",
                       "enumerate_generators", "face"),
-    "permutations": ("Permutation", "act", "induced_face_perm", "enumerate_group"),
+    "permutations": (),
     "integer_homology": ("AbelianGroup", "smith_normal_form", "homology_presented",
                          "cohomology_rational", "simplicial_homology",
                          "ordered_homology"),

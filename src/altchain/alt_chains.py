@@ -168,17 +168,18 @@ def boundary(chain: AltChain) -> AltChain:
     return descend(ordered_boundary, chain, chain.degree - 1)
 
 
-def face_class_compat(f: tuple, s: "permutations.Permutation") -> bool:
-    """Does reordering a face keep its class, up to the permutation's sign?
+def face_class_compat(f: tuple, images: tuple) -> bool:
+    """Does reordering a face keep its class, up to the reordering's sign?
 
-    Checks [act(s, f)] == sign(s) * [f] on the canonical forms: the same
-    sorted tuple and torsion flag, and sign(act(s, f)) = sign(s) * sign(f)
-    for a free class; this makes restriction to faces well defined on the
-    quotient.
+    With h = tuple(f[j] for j in images), checks [h] == sign(images) * [f]
+    on the canonical forms: the same sorted tuple and torsion flag, and
+    sign(h) = sign(images) * sign(f) for a free class; this makes
+    restriction to faces well defined on the quotient.
     """
-    t, torsion, sign = canonicalize(permutations.act(s, f))
+    t, torsion, sign = canonicalize(tuple([f[j] for j in images]))
     u, f_torsion, f_sign = canonicalize(f)
-    return t == u and torsion == f_torsion and (torsion or sign == s.sign * f_sign)
+    return t == u and torsion == f_torsion and (
+        torsion or sign == permutations._signed_classes[images][1] * f_sign)
 
 
 class AltComplexPresentation(Record):

@@ -257,12 +257,6 @@ class GeneratorIndex(Record):
         return (g + (v,) for g in self.generators(n - 1)
                 for v in coface_vertices[frozenset(g)])
 
-    def position(self, g: tuple) -> int:
-        try:
-            return self.positions(len(g) - 1)[g]
-        except KeyError:
-            raise KeyError(f"{g} is not a generator of this complex") from None
-
     def positions(self, n: int) -> dict:
         """The degree-n generator -> position table (read it, do not mutate it)."""
         table = self._tables.get(n)

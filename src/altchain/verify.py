@@ -203,6 +203,14 @@ def _law(suite_id, statement):
     return register
 
 
+def _induced_face(images: tuple, i: int) -> tuple:
+    """The reordering ``images`` with position i deleted and the image
+    images[i] renumbered away: deleting entry i of g reordered by ``images``
+    is face(g, images[i]) reordered by the result."""
+    si = images[i]
+    return tuple(v - (v > si) for v in images[:i] + images[i + 1:])
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -213,13 +221,14 @@ def _law(suite_id, statement):
       "through S_5.")
 def _suite_face_permutation_sign(ctxs, rng, cases):
     for k in range(1, 6):
-        for s in permutations.enumerate_group(k):
+        for images, _, sign in permutations._signed_orders(k):
             for i in range(k):
-                si = permutations.induced_face_perm(s, i)
-                yield s.sign == (-1) ** (i - s(i)) * si.sign or {
-                    "group": f"S_{k}", "images": list(s.images), "i": i,
-                    "sign": s.sign, "face_perm_images": list(si.images),
-                    "face_perm_sign": si.sign,
+                face_images = _induced_face(images, i)
+                face_sign = permutations.parity(face_images)
+                yield sign == (-1) ** (i - images[i]) * face_sign or {
+                    "group": f"S_{k}", "images": list(images), "i": i,
+                    "sign": sign, "face_perm_images": list(face_images),
+                    "face_perm_sign": face_sign,
                 }
 
 
@@ -228,21 +237,24 @@ def _suite_face_permutation_sign(ctxs, rng, cases):
       "induced reorderings of its faces, on every tuple pattern of length "
       "2 to min(4, D + 1) and a seeded sample of each complex's generators.")
 def _suite_boundary_of_reordered(ctxs, rng, cases):
-    # per length: (s, [(induced face permutation, s(i), (-1)^i) for each i])
-    terms = {k: [(s, [(permutations.induced_face_perm(s, i), s(i), (-1) ** i)
-                      for i in range(k)])
-                 for s in permutations.enumerate_group(k)]
+    getters = {images: get for k in range(1, 5)
+               for images, get, _ in permutations._signed_orders(k)}
+    # per length: (images, getter, [(induced face getter, images[i], (-1)^i)
+    # for each i])
+    terms = {k: [(images, get, [(getters[_induced_face(images, i)], images[i], (-1) ** i)
+                                for i in range(k)])
+                 for images, get, _ in permutations._signed_orders(k)]
              for k in range(2, 5)}
     for where, g in _label_free_cases(ctxs, rng, cases, 1):
         g_faces = [face(g, i) for i in range(len(g))]
-        for s, face_terms in terms[len(g)]:
-            lhs = alt_chains.ordered_boundary({permutations.act(s, g): 1})
+        for images, get, face_terms in terms[len(g)]:
+            lhs = alt_chains.ordered_boundary({get(g): 1})
             rhs: dict = {}
-            for si, s_of_i, sgn in face_terms:
-                t = permutations.act(si, g_faces[s_of_i])
+            for face_get, g_face, sgn in face_terms:
+                t = face_get(g_faces[g_face])
                 rhs[t] = rhs.get(t, 0) + sgn
             rhs = {t: c for t, c in rhs.items() if c}
-            yield lhs == rhs or {**where, "images": list(s.images),
+            yield lhs == rhs or {**where, "images": list(images),
                                  "lhs": lhs, "rhs": rhs}
 
 
@@ -474,8 +486,8 @@ def _suite_torsion_cancellation(ctxs, rng, cases):
       "complex's generators.")
 def _suite_face_class_compat(ctxs, rng, cases):
     for where, f in _label_free_cases(ctxs, rng, cases, 0):
-        for s in permutations.enumerate_group(len(f)):
-            yield alt_chains.face_class_compat(f, s) or {**where, "images": list(s.images)}
+        for images, _, _ in permutations._signed_orders(len(f)):
+            yield alt_chains.face_class_compat(f, images) or {**where, "images": list(images)}
 
 
 @_law("dual-dimension-match",

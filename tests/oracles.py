@@ -3,7 +3,8 @@ Fraction, sharing no code with altchain's integer elimination, the
 boundary matrices of tuple complexes summed one face per entry, the
 coboundary matrices as transposed boundary matrices, the tuple generators
 enumerated by brute force, the quotient boundary built by descending
-each generator's boundary through ``AltChain``, and the cochain operations
+each generator's boundary through ``AltChain``, the reorderings of k
+positions with signs counted from their inversions, and the cochain operations
 on plain ``{tuple: Fraction}`` maps, with the scaled projector matrix
 built from the projector of each indicator.  Matrices are dense lists of rows;
 :func:`sparse_rows` gives the rows the elimination reads."""
@@ -184,6 +185,19 @@ def _nonzero(values: dict) -> dict:
 def _parity(order) -> int:
     inversions = sum(a > b for a, b in itertools.combinations(order, 2))
     return -1 if inversions % 2 else 1
+
+
+def reorderings(k: int):
+    """Every reordering of k positions as (images, sign), in lexicographic
+    order of the images: g reordered is ``reorder(images, g)``, and the
+    sign is counted from the inversions."""
+    for images in itertools.permutations(range(k)):
+        yield images, _parity(images)
+
+
+def reorder(images, g) -> tuple:
+    """Entry j of the result is g[images[j]]."""
+    return tuple(g[j] for j in images)
 
 
 def fraction_sum(a: dict, b: dict, sign: int = 1) -> dict:

@@ -22,13 +22,11 @@ from altchain import (AltChain, Cochain, CombinatorialHomotopy, SimplicialMap,
                       enumerate_generators, face, homology_presented,
                       is_alternative, ordered_boundary, prism, prism_alt,
                       push_forward, push_forward_alt, simplicial_homology)
-from altchain import alt_chains, permutations, verify
+from altchain import alt_chains, verify
 from altchain.complex_model import SimplicialComplex
 from altchain.integer_homology import cohomology_rational
-from altchain.permutations import (Permutation, act, enumerate_group,
-                                   induced_face_perm)
-from oracles import (alt_coboundary_matrix, fraction_rank, integer_kernel,
-                     scaled_projector_matrix)
+from oracles import (alt_coboundary_matrix, fraction_rank, integer_kernel, reorder,
+                     reorderings, scaled_projector_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +54,11 @@ def test_criterion_01_face_sign_identity():
     start = time.perf_counter()
     cases = 0
     for k in range(1, 7):
-        for s in enumerate_group(k):
+        face_signs = dict(reorderings(k - 1))
+        for images, sign in reorderings(k):
             for i in range(k):
-                assert s.sign == (-1) ** (i - s(i)) * induced_face_perm(s, i).sign
+                face_sign = face_signs[verify._induced_face(images, i)]
+                assert sign == (-1) ** (i - images[i]) * face_sign
                 cases += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -71,16 +71,16 @@ def test_criterion_02_boundary_of_reordered_generator(ctx):
     _, index = ctx["sphere_s2"]
     cases = 0
     for n in range(1, 4):
-        group = enumerate_group(n + 1)
+        group = list(reorderings(n + 1))
         for g in index.generators(n):
-            for s in group:
-                lhs = ordered_boundary({act(s, g): 1})
+            for images, _ in group:
+                lhs = ordered_boundary({reorder(images, g): 1})
                 rhs = {}
                 for i in range(n + 1):
-                    t = act(induced_face_perm(s, i), face(g, s(i)))
+                    t = reorder(verify._induced_face(images, i), face(g, images[i]))
                     rhs[t] = rhs.get(t, 0) + (-1) ** i
                 rhs = {t: c for t, c in rhs.items() if c}
-                assert lhs == rhs, (g, s.images)
+                assert lhs == rhs, (g, images)
                 cases += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -405,17 +405,15 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
     from altchain.corpus import load_corpus_complex
     sphere = load_corpus_complex("sphere_s2")
 
-    real_ifp = permutations.induced_face_perm
+    real_face = verify._induced_face
 
-    def sign_flipped(s, i):
-        out = real_ifp(s, i)
+    def sign_flipped(images, i):
+        out = real_face(images, i)
         if len(out) >= 2 and i == 1:
-            images = list(out.images)
-            images[0], images[1] = images[1], images[0]
-            return Permutation(images)
+            return (out[1], out[0]) + out[2:]
         return out
 
-    monkeypatch.setattr(permutations, "induced_face_perm", sign_flipped)
+    monkeypatch.setattr(verify, "_induced_face", sign_flipped)
     broken_report = verify.run_all([("sphere_s2", sphere)], seed=0, cases=5)
     monkeypatch.undo()
     failed = {r.suite_id for r in broken_report.results if not r.passed}

@@ -16,11 +16,12 @@ from altchain import (Cochain, DegreeCapError, FormatError, SimplicialComplex,
 from altchain import integer_homology as ih
 from altchain.cochain_algebra import cochain_from_json, cochain_to_json
 from altchain.homotopy_prism import SimplicialMap, pull_back
-from altchain.permutations import act, enumerate_group, parity
+from altchain.permutations import parity
 from oracles import (alt_coboundary_matrix, coboundary_matrix, fraction_alternating,
                      fraction_coboundary, fraction_cup, fraction_projector,
                      fraction_pull_back, fraction_rank, fraction_scale, fraction_sum,
-                     integer_kernel, scaled_projector_matrix, sparse_rows, transpose)
+                     integer_kernel, reorder, reorderings, scaled_projector_matrix,
+                     sparse_rows, transpose)
 
 
 def random_cochain(index, n, rng, terms=3):
@@ -284,16 +285,16 @@ def test_nonlinear_residual(sphere, sphere_index):
     assert nonlinear_residual(sphere_index, Cochain.zero(1)).is_zero()
 
     # independent oracle: full parity-weighted sum over all 24 reorderings
-    group = enumerate_group(4)
+    group = list(reorderings(4))
 
     def oracle(alpha):
         dalpha = coboundary(sphere_index, alpha)
         out = {}
         for g in sphere_index.generators(3):
             total = Fraction(0)
-            for s in group:
-                h = act(s, g)
-                total += s.sign * alpha(h[:2]) * dalpha(h[1:])
+            for images, sign in group:
+                h = reorder(images, g)
+                total += sign * alpha(h[:2]) * dalpha(h[1:])
             if total:
                 out[g] = total / factorial(4)
         return Cochain(3, out)
@@ -317,12 +318,12 @@ def test_nonlinear_residual_nonzero_on_solid_tetrahedron(full_tetrahedron):
     assert not residual.is_zero()
     # independent oracle: full parity-weighted sum over all 24 reorderings
     dalpha = coboundary(index, alpha)
-    group = enumerate_group(4)
+    group = list(reorderings(4))
     for g in index.generators(3):
         total = Fraction(0)
-        for s in group:
-            h = act(s, g)
-            total += s.sign * alpha(h[:2]) * dalpha(h[1:])
+        for images, sign in group:
+            h = reorder(images, g)
+            total += sign * alpha(h[:2]) * dalpha(h[1:])
         assert residual(g) == total / factorial(4)
 
 
@@ -455,21 +456,22 @@ def oracle_alternative_maker(alpha):
     # the parity-weighted sum over the whole group at every reordering of
     # every supported tuple
     n = alpha.degree
-    group = enumerate_group(n + 1)
+    group = list(reorderings(n + 1))
     closure = {h for g in alpha.values for h in itertools.permutations(g)}
     out = {}
     for g in closure:
-        total = sum((s.sign * alpha(act(s, g)) for s in group), Fraction(0))
+        total = sum((sign * alpha(reorder(images, g)) for images, sign in group),
+                    Fraction(0))
         if total:
             out[g] = total / factorial(n + 1)
     return Cochain(n, out)
 
 
 def oracle_is_alternative(alpha):
-    group = enumerate_group(alpha.degree + 1)
+    group = list(reorderings(alpha.degree + 1))
     closure = {h for g in alpha.values for h in itertools.permutations(g)}
-    return all(alpha(act(s, g)) == s.sign * alpha(g)
-               for g in closure for s in group)
+    return all(alpha(reorder(images, g)) == sign * alpha(g)
+               for g in closure for images, sign in group)
 
 
 def oracle_coboundary(index, alpha):
@@ -498,7 +500,7 @@ def matrix_image(columns, index, alpha):
     rows = index.generators(n + 1)
     out: dict = {}
     for g, a in alpha.values.items():
-        for r, v in columns.get(index.position(g), ()):
+        for r, v in columns.get(index.positions(n)[g], ()):
             out[rows[r]] = out.get(rows[r], 0) + v * a
     return Cochain(n + 1, out)
 

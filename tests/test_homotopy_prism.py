@@ -12,8 +12,8 @@ from altchain import (AltChain, CombinatorialHomotopy, Cochain, SimplicialMap,
 from altchain.alt_chains import canonicalize
 from altchain.complex_model import SimplicialComplex, face
 from altchain.homotopy_prism import prism_generator
-from altchain.permutations import act, enumerate_group
-from oracles import alt_coboundary_matrix, integer_kernel, ordered_boundary_matrix
+from oracles import (alt_coboundary_matrix, integer_kernel, ordered_boundary_matrix,
+                     reorder, reorderings)
 
 
 def chain_sub(a, b):
@@ -190,9 +190,9 @@ def test_prism_alt_well_defined():
     for n in (1, 2):
         for g in index.generators(n):
             base = prism_alt(h, AltChain.from_generator(g))
-            for s in enumerate_group(n + 1):
-                lhs = prism_alt(h, AltChain.from_generator(act(s, g)))
-                rhs = prism_alt(h, AltChain.from_generator(g).scale(s.sign))
+            for images, sign in reorderings(n + 1):
+                lhs = prism_alt(h, AltChain.from_generator(reorder(images, g)))
+                rhs = prism_alt(h, AltChain.from_generator(g).scale(sign))
                 assert lhs == rhs
             assert base == prism_alt(h, AltChain.from_generator(g))
 
@@ -202,9 +202,9 @@ def test_prism_alt_well_defined_on_sphere(sphere, sphere_index):
     h = CombinatorialHomotopy(ident, ident)
     for n in (1, 2):
         for g in sphere_index.generators(n):
-            for s in enumerate_group(n + 1):
-                lhs = prism_alt(h, AltChain.from_generator(act(s, g)))
-                rhs = prism_alt(h, AltChain.from_generator(g).scale(s.sign))
+            for images, sign in reorderings(n + 1):
+                lhs = prism_alt(h, AltChain.from_generator(reorder(images, g)))
+                rhs = prism_alt(h, AltChain.from_generator(g).scale(sign))
                 assert lhs == rhs
 
 

@@ -537,7 +537,7 @@ def test_matrix_builders_match_face_position_oracle(sphere_index, rp2):
             for i, g in enumerate(index.generators(n + 1)):
                 row = cob.setdefault(i, {})
                 for k in range(n + 2):
-                    c = index.position(face(g, k))
+                    c = index.positions(n)[face(g, k)]
                     row[c] = row.get(c, 0) + (-1) ** k
                     if not row[c]:
                         del row[c]

@@ -4,18 +4,19 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from altchain import alt_chains, cochain_algebra, permutations
-from altchain.permutations import (Permutation, act, enumerate_group,
-                                   induced_face_perm, parity)
+from altchain import alt_chains, cochain_algebra, permutations, verify
+from altchain.permutations import parity
+from oracles import reorder, reorderings
 
 
-def identity(k):
-    return Permutation(range(k))
+def getters(k):
+    """images -> getter, for every reordering of k positions."""
+    return {images: get for images, get, _ in permutations._signed_orders(k)}
 
 
 def compose(s, t):
-    """Function composition: compose(s, t)(j) == s(t(j))."""
-    return Permutation(s(t(j)) for j in range(len(t)))
+    """Function composition of image tuples: compose(s, t)[j] == s[t[j]]."""
+    return tuple(s[j] for j in t)
 
 
 def brute_sign(images):
@@ -30,15 +31,15 @@ perm_strategy = st.integers(min_value=1, max_value=6).flatmap(
 
 
 def test_sign_examples():
-    assert identity(3).sign == 1
-    assert Permutation((1, 0)).sign == -1
+    assert parity((0, 1, 2)) == 1
+    assert parity((1, 0)) == -1
     # 3-cycle 0->1->2->0 sends position 0 to value 1: images (1, 2, 0)
-    assert Permutation((1, 2, 0)).sign == 1
+    assert parity((1, 2, 0)) == 1
 
 
 @given(perm_strategy)
 def test_sign_matches_inversion_count(images):
-    assert Permutation(images).sign == brute_sign(images)
+    assert parity(tuple(images)) == brute_sign(images)
 
 
 def bubble_sort_sign(seq):
@@ -63,136 +64,110 @@ def test_parity_matches_bubble_sort(entries):
 def test_sign_multiplicative(im1, im2):
     if len(im1) != len(im2):
         return
-    s, t = Permutation(im1), Permutation(im2)
-    assert compose(s, t).sign == s.sign * t.sign
+    assert parity(compose(im1, im2)) == parity(im1) * parity(im2)
 
 
-def test_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
+def test_signed_orders_match_the_reorderings_oracle():
+    # images, order and sign of every reordering through S_6 against
+    # itertools and an inversion count, and every getter's read a tuple,
+    # at k = 0 and 1 too
+    for k in range(7):
+        listed = permutations._signed_orders(k)
+        assert [(images, sign) for images, _, sign in listed] == list(reorderings(k))
+        g = tuple(range(10, 10 + k))
+        for images, get, _ in listed:
+            assert type(get(g)) is tuple and get(g) == reorder(images, g)
 
 
 def test_act_examples():
-    s = Permutation((1, 2, 0))
-    assert act(s, ("a", "b", "c")) == ("b", "c", "a")
-    assert act(identity(2), (5, 7)) == (5, 7)
-    assert act(Permutation((1, 0)), (3, 3)) == (3, 3)
-
-
-def test_act_size_mismatch():
-    with pytest.raises(ValueError):
-        act(identity(2), (1, 2, 3))
-    for k, g in ((0, (5,)), (1, ()), (1, (5, 6)), (3, (5, 6))):
-        with pytest.raises(ValueError):
-            act(identity(k), g)
+    # a reordering's getter puts g[images[j]] at entry j
+    assert getters(3)[(1, 2, 0)](("a", "b", "c")) == ("b", "c", "a")
+    assert getters(2)[(0, 1)]((5, 7)) == (5, 7)
+    assert getters(2)[(1, 0)]((3, 3)) == (3, 3)
 
 
 def test_act_on_sizes_zero_and_one():
-    # the smallest groups still return tuples, whatever sequence they read
-    assert act(identity(0), ()) == ()
-    assert act(identity(1), (7,)) == (7,)
-    assert act(identity(1), [7]) == (7,)
-    assert act(Permutation((1, 0)), [7, 8]) == (8, 7)
-
-
-def test_equal_images_make_equal_permutations():
-    # built from a tuple, a list, a generator and a product: equality, hash
-    # and repr read the images only
-    for images in ((), (0,), (2, 0, 1)):
-        k = len(images)
-        same = (Permutation(images), Permutation(list(images)),
-                Permutation(j for j in images),
-                compose(Permutation(images), identity(k)))
-        assert len(set(same)) == 1
-        assert all(s == same[0] and hash(s) == hash(same[0]) for s in same)
-        assert {repr(s) for s in same} == {f"Permutation({list(images)})"}
-    assert Permutation((2, 0, 1)) != Permutation((0, 2, 1))
-    assert Permutation(()) != Permutation((0,))
+    # the smallest orders still return tuples, whatever sequence they read
+    assert getters(0)[()](()) == ()
+    assert getters(1)[(0,)]((7,)) == (7,)
+    assert getters(1)[(0,)]([7]) == (7,)
+    assert getters(2)[(1, 0)]([7, 8]) == (8, 7)
 
 
 def test_action_composition_convention():
-    # for t(j) = s2(s1(j)), act(t, g) == act(s1, act(s2, g)): the
-    # right-action round trip that the rest of the algebra depends on
+    # reading g by compose(s2, s1) reads it by s2 and then by s1: the
+    # right-action round trip that the induced face reordering depends on
     g = (10, 20, 30, 40)
-    for im1 in itertools.permutations(range(4)):
-        for im2 in itertools.permutations(range(4)):
-            s1, s2 = Permutation(im1), Permutation(im2)
-            assert act(compose(s2, s1), g) == act(s1, act(s2, g))
+    get = getters(4)
+    for s1 in get:
+        for s2 in get:
+            assert get[compose(s2, s1)](g) == get[s1](get[s2](g))
 
 
 def test_composition_is_function_composition():
-    # acting by t on the images of s composes them: act(t, s.images)[j]
-    # is s(t(j))
-    s = Permutation((2, 0, 1))
-    t = Permutation((1, 2, 0))
-    assert Permutation(act(t, s.images)) == compose(s, t) == identity(3)
-    for a in enumerate_group(3):
-        for b in enumerate_group(3):
-            assert act(b, a.images) == tuple(a(b(j)) for j in range(3))
+    # reading the images of s by t composes them: entry j is s[t[j]]
+    s, t = (2, 0, 1), (1, 2, 0)
+    get = getters(3)
+    assert get[t](s) == compose(s, t) == (0, 1, 2)
+    for a in get:
+        for b in get:
+            assert get[b](a) == tuple(a[b[j]] for j in range(3))
 
 
 def test_induced_face_perm_examples():
-    assert induced_face_perm(identity(3), 1) == identity(2)
-    assert induced_face_perm(Permutation((1, 2, 0)), 1) == Permutation((1, 0))
-    assert induced_face_perm(Permutation((1, 0)), 0) == identity(1)
+    assert verify._induced_face((0, 1, 2), 1) == (0, 1)
+    assert verify._induced_face((1, 2, 0), 1) == (1, 0)
+    assert verify._induced_face((1, 0), 0) == (0,)
 
 
 def test_induced_face_perm_range_check():
-    with pytest.raises(ValueError):
-        induced_face_perm(identity(3), 3)
+    with pytest.raises(IndexError):
+        verify._induced_face((0, 1, 2), 3)
 
 
 def test_sign_identity_exhaustive():
-    # parity bookkeeping under deletion, for every group element through S_5
+    # parity bookkeeping under deletion, for every reordering through S_5
     for k in range(1, 6):
-        for s in enumerate_group(k):
+        for images, _, sign in permutations._signed_orders(k):
             for i in range(k):
-                assert s.sign == (-1) ** (i - s(i)) * induced_face_perm(s, i).sign
+                face_sign = parity(verify._induced_face(images, i))
+                assert sign == (-1) ** (i - images[i]) * face_sign
 
 
 def test_enumerate_group_sizes_and_signs():
-    assert [s.images for s in enumerate_group(1)] == [()] or \
-        [s.images for s in enumerate_group(1)] == [(0,)]
-    assert [s.sign for s in enumerate_group(2)] == [1, -1]
-    g4 = enumerate_group(4)
-    assert len(g4) == 24
-    assert sum(1 for s in g4 if s.sign == 1) == 12
-    assert sum(s.sign for s in g4) == 0
-
-
-def test_enumerate_group_deterministic_and_capped():
-    assert [s.images for s in enumerate_group(3)] == \
-        [s.images for s in enumerate_group(3)]
-    assert enumerate_group(3)[0] == identity(3)
-    with pytest.raises(ValueError):
-        enumerate_group(9)
+    assert [images for images, _, _ in permutations._signed_orders(1)] == [(0,)]
+    assert [sign for _, _, sign in permutations._signed_orders(2)] == [1, -1]
+    signs = [sign for _, _, sign in permutations._signed_orders(4)]
+    assert len(signs) == 24
+    assert signs.count(1) == 12
+    assert sum(signs) == 0
 
 
 def test_group_laws_exhaustive_small():
     for k in (2, 3, 4):
-        group = enumerate_group(k)
-        for a in group:
-            for b in group:
-                assert compose(a, b).sign == a.sign * b.sign
-                for c in group:
+        sign = {images: sgn for images, _, sgn in permutations._signed_orders(k)}
+        for a in sign:
+            for b in sign:
+                assert sign[compose(a, b)] == sign[a] * sign[b]
+                for c in sign:
                     assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
 def test_face_action_compatibility_through_degree_four(sphere):
     # deleting entry i after reordering equals reordering the deleted-face
-    # tuple by the induced permutation; exhaustive through degree 4
+    # tuple by the induced reordering; exhaustive through degree 4
     from altchain import enumerate_generators, face
 
     index = enumerate_generators(sphere, 4)
     for n in range(1, 5):
-        group = enumerate_group(n + 1)
+        group = list(reorderings(n + 1))
         step = 1 if n < 4 else 7
         for g in index.generators(n)[::step]:
-            for s in group:
-                reordered = act(s, g)
+            for images, _ in group:
+                reordered = reorder(images, g)
                 for i in range(n + 1):
                     assert face(reordered, i) == \
-                        act(induced_face_perm(s, i), face(g, s(i)))
+                        reorder(verify._induced_face(images, i), face(g, images[i]))
 
 
 def test_sign_tables_agree_with_parity_on_every_short_tuple():

@@ -23,7 +23,6 @@ from altchain.complex_model import DEFAULT_GENERATOR_BUDGET, GeneratorIndex, fac
 from altchain.corpus import CORPUS_NAMES, load_corpus_complex
 from altchain.errors import FormatError
 from altchain.integer_homology import homology_presented
-from altchain.permutations import Permutation
 from oracles import subdivision
 
 
@@ -142,17 +141,15 @@ def test_report_determinism(sphere, point):
 
 
 def test_mutation_in_face_permutation_is_caught(point, monkeypatch):
-    real = permutations.induced_face_perm
+    real = verify._induced_face
 
-    def broken(s, i):
-        out = real(s, i)
+    def broken(images, i):
+        out = real(images, i)
         if len(out) >= 2 and i == 0:
-            images = list(out.images)
-            images[0], images[1] = images[1], images[0]
-            return Permutation(images)
+            return (out[1], out[0]) + out[2:]
         return out
 
-    monkeypatch.setattr(permutations, "induced_face_perm", broken)
+    monkeypatch.setattr(verify, "_induced_face", broken)
     report = verify.run_all([("point", point)], seed=0, cases=5)
     failed = {r.suite_id for r in report.results if not r.passed}
     assert "face-permutation-sign" in failed
@@ -472,7 +469,7 @@ def test_mutation_in_ordered_boundary_matrix_is_caught(sphere, monkeypatch):
     def broken(index, n):
         columns = real(index, n)
         if n == 2:
-            column = columns[index.position((0, 1, 2))]
+            column = columns[index.positions(2)[(0, 1, 2)]]
             row = min(column)
             column[row] = -column[row]
         return columns
